@@ -1,6 +1,7 @@
 #include "core/cp_problem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -112,38 +113,76 @@ void repair(const CpInstance& instance, CpSolution& solution) {
   }
 }
 
-CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
-                      const CpWeights& weights) {
-  assert(feasible(instance, solution));
-  CpEvaluation eval;
-  const std::size_t num_gw = instance.gateways.size();
-  const std::size_t num_nodes = instance.nodes.size();
+namespace {
 
-  // Channel masks per gateway (grid sizes used in practice are <= 64).
-  std::vector<std::uint64_t> gw_mask(num_gw, 0);
+constexpr std::size_t kWordBits = 64;
+
+}  // namespace
+
+CpScorer::CpScorer(const CpInstance& instance)
+    : instance_(instance),
+      words_((instance.gateways.size() + kWordBits - 1) / kWordBits),
+      reach_(instance.nodes.size() * kNumLevels * words_, 0),
+      traffic_(instance.nodes.size()) {
+  const std::size_t num_gw = instance.gateways.size();
+  for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
+    const auto& node = instance.nodes[i];
+    assert(node.min_level.size() == num_gw);
+    traffic_[i] = node.traffic;
+    std::uint64_t* levels = &reach_[i * kNumLevels * words_];
+    for (std::size_t j = 0; j < num_gw; ++j) {
+      // Reachability is monotone in the level; kUnreachable sets no bit.
+      for (int level = node.min_level[j]; level < kNumLevels; ++level) {
+        levels[static_cast<std::size_t>(level) * words_ + j / kWordBits] |=
+            1ULL << (j % kWordBits);
+      }
+    }
+  }
+}
+
+CpEvaluation CpScorer::score(const CpSolution& solution,
+                             const CpWeights& weights) const {
+  assert(feasible(instance_, solution));
+  CpEvaluation eval;
+  const std::size_t num_gw = instance_.gateways.size();
+  const std::size_t num_nodes = traffic_.size();
+  const std::size_t words = words_;
+
+  // Gateways listening on each grid channel.
+  std::vector<std::uint64_t> listening(
+      static_cast<std::size_t>(instance_.num_channels) * words, 0);
   for (std::size_t j = 0; j < num_gw; ++j) {
     for (const auto c : solution.gateway_channels[j]) {
-      if (c < 64) gw_mask[j] |= (1ULL << c);
+      listening[static_cast<std::size_t>(c) * words + j / kWordBits] |=
+          1ULL << (j % kWordBits);
     }
   }
 
-  // Pass 1: gateway loads k_j and per-(channel, dr) pair loads.
+  // Pass 1: each node's serving set (gateways that reach it at its level
+  // and listen on its channel), gateway loads k_j and per-(channel, dr)
+  // pair loads.
   eval.gateway_load.assign(num_gw, 0.0);
   std::vector<double> pair_load(
-      static_cast<std::size_t>(instance.num_channels) * kNumDataRates, 0.0);
+      static_cast<std::size_t>(instance_.num_channels) * kNumDataRates, 0.0);
+  std::vector<std::uint64_t> serving(num_nodes * words);
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const auto& node = instance.nodes[i];
-    const int ch = solution.node_channel[i];
+    const double traffic = traffic_[i];
+    const auto ch = static_cast<std::size_t>(solution.node_channel[i]);
     const int level = solution.node_level[i];
-    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
-    for (std::size_t j = 0; j < num_gw; ++j) {
-      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
-        eval.gateway_load[j] += node.traffic;
+    const std::uint64_t* reach =
+        &reach_[(i * kNumLevels + static_cast<std::size_t>(level)) * words];
+    const std::uint64_t* listen = &listening[ch * words];
+    std::uint64_t* serve = &serving[i * words];
+    for (std::size_t w = 0; w < words; ++w) {
+      serve[w] = reach[w] & listen[w];
+      for (std::uint64_t set = serve[w]; set != 0; set &= set - 1) {
+        eval.gateway_load[w * kWordBits +
+                          static_cast<std::size_t>(std::countr_zero(set))] +=
+            traffic;
       }
     }
     const int dr = dr_value(level_to_dr(level));
-    pair_load[static_cast<std::size_t>(ch) * kNumDataRates + dr] +=
-        node.traffic;
+    pair_load[ch * kNumDataRates + static_cast<std::size_t>(dr)] += traffic;
   }
 
   // Gateway overload phi_j, normalized to the expected FRACTION of this
@@ -154,38 +193,38 @@ CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
   std::vector<double> phi(num_gw, 0.0);
   for (std::size_t j = 0; j < num_gw; ++j) {
     const double k = eval.gateway_load[j];
-    const double c = static_cast<double>(instance.gateways[j].decoders);
+    const double c = static_cast<double>(instance_.gateways[j].decoders);
     phi[j] = k > c ? (k - c) / k : 0.0;
   }
 
   // Pass 2: node risk Phi_i = min phi over serving gateways.
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const auto& node = instance.nodes[i];
-    const int ch = solution.node_channel[i];
-    const int level = solution.node_level[i];
-    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
+    const double traffic = traffic_[i];
+    const std::uint64_t* serve = &serving[i * words];
     double best_phi = -1.0;
-    for (std::size_t j = 0; j < num_gw; ++j) {
-      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
-        if (best_phi < 0.0 || phi[j] < best_phi) best_phi = phi[j];
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t set = serve[w]; set != 0; set &= set - 1) {
+        const double p = phi[w * kWordBits +
+                             static_cast<std::size_t>(std::countr_zero(set))];
+        if (best_phi < 0.0 || p < best_phi) best_phi = p;
       }
     }
     if (best_phi < 0.0) {
-      eval.disconnected += node.traffic;
+      eval.disconnected += traffic;
     } else {
-      eval.overload_risk += node.traffic * best_phi;
+      eval.overload_risk += traffic * best_phi;
     }
-    eval.level_bias += weights.level_cost * node.traffic *
-                       static_cast<double>(level);
+    eval.level_bias += weights.level_cost * traffic *
+                       static_cast<double>(solution.node_level[i]);
   }
   eval.objective += eval.level_bias;
 
   // RF channel contention pressure: load beyond a pair's capacity.
-  for (int ch = 0; ch < instance.num_channels; ++ch) {
+  for (int ch = 0; ch < instance_.num_channels; ++ch) {
     for (int dr = 0; dr < kNumDataRates; ++dr) {
       const double load =
           pair_load[static_cast<std::size_t>(ch) * kNumDataRates + dr];
-      const double cap = instance.pair_capacity[static_cast<std::size_t>(dr)];
+      const double cap = instance_.pair_capacity[static_cast<std::size_t>(dr)];
       if (load > cap) eval.pair_overload += load - cap;
     }
   }
@@ -194,6 +233,11 @@ CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
                     weights.pair_overload_weight * eval.pair_overload +
                     weights.disconnect_penalty * eval.disconnected;
   return eval;
+}
+
+CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
+                      const CpWeights& weights) {
+  return CpScorer(instance).score(solution, weights);
 }
 
 }  // namespace alphawan

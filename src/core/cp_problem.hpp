@@ -12,6 +12,7 @@
 // an evolutionary algorithm seeded by a greedy constructor.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -107,9 +108,37 @@ struct CpEvaluation {
   }
 };
 
-// Evaluate a solution. Infeasible gateway channel sets (too many channels
-// or span too wide) must be repaired before evaluation; evaluate() trusts
-// its input (checked in debug builds).
+// Scores solutions of one instance. Construction precomputes everything
+// the instance fixes: for every (node, level), the set of gateways the node
+// reaches at that level, as a bitset of ceil(gateways / 64) words. Scoring
+// a solution then ANDs that reach set with the set of gateways listening
+// on the node's channel, so the per-node work is a few word operations
+// plus one step per serving gateway.
+//
+// Every sum runs in node order and every minimum in gateway order, so
+// the result is independent of how the sets are stored. The scorer is
+// read-only after construction and keeps its scratch local to each call:
+// one scorer may score many solutions concurrently. It refers to the
+// instance, which must outlive it.
+class CpScorer {
+ public:
+  explicit CpScorer(const CpInstance& instance);
+
+  // Infeasible gateway channel sets (too many channels or span too wide)
+  // must be repaired before scoring; score() trusts its input (checked in
+  // debug builds).
+  [[nodiscard]] CpEvaluation score(
+      const CpSolution& solution,
+      const CpWeights& weights = CpWeights{}) const;
+
+ private:
+  const CpInstance& instance_;
+  std::size_t words_;                 // bitset words per gateway set
+  std::vector<std::uint64_t> reach_;  // [(node * kNumLevels + level) * words_]
+  std::vector<double> traffic_;       // U_i, contiguous
+};
+
+// Score one solution with a throwaway CpScorer (see CpScorer::score).
 [[nodiscard]] CpEvaluation evaluate(const CpInstance& instance,
                                     const CpSolution& solution,
                                     const CpWeights& weights = CpWeights{});

@@ -161,6 +161,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
 
   Rng rng(config.seed);
   const auto reach = reachable_gateways(instance);
+  const CpScorer scorer(instance);
   GaResult result;
 
   // Prepare + score one individual. Pure in the individual given the
@@ -175,7 +176,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       ind.solution.node_channel = frozen->node_channel;
       ind.solution.node_level = frozen->node_level;
     }
-    ind.eval = evaluate(instance, ind.solution, config.weights);
+    ind.eval = scorer.score(ind.solution, config.weights);
     ind.evaluated = true;
   };
   // Evaluate every not-yet-scored individual concurrently. Results land in

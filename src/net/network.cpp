@@ -19,6 +19,7 @@ Gateway& Network::add_gateway(GatewayId id, Point position,
 EndNode& Network::add_node(NodeId id, Point position,
                            const NodeRadioConfig& config) {
   nodes_.emplace_back(id, id_, position, config);
+  node_index_.try_emplace(id, nodes_.size() - 1);
   return nodes_.back();
 }
 
@@ -30,9 +31,8 @@ Gateway* Network::find_gateway(GatewayId id) {
 }
 
 EndNode* Network::find_node(NodeId id) {
-  const auto it = std::find_if(nodes_.begin(), nodes_.end(),
-                               [&](const EndNode& n) { return n.id() == id; });
-  return it == nodes_.end() ? nullptr : &*it;
+  const auto it = node_index_.find(id);
+  return it == node_index_.end() ? nullptr : &nodes_[it->second];
 }
 
 const Gateway* Network::find_gateway(GatewayId id) const {

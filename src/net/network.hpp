@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <string>
+#include <unordered_map>
 
 #include "net/adr.hpp"
 #include "net/end_node.hpp"
@@ -26,7 +27,8 @@ class Network {
   EndNode& add_node(NodeId id, Point position, const NodeRadioConfig& config);
 
   // Devices live in deques so references returned by add_gateway/add_node
-  // remain valid as the network grows.
+  // remain valid as the network grows. Add nodes through add_node only:
+  // find_node answers from the index add_node keeps.
   [[nodiscard]] std::deque<Gateway>& gateways() { return gateways_; }
   [[nodiscard]] const std::deque<Gateway>& gateways() const {
     return gateways_;
@@ -55,6 +57,9 @@ class Network {
   NetworkServer server_;
   std::deque<Gateway> gateways_;
   std::deque<EndNode> nodes_;
+  // Node id -> position in nodes_, filled by add_node. The first node
+  // added with an id keeps it, as a front-to-back search would find.
+  std::unordered_map<NodeId, std::size_t> node_index_;
 };
 
 }  // namespace alphawan

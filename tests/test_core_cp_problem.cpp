@@ -195,6 +195,207 @@ TEST(CpProblem, UnreachableLevelBlocksLink) {
   EXPECT_DOUBLE_EQ(eval.disconnected, 0.0);
 }
 
+// Reference oracle: the straightforward two-pass scoring loop that
+// CpScorer replaced, kept verbatim (including its 64-channel mask) so the
+// differential test below pins the scorer to it bit for bit.
+CpEvaluation reference_evaluate(const CpInstance& instance,
+                                const CpSolution& solution,
+                                const CpWeights& weights) {
+  CpEvaluation eval;
+  const std::size_t num_gw = instance.gateways.size();
+  const std::size_t num_nodes = instance.nodes.size();
+
+  std::vector<std::uint64_t> gw_mask(num_gw, 0);
+  for (std::size_t j = 0; j < num_gw; ++j) {
+    for (const auto c : solution.gateway_channels[j]) {
+      if (c < 64) gw_mask[j] |= (1ULL << c);
+    }
+  }
+
+  eval.gateway_load.assign(num_gw, 0.0);
+  std::vector<double> pair_load(
+      static_cast<std::size_t>(instance.num_channels) * kNumDataRates, 0.0);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    const auto& node = instance.nodes[i];
+    const int ch = solution.node_channel[i];
+    const int level = solution.node_level[i];
+    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
+    for (std::size_t j = 0; j < num_gw; ++j) {
+      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
+        eval.gateway_load[j] += node.traffic;
+      }
+    }
+    const int dr = dr_value(level_to_dr(level));
+    pair_load[static_cast<std::size_t>(ch) * kNumDataRates + dr] +=
+        node.traffic;
+  }
+
+  std::vector<double> phi(num_gw, 0.0);
+  for (std::size_t j = 0; j < num_gw; ++j) {
+    const double k = eval.gateway_load[j];
+    const double c = static_cast<double>(instance.gateways[j].decoders);
+    phi[j] = k > c ? (k - c) / k : 0.0;
+  }
+
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    const auto& node = instance.nodes[i];
+    const int ch = solution.node_channel[i];
+    const int level = solution.node_level[i];
+    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
+    double best_phi = -1.0;
+    for (std::size_t j = 0; j < num_gw; ++j) {
+      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
+        if (best_phi < 0.0 || phi[j] < best_phi) best_phi = phi[j];
+      }
+    }
+    if (best_phi < 0.0) {
+      eval.disconnected += node.traffic;
+    } else {
+      eval.overload_risk += node.traffic * best_phi;
+    }
+    eval.level_bias += weights.level_cost * node.traffic *
+                       static_cast<double>(level);
+  }
+  eval.objective += eval.level_bias;
+
+  for (int ch = 0; ch < instance.num_channels; ++ch) {
+    for (int dr = 0; dr < kNumDataRates; ++dr) {
+      const double load =
+          pair_load[static_cast<std::size_t>(ch) * kNumDataRates + dr];
+      const double cap = instance.pair_capacity[static_cast<std::size_t>(dr)];
+      if (load > cap) eval.pair_overload += load - cap;
+    }
+  }
+
+  eval.objective += eval.overload_risk +
+                    weights.pair_overload_weight * eval.pair_overload +
+                    weights.disconnect_penalty * eval.disconnected;
+  return eval;
+}
+
+// Random instance for the differential test. Gateway counts cycle through
+// the bitset-word seams (1, 63, 64, 65, 130 gateways) before going random;
+// links are unreachable with probability ~1/4 and some nodes carry no
+// traffic. Channel grids stay within the oracle's 64-channel mask.
+CpInstance random_instance(Rng& rng, int trial) {
+  static constexpr int kSeamGateways[] = {1, 63, 64, 65, 130};
+  CpInstance inst;
+  inst.num_channels = static_cast<int>(rng.uniform_int(1, 64));
+  inst.spectrum = Spectrum{Hz{902.0e6}, inst.num_channels * kChannelSpacing};
+  const int num_gw = trial < 50 ? kSeamGateways[trial % 5]
+                                : static_cast<int>(rng.uniform_int(1, 140));
+  for (int j = 0; j < num_gw; ++j) {
+    CpGateway gw;
+    gw.id = static_cast<GatewayId>(j + 1);
+    gw.decoders = static_cast<int>(rng.uniform_int(0, 24));
+    gw.max_channels = static_cast<int>(rng.uniform_int(1, 8));
+    gw.max_span_channels = static_cast<int>(rng.uniform_int(1, 16));
+    inst.gateways.push_back(gw);
+  }
+  const int num_nodes = static_cast<int>(rng.uniform_int(1, 160));
+  for (int i = 0; i < num_nodes; ++i) {
+    CpNode node;
+    node.id = static_cast<NodeId>(i + 1);
+    node.traffic = rng.chance(0.1) ? 0.0 : rng.uniform(0.05, 4.0);
+    node.min_level.resize(static_cast<std::size_t>(num_gw));
+    for (auto& level : node.min_level) {
+      const auto roll = rng.uniform_int(0, 7);
+      level = roll >= 6 ? kUnreachable : static_cast<std::uint8_t>(roll);
+    }
+    inst.nodes.push_back(std::move(node));
+  }
+  for (auto& cap : inst.pair_capacity) cap = rng.uniform(0.5, 6.0);
+  return inst;
+}
+
+// A repaired random plan. Half of the nodes pick a channel some gateway
+// listens on, so serving sets are rarely empty.
+CpSolution random_solution(const CpInstance& inst, Rng& rng) {
+  CpSolution s = CpSolution::empty_for(inst);
+  for (auto& chans : s.gateway_channels) {
+    const auto start = rng.uniform_int(0, inst.num_channels - 1);
+    const auto width = rng.uniform_int(1, 8);
+    for (std::int64_t c = start; c < start + width; ++c) {
+      chans.push_back(static_cast<std::int32_t>(c));
+    }
+  }
+  repair(inst, s);
+  const auto last = static_cast<std::int64_t>(inst.gateways.size()) - 1;
+  for (std::size_t i = 0; i < inst.nodes.size(); ++i) {
+    const auto& chans =
+        s.gateway_channels[static_cast<std::size_t>(rng.uniform_int(0, last))];
+    s.node_channel[i] =
+        rng.chance(0.5)
+            ? chans[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(chans.size()) - 1))]
+            : static_cast<std::int32_t>(
+                  rng.uniform_int(0, inst.num_channels - 1));
+    s.node_level[i] =
+        static_cast<std::int32_t>(rng.uniform_int(0, kNumLevels - 1));
+  }
+  return s;
+}
+
+// One scorer per instance scores several plans; every field, including the
+// whole gateway_load vector, must equal the reference loop exactly.
+TEST(CpScorer, MatchesReferenceLoopBitForBit) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 240; ++trial) {
+    const CpInstance inst = random_instance(rng, trial);
+    CpWeights weights;
+    if (trial % 3 != 0) {
+      weights.disconnect_penalty = rng.uniform(0.0, 3.0);
+      weights.pair_overload_weight = rng.uniform(0.0, 5.0);
+      weights.level_cost = rng.uniform(0.0, 0.3);
+    }
+    const CpScorer scorer(inst);
+    for (int plan = 0; plan < 3; ++plan) {
+      const CpSolution s = random_solution(inst, rng);
+      ASSERT_TRUE(feasible(inst, s));
+      const CpEvaluation want = reference_evaluate(inst, s, weights);
+      const CpEvaluation got = scorer.score(s, weights);
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " plan " << plan << ", "
+                   << inst.gateways.size() << " gateways");
+      EXPECT_TRUE(got.objective == want.objective);
+      EXPECT_TRUE(got.overload_risk == want.overload_risk);
+      EXPECT_TRUE(got.pair_overload == want.pair_overload);
+      EXPECT_TRUE(got.disconnected == want.disconnected);
+      EXPECT_TRUE(got.level_bias == want.level_bias);
+      EXPECT_TRUE(got.gateway_load == want.gateway_load);
+      const CpEvaluation wrapped = evaluate(inst, s, weights);
+      EXPECT_TRUE(wrapped.objective == want.objective);
+      EXPECT_TRUE(wrapped.gateway_load == want.gateway_load);
+    }
+  }
+}
+
+// Grid channels past 63 are served like any other: a gateway listening on
+// channel 70 of an 80-channel grid carries the node placed there.
+TEST(CpScorer, ServesChannelsBeyond64) {
+  CpInstance inst;
+  inst.num_channels = 80;
+  inst.spectrum = Spectrum{Hz{902.0e6}, inst.num_channels * kChannelSpacing};
+  inst.gateways = {{1, 4, 8, 8}, {2, 4, 8, 8}};
+  for (int i = 0; i < 3; ++i) {
+    CpNode node;
+    node.id = static_cast<NodeId>(i + 1);
+    node.min_level = {0, 0};
+    inst.nodes.push_back(node);
+  }
+  CpSolution s = CpSolution::empty_for(inst);
+  s.gateway_channels[0] = {66, 67, 68, 69, 70, 71, 72, 73};
+  s.gateway_channels[1] = {0, 1, 2, 3};
+  s.node_channel = {70, 73, 79};  // 79: nobody listens there
+  s.node_level = {0, 1, 2};
+  ASSERT_TRUE(feasible(inst, s));
+  const auto eval = evaluate(inst, s);
+  EXPECT_DOUBLE_EQ(eval.gateway_load[0], 2.0);
+  EXPECT_DOUBLE_EQ(eval.gateway_load[1], 0.0);
+  EXPECT_DOUBLE_EQ(eval.disconnected, 1.0);
+  EXPECT_DOUBLE_EQ(eval.overload_risk, 0.0);
+}
+
 TEST(CpProblem, LevelDrMapping) {
   EXPECT_EQ(level_to_dr(0), DataRate::kDR5);
   EXPECT_EQ(level_to_dr(5), DataRate::kDR0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/rng.hpp"
 
 namespace alphawan {
@@ -135,6 +137,63 @@ TEST(GaSolver, EvaluationCountTracked) {
   const auto result = solve_cp(inst, cfg);
   EXPECT_GE(result.evaluations,
             static_cast<std::size_t>(cfg.population));
+}
+
+// Fixed-seed solve digest: 12 gateways x 2k nodes, the GA run to its full
+// generation budget. The objective (as a hex float) and a hash of the best
+// plan were recorded before CP scoring moved to precomputed reach masks, so
+// any change to a single bit of scoring, repair or the GA's draw order
+// moves one of them.
+std::uint64_t plan_hash(const CpSolution& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& chans : s.gateway_channels) {
+    mix(static_cast<std::int64_t>(chans.size()));
+    for (const auto c : chans) mix(c);
+  }
+  for (const auto c : s.node_channel) mix(c);
+  for (const auto l : s.node_level) mix(l);
+  return h;
+}
+
+TEST(GaSolver, FixedSeedSolveDigest) {
+  Rng rng(42);
+  CpInstance inst;
+  inst.num_channels = 16;
+  inst.spectrum = Spectrum{Hz{916.8e6}, inst.num_channels * kChannelSpacing};
+  inst.pair_capacity.assign(kNumDataRates, 4.0);
+  for (int j = 0; j < 12; ++j) {
+    inst.gateways.push_back({static_cast<GatewayId>(j + 1), 16, 8, 8});
+  }
+  for (int i = 0; i < 2000; ++i) {
+    CpNode node;
+    node.id = static_cast<NodeId>(i + 1);
+    node.traffic = rng.uniform(0.2, 2.0);
+    node.min_level.resize(inst.gateways.size());
+    for (auto& level : node.min_level) {
+      const auto roll = rng.uniform_int(0, 9);
+      level = roll >= 6 ? kUnreachable : static_cast<std::uint8_t>(roll);
+    }
+    inst.nodes.push_back(std::move(node));
+  }
+  GaConfig cfg;
+  cfg.population = 24;
+  cfg.generations = 30;
+  cfg.seed = 42;
+  cfg.early_stop = false;
+  cfg.threads = 1;
+  const auto result = solve_cp(inst, cfg);
+  char objective[64];
+  std::snprintf(objective, sizeof objective, "%a",
+                result.best_eval.objective);
+  EXPECT_STREQ(objective, "0x1.b496414a3ee65p+12");
+  EXPECT_EQ(plan_hash(result.best), 0x3bdc9580d7916fa8ULL);
+  EXPECT_EQ(result.evaluations, 684u);
 }
 
 // Property sweep: for random instance shapes, the solver's best solution

@@ -88,6 +88,56 @@ TEST(NetworkTest, ApplyConfigIgnoresUnknownIds) {
   EXPECT_NO_THROW(net.apply_config(config));
 }
 
+// find_node goes through an id index: it must keep answering for nodes
+// added long after the first (across many deque blocks), return nullptr
+// for unknown ids, and resolve a duplicated id to the first node added
+// with it.
+TEST(NetworkTest, FindNodeIndexAcrossGrowthAndDuplicates) {
+  Network net(1, "test");
+  constexpr NodeId kCount = 2000;
+  for (NodeId id = 0; id < kCount; ++id) {
+    net.add_node(kCount - id, Point{Meters{static_cast<double>(id)}, Meters{0}},
+                 NodeRadioConfig{});
+  }
+  for (NodeId id = 1; id <= kCount; ++id) {
+    const EndNode* node = net.find_node(id);
+    ASSERT_NE(node, nullptr) << id;
+    EXPECT_EQ(node->id(), id);
+    EXPECT_EQ(node->position().x.value(), static_cast<double>(kCount - id));
+  }
+  EXPECT_EQ(net.find_node(0), nullptr);
+  EXPECT_EQ(net.find_node(kCount + 1), nullptr);
+  EXPECT_EQ(net.find_node(kInvalidNode), nullptr);
+
+  const EndNode* first = net.find_node(7);
+  net.add_node(7, Point{Meters{-1}, Meters{0}}, NodeRadioConfig{});
+  EXPECT_EQ(net.nodes().size(), kCount + 1);
+  EXPECT_EQ(net.find_node(7), first);
+  const Network& view = net;
+  EXPECT_EQ(view.find_node(7), first);
+}
+
+// apply_config reconfigures indexed nodes and skips ids it does not know.
+TEST(NetworkTest, ApplyConfigThroughIndexSkipsUnknownNodes) {
+  Network net(1, "test");
+  const Spectrum s = spectrum_1m6();
+  for (NodeId id = 1; id <= 600; ++id) {
+    net.add_node(id, Point{}, NodeRadioConfig{});
+  }
+  NodeRadioConfig moved;
+  moved.channel = s.grid_channel(5);
+  moved.dr = DataRate::kDR4;
+  NetworkChannelConfig config;
+  config.nodes[599] = moved;
+  config.nodes[601] = moved;  // unknown: ignored
+  config.nodes[kInvalidNode] = moved;
+  net.apply_config(config);
+  EXPECT_EQ(net.find_node(599)->config(), moved);
+  EXPECT_EQ(net.find_node(598)->config(), NodeRadioConfig{});
+  EXPECT_EQ(net.find_node(601), nullptr);
+  EXPECT_EQ(net.current_config().nodes.size(), 600u);
+}
+
 TEST(NetworkTest, GatewayAntennaSwap) {
   Network net(0, "t");
   auto& gw = net.add_gateway(1, Point{Meters{0}, Meters{0}}, default_profile());

@@ -1,10 +1,11 @@
 // Component micro-benchmarks (google-benchmark): throughput of the pieces
 // the system runs continuously — airtime math, decoder pool churn, the
 // gateway radio pipeline, frame encode/decode + MIC, the CP solver at the
-// Fig. 17 scales, and the scalar/batched PHY kernel pairs (ALPHAWAN_BATCH,
-// phy/batch_kernels.hpp). The BM_Batch* pairs also report through
-// PerfRecorder, so the per-kernel scalar-vs-batched throughputs land in
-// the alphawan-bench-v1 JSON trajectory alongside the end-to-end numbers.
+// Fig. 17 scales, and the kernel-versus-oracle PHY pairs
+// (phy/batch_kernels.hpp: each batched receive kernel against its scalar
+// reference). The BM_Batch* pairs also report through PerfRecorder, so the
+// per-kernel throughputs land in the alphawan-bench-v1 JSON trajectory
+// alongside the end-to-end numbers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -185,7 +186,7 @@ BENCHMARK(BM_WindowThreads)
     ->Arg(8)
     ->Iterations(4);
 
-// ---- scalar vs batched PHY kernel pairs (ALPHAWAN_BATCH) ------------------
+// ---- kernel-versus-oracle PHY pairs ---------------------------------------
 // Each BM_Batch* runs the same work through the scalar reference (Arg 0)
 // and the batched kernel (Arg 1) and reports both as PerfRecorder rows, so
 // the per-kernel speedups are tracked in BENCH_*.json independently of the

@@ -35,9 +35,10 @@ namespace alphawan::bench {
 // docs/performance.md). A bench accumulates (packets, wall seconds) for a
 // named hot path and the recorder writes every record at process exit.
 //
-// Output path: $ALPHAWAN_BENCH_JSON if set (empty disables), else
-// BENCH_PR10.json in the working directory. Nothing is written when no
-// record was made, so benches that don't opt in stay side-effect free.
+// Output path: $ALPHAWAN_BENCH_JSON. Nothing is written when the variable
+// is unset or empty, or when no record was made, so a local bench run never
+// overwrites a committed BENCH_PR<N>.json baseline (CI sets the variable on
+// every bench step it keeps the JSON of).
 
 struct PerfRecord {
   std::string name;
@@ -63,12 +64,15 @@ class PerfRecorder {
         PerfRecord{std::move(name), packets, wall_seconds, threads});
   }
 
+  // The telemetry destination, "" when nothing should be written.
+  [[nodiscard]] static std::string output_path() {
+    const char* env = std::getenv("ALPHAWAN_BENCH_JSON");
+    return env != nullptr ? env : "";
+  }
+
   ~PerfRecorder() {
     if (records_.empty()) return;
-    std::string path = "BENCH_PR10.json";
-    if (const char* env = std::getenv("ALPHAWAN_BENCH_JSON")) {
-      path = env;
-    }
+    const std::string path = output_path();
     if (path.empty()) return;
     std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) return;

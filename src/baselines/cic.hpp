@@ -7,10 +7,7 @@
 // stay dropped.
 #pragma once
 
-#include <memory>
-
 #include "radio/capture_policy.hpp"
-#include "sim/scenario.hpp"
 
 namespace alphawan {
 
@@ -37,24 +34,5 @@ class CicCapturePolicy final : public CapturePolicy {
  private:
   CicOptions options_;
 };
-
-// Deprecated ScenarioRunner post-processor entry point, kept one release
-// as a shim: prefer RunOptions::capture_policy with a CicCapturePolicy
-// (or the registry's "cic" scheme), which resolves inside
-// GatewayRadio::process. Same logic, bit-identical outcomes.
-[[deprecated(
-    "set RunOptions::capture_policy to a CicCapturePolicy "
-    "(baselines/cic.hpp) or use the baseline registry")]]
-[[nodiscard]] inline RxPostProcessor make_cic_processor(
-    CicOptions options = CicOptions{}) {
-  auto policy = std::make_shared<CicCapturePolicy>(options);
-  return [policy](const Gateway& gw, const std::vector<RxEvent>& events,
-                  std::vector<RxOutcome>& outcomes) {
-    const CaptureColumns columns(events);
-    policy->resolve(
-        columns.context(gw.radio().sync_word(), gw.profile().decoders),
-        outcomes);
-  };
-}
 
 }  // namespace alphawan

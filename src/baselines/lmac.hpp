@@ -48,15 +48,4 @@ class LmacPolicy final : public NodeMacPolicy {
   StandardLorawanOptions node_side_;
 };
 
-// Deprecated free-function entry point, kept one release as a shim over
-// LmacPolicy::shape_window (same draws, bit-identical schedules).
-[[deprecated(
-    "use LmacPolicy::shape_window (baselines/lmac.hpp) or the baseline "
-    "registry (baselines/registry.hpp)")]]
-[[nodiscard]] inline std::vector<Transmission> lmac_schedule(
-    std::vector<Transmission> txs, Rng& rng,
-    const LmacOptions& options = LmacOptions{}) {
-  return LmacPolicy(options).shape_window(std::move(txs), rng);
-}
-
 }  // namespace alphawan

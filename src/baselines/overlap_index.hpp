@@ -5,8 +5,8 @@
 // packet. Built per resolve() call — capture policies are stateless by
 // contract (radio/capture_policy.hpp), so the index lives on the stack of
 // the concurrent per-gateway task that needs it. Reads only the columnar
-// CaptureContext, never an RxEvent struct, so the batched pipeline can
-// run policies without materializing events.
+// CaptureContext, never an RxEvent struct, so the radio can run policies
+// without materializing events.
 #pragma once
 
 #include <algorithm>

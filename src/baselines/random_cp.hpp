@@ -35,15 +35,4 @@ class RandomCpPolicy final : public NodeMacPolicy {
   StandardLorawanOptions node_side_;
 };
 
-// Deprecated free-function entry point, kept one release as a shim over
-// RandomCpPolicy (same draws, bit-identical provisioning).
-[[deprecated(
-    "use RandomCpPolicy (baselines/random_cp.hpp) or the baseline "
-    "registry (baselines/registry.hpp)")]]
-inline void apply_random_cp(Deployment& deployment, Network& network,
-                            Rng& rng,
-                            const RandomCpOptions& options = RandomCpOptions{}) {
-  RandomCpPolicy(options).configure(deployment, network, rng);
-}
-
 }  // namespace alphawan

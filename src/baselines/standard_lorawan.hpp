@@ -46,15 +46,4 @@ class StandardLorawanPolicy final : public NodeMacPolicy {
   StandardLorawanOptions options_;
 };
 
-// Deprecated free-function entry point, kept one release as a shim over
-// StandardLorawanPolicy (same streams, bit-identical provisioning).
-[[deprecated(
-    "use StandardLorawanPolicy (baselines/policy.hpp) or the baseline "
-    "registry (baselines/registry.hpp)")]]
-inline void apply_standard_lorawan(
-    Deployment& deployment, Network& network, Rng& rng,
-    const StandardLorawanOptions& options = StandardLorawanOptions{}) {
-  StandardLorawanPolicy(options).configure(deployment, network, rng);
-}
-
 }  // namespace alphawan

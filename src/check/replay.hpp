@@ -7,8 +7,9 @@
 // packet N lost?": it lists, per gateway that could hear the packet, the
 // received power, SNR, and disposition, plus the resulting fate.
 //
-// Limitation: post-processors installed via RunOptions (the CIC baseline)
-// are not replayed; the report reflects the stock radio pipeline.
+// The replay runs a copy of each gateway's radio as attached: a capture
+// policy the last run_window installed (RunOptions::capture_policy) takes
+// part, one never installed does not.
 #pragma once
 
 #include <string>

@@ -136,23 +136,8 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   if (!instance.valid()) {
     throw std::invalid_argument("solve_cp: invalid CP instance");
   }
-  // Resolve the node-freezing request: the typed frozen_nodes field, or the
-  // deprecated freeze_nodes + initial pair (still validated at runtime for
-  // external callers on the old API).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const bool legacy_freeze = config.freeze_nodes;
-#pragma GCC diagnostic pop
-  const CpSolution* frozen = nullptr;
-  if (config.frozen_nodes) {
-    frozen = &config.frozen_nodes->solution;
-  } else if (legacy_freeze) {
-    if (!config.initial) {
-      throw std::invalid_argument(
-          "solve_cp: freeze_nodes requires an initial solution");
-    }
-    frozen = &*config.initial;
-  }
+  const CpSolution* frozen =
+      config.frozen_nodes ? &config.frozen_nodes->solution : nullptr;
   const bool nodes_frozen = frozen != nullptr;
   // Population seed: an explicit initial wins; a frozen solution doubles as
   // the seed otherwise.

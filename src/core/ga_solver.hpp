@@ -21,11 +21,6 @@ struct FrozenNodes {
   CpSolution solution;
 };
 
-// The pragma pair around the struct keeps GaConfig's synthesized
-// copy/move members from tripping the deprecation warning on the
-// freeze_nodes shim below; explicit reads/writes in caller code still do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct GaConfig {
   int population = 32;
   int generations = 80;
@@ -49,14 +44,7 @@ struct GaConfig {
   // Worker threads for fitness evaluation: 0 = the ALPHAWAN_THREADS
   // process default, 1 = force serial. Any value yields identical results.
   int threads = 0;
-
-  // Deprecated shim, kept for one release: freeze_nodes + initial was the
-  // old way to pin node genes and could express an invalid state at
-  // runtime. solve_cp still honors it for external callers.
-  [[deprecated("set frozen_nodes instead of freeze_nodes + initial")]]
-  bool freeze_nodes = false;
 };
-#pragma GCC diagnostic pop
 
 struct GaResult {
   CpSolution best;

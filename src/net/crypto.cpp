@@ -153,7 +153,11 @@ AesBlock aes_cmac(const AesKey& key, std::span<const std::uint8_t> message) {
     std::memcpy(last.data(), message.data() + full_blocks * 16, 16);
     xor_block(last, k1);
   } else {
-    std::memcpy(last.data(), message.data() + full_blocks * 16, last_len);
+    // An empty message may carry a null data() pointer, which memcpy must
+    // not receive even with a zero length.
+    if (last_len != 0) {
+      std::memcpy(last.data(), message.data() + full_blocks * 16, last_len);
+    }
     last[last_len] = 0x80;
     xor_block(last, k2);
   }

@@ -36,33 +36,6 @@ Db Gateway::antenna_gain_towards(const Point& target) const {
   return antenna_->gain(azimuth - boresight_rad_);
 }
 
-std::vector<RxOutcome> Gateway::receive_window(
-    const std::vector<RxEvent>& events, std::vector<UplinkRecord>& uplinks) {
-  auto outcomes = radio_.process(events);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& out = outcomes[i];
-    if (out.disposition != RxDisposition::kDelivered) continue;
-    UplinkRecord rec;
-    rec.packet = out.packet;
-    rec.node = out.node;
-    rec.gateway = id_;
-    rec.network = network_;
-    rec.timestamp = events[i].tx.end();
-    rec.channel = events[i].tx.channel;
-    rec.dr = sf_to_dr(events[i].tx.params.sf);
-    rec.snr = out.snr;
-    uplinks.push_back(rec);
-  }
-  return outcomes;
-}
-
-std::vector<RxOutcome> Gateway::receive_window(
-    const RxEventView& view, std::vector<UplinkRecord>& uplinks) {
-  std::vector<RxOutcome> outcomes;
-  receive_window(view, uplinks, outcomes);
-  return outcomes;
-}
-
 void Gateway::receive_window(const RxEventView& view,
                              std::vector<UplinkRecord>& uplinks,
                              std::vector<RxOutcome>& outcomes) {

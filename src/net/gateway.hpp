@@ -76,23 +76,13 @@ class Gateway {
   // its cached antenna gains for this gateway are stale.
   [[nodiscard]] std::uint64_t antenna_epoch() const { return antenna_epoch_; }
 
-  // Process one window of on-air transmissions; returns per-event radio
-  // outcomes and appends delivered packets to `uplinks`.
-  [[nodiscard]] std::vector<RxOutcome> receive_window(
-      const std::vector<RxEvent>& events, std::vector<UplinkRecord>& uplinks);
-
-  // Batched-mode variant (ALPHAWAN_BATCH=1): same pipeline through the
-  // batched radio kernels, with uplink metadata read from the window's
-  // shared transmission table — the table's memoized end instant is the
-  // identical sum Transmission::end() evaluates, so records are
-  // bit-identical. Capture policies run off the columnar CaptureContext
-  // inside the radio; no RxEvent list is needed.
-  [[nodiscard]] std::vector<RxOutcome> receive_window(
-      const RxEventView& view, std::vector<UplinkRecord>& uplinks);
-
-  // In-place form of the batched variant: fills a caller-owned outcome
-  // buffer (GatewayRadio::process_into), so per-window arenas keep their
-  // capacity across windows.
+  // Process one window of on-air transmissions (the view's events, read off
+  // the window's shared transmission table) through the radio
+  // (GatewayRadio::process_into): fills a caller-owned outcome buffer, one
+  // outcome per event in view order, so per-window arenas keep their
+  // capacity across windows, and appends delivered packets to `uplinks`.
+  // Uplink metadata comes from the table, whose memoized end instant is the
+  // identical sum Transmission::end() evaluates.
   void receive_window(const RxEventView& view,
                       std::vector<UplinkRecord>& uplinks,
                       std::vector<RxOutcome>& outcomes);

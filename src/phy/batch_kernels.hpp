@@ -1,5 +1,6 @@
-// Batched PHY receive kernels (ALPHAWAN_BATCH=1, sim/batch.hpp) and the
-// scalar reference kernel they are differentially tested against.
+// Batched PHY receive kernels (the receive path of ScenarioRunner and
+// GatewayRadio::process_into) and the scalar reference kernels they are
+// differentially tested against.
 //
 // The four hot loops of the receive pipeline — candidate link-gain /
 // sensitivity filtering, the co-SF / inter-SF SIR capture tests, the
@@ -26,9 +27,12 @@
 //    element in scalar scan order — is recovered from the max stable-sort
 //    rank among colliders.
 //
-// The differential harness (tests/property/test_prop_kernels.cpp) checks
-// scalar == batched bit-for-bit across randomized worlds; the equivalences
-// above are what make that hold for every input, not just the sampled ones.
+// The kernel tests (tests/test_phy_batch_kernels.cpp) check scalar ==
+// batched bit-for-bit per kernel, and the pinned digests in
+// tests/property/test_prop_kernels.cpp (recorded when the scalar pipeline
+// was still the runner's reference) hold the whole path to it; the
+// equivalences above are what make that hold for every input, not just the
+// sampled ones.
 #pragma once
 
 #include <algorithm>
@@ -104,12 +108,11 @@ struct SfGroup {
 };
 
 // Scalar reference scan of one frequency bucket — a verbatim transcription
-// of the original GatewayRadio::process phase-3 inner loop, shared by the
-// scalar pipeline and by batched buckets that don't qualify for a fast
-// kernel (mixed-channel buckets). `order_begin/order_end` delimit the
-// bucket's start-sorted event indices; `uniform`/`rho_uniform` mirror the
-// bucket's uniform-channel fast path; `lookback` is the bucket's longest
-// event duration.
+// of the original per-event phase-3 inner loop, run for buckets that don't
+// qualify for a fast kernel (mixed-channel buckets). `order_begin/order_end`
+// delimit the bucket's start-sorted event indices; `uniform`/`rho_uniform`
+// mirror the bucket's uniform-channel fast path; `lookback` is the bucket's
+// longest event duration.
 inline void scan_bucket_scalar(const RxScanSoA& soa,
                                const std::uint32_t* order_begin,
                                const std::uint32_t* order_end, bool uniform,

@@ -1,6 +1,6 @@
 // Pluggable gateway-side capture policy: how overlapping receptions
 // resolve after the stock pipeline ran. The COTS model in
-// GatewayRadio::process is the fixed physical baseline (front-end, FCFS
+// GatewayRadio::process_into is the fixed physical baseline (front-end, FCFS
 // decoder dispatch, co/inter-SF SIR capture tests); a CapturePolicy is the
 // *receiver algorithm* layered on top — CIC sub-band separation, SS5G
 // superposition decoding, CurvingLoRa curvature-orthogonal despreading —
@@ -31,11 +31,8 @@ namespace alphawan {
 // per-event columns over every transmission the front-end observed
 // (including foreign-network and never-detected ones — their RF energy
 // shaped the outcomes). Columnar rather than a vector<RxEvent> so the
-// batched pipeline (ALPHAWAN_BATCH, sim/batch.hpp) can hand policies the
-// per-event scratch columns it already filled instead of materializing
-// wide RxEvent structs per (gateway, window); the scalar pipeline fills
-// the same columns from its event list, so both feed policies identical
-// values (tests/property/test_prop_kernels.cpp).
+// radio can hand policies the per-event scratch columns it already filled
+// instead of materializing wide RxEvent structs per (gateway, window).
 struct CaptureContext {
   std::size_t count = 0;                   // events this window
   const Seconds* start = nullptr;          // tx start time
@@ -52,43 +49,6 @@ struct CaptureContext {
   int decoders = 0;
 };
 
-// Owned columnar snapshot of an RxEvent list: adapts event-vector call
-// sites (the deprecated post-processor shim, unit tests) to the columnar
-// CaptureContext. end comes from Transmission::end() — the same pure
-// airtime formula the radio memoizes, so values match the in-radio path.
-struct CaptureColumns {
-  std::vector<Seconds> start;
-  std::vector<Seconds> end;
-  std::vector<Channel> channel;
-  std::vector<SpreadingFactor> sf;
-  std::vector<NodeId> node;
-  std::vector<std::uint16_t> sync;
-
-  explicit CaptureColumns(const std::vector<RxEvent>& events) {
-    start.reserve(events.size());
-    end.reserve(events.size());
-    channel.reserve(events.size());
-    sf.reserve(events.size());
-    node.reserve(events.size());
-    sync.reserve(events.size());
-    for (const auto& ev : events) {
-      start.push_back(ev.tx.start);
-      end.push_back(ev.tx.end());
-      channel.push_back(ev.tx.channel);
-      sf.push_back(ev.tx.params.sf);
-      node.push_back(ev.tx.node);
-      sync.push_back(ev.tx.sync_word);
-    }
-  }
-
-  [[nodiscard]] CaptureContext context(std::uint16_t sync_word,
-                                       int decoders) const {
-    return CaptureContext{start.size(),   start.data(), end.data(),
-                          channel.data(), sf.data(),    node.data(),
-                          sync.data(),    sync_word,    decoders};
-  }
-};
-
 class CapturePolicy {
  public:
   virtual ~CapturePolicy() = default;
@@ -96,7 +56,7 @@ class CapturePolicy {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   // Rewrite reception outcomes (one per event, same order) for one
-  // gateway window. Called at the end of GatewayRadio::process, so
+  // gateway window. Called at the end of GatewayRadio::process_into, so
   // rescued deliveries flow through the normal uplink-forwarding path.
   virtual void resolve(const CaptureContext& context,
                        std::vector<RxOutcome>& outcomes) const = 0;

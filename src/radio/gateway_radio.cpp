@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "phy/capture.hpp"
@@ -87,22 +88,8 @@ int GatewayRadio::chain_for(const Channel& packet_channel) {
   return index;
 }
 
-const GatewayRadio::RxScratch::AirtimeMemo& GatewayRadio::airtime_for(
-    const Transmission& tx) {
-  for (const auto& memo : scratch_.airtime_memo) {
-    if (memo.payload_bytes == tx.payload_bytes && memo.params == tx.params) {
-      return memo;
-    }
-  }
-  scratch_.airtime_memo.push_back(RxScratch::AirtimeMemo{
-      tx.params, tx.payload_bytes, time_on_air(tx.params, tx.payload_bytes),
-      preamble_duration(tx.params)});
-  return scratch_.airtime_memo.back();
-}
-
 // Phase 2: FCFS dispatch into the decoder pool. The observer timestamp is
-// the event's start time, read from the phase-1 scratch column (the same
-// value the RxEvent held).
+// the event's start time, read from the phase-1 scratch column.
 void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
                                   bool already_sorted) {
   auto& sc = scratch_;
@@ -128,7 +115,7 @@ void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
 // Phase 3a: group events into coarse frequency buckets (interference
 // requires spectral overlap) and sort each bucket by start time, bounding
 // the interferer scan to plausible overlappers. Reads only the phase-1
-// scratch columns, so both pipelines share it verbatim.
+// scratch columns.
 //
 // The bucket index is flat: sorting (bucket, event index) pairs groups
 // each bucket's events in ascending index order — the same initial
@@ -254,12 +241,12 @@ void GatewayRadio::build_bucket_index(std::size_t count) {
   }
 }
 
-// Batched phase-3 prep: per uniform bucket, a stable counting sort by SF
+// Phase-3 prep: per uniform bucket, a stable counting sort by SF
 // (preserving the start order within each SF, so every same-SF subsequence
-// keeps its scalar accumulation order) plus the per-(bucket, chain)
-// overlap/coupling memo — overlap_ratio and coupling_db are pure functions
-// of the two channels, so memoized values are bit-identical to the ones the
-// scalar scan recomputes per decoded event.
+// keeps the reference kernel's accumulation order) plus the per-(bucket,
+// chain) overlap/coupling memo — overlap_ratio and coupling_db are pure
+// functions of the two channels, so memoized values are bit-identical to
+// the ones the reference kernel recomputes per decoded event.
 void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
   auto& sc = scratch_;
   sc.order_sf.resize(count);
@@ -272,7 +259,7 @@ void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
     auto& b = sc.buckets[bpos];
     b.groups_begin = static_cast<std::uint32_t>(sc.sf_groups.size());
     b.groups_end = b.groups_begin;
-    if (!b.uniform) continue;  // mixed buckets take the scalar kernel
+    if (!b.uniform) continue;  // mixed buckets take the reference kernel
     for (std::size_t c = 0; c < n_chains; ++c) {
       auto& memo = sc.bucket_chain[bpos * n_chains + c];
       memo.rho = overlap_ratio(b.channel, chains_[c].channel);
@@ -351,161 +338,26 @@ void GatewayRadio::apply_capture_policy(std::size_t count,
   }
 }
 
+// Adapter for callers holding an event list (unit tests, replay, the figure
+// benches): one table over the events' transmissions, viewed in event order.
 std::vector<RxOutcome> GatewayRadio::process(
     const std::vector<RxEvent>& events) {
-  std::vector<RxOutcome> outcomes(events.size());
-  pool_.reset();
-  if (observer_ != nullptr) observer_->on_radio_window_begin();
-  auto& sc = scratch_;
-
-  // Phase 1: front-end + detection per event. Also fills the per-event
-  // caches phase 3 leans on: tx.end() (a full airtime recomputation) and
-  // the linear rx power (a pow), each otherwise paid once per *candidate
-  // pair* in the interferer scan.
-  sc.queue.clear();
-  sc.queue.reserve(events.size());
-  sc.chain_of.assign(events.size(), -1);
-  sc.end_of.resize(events.size());
-  sc.lin_power.resize(events.size());
-  sc.start_of.resize(events.size());
-  sc.channel_of.resize(events.size());
-  sc.power_of.resize(events.size());
-  sc.sf_of.resize(events.size());
-  sc.net_of.resize(events.size());
-  const bool policy_columns = capture_policy_ != nullptr;
-  if (policy_columns) {
-    sc.node_of.resize(events.size());
-    sc.sync_of.resize(events.size());
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  txs.reserve(events.size());
+  powers.reserve(events.size());
+  for (const auto& ev : events) {
+    txs.push_back(ev.tx);
+    powers.push_back(ev.rx_power);
   }
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& ev = events[i];
-    auto& out = outcomes[i];
-    if (policy_columns) {
-      sc.node_of[i] = ev.tx.node;
-      sc.sync_of[i] = ev.tx.sync_word;
-    }
-    // airtime_for memoizes the airtime formula per radio setting; the sums
-    // below are term-for-term the ones tx.end() / tx.lock_on() compute.
-    const auto& airtime = airtime_for(ev.tx);
-    sc.end_of[i] = ev.tx.start + airtime.airtime;
-    sc.lin_power[i] = dbm_to_lin(ev.rx_power);
-    sc.start_of[i] = ev.tx.start;
-    sc.channel_of[i] = ev.tx.channel;
-    sc.power_of[i] = ev.rx_power;
-    sc.sf_of[i] = ev.tx.params.sf;
-    sc.net_of[i] = ev.tx.network;
-    out.packet = ev.tx.id;
-    out.node = ev.tx.node;
-    out.network = ev.tx.network;
-    const int chain = chain_for(ev.tx.channel);
-    if (chain < 0) {
-      out.disposition = RxDisposition::kRejectedFrontEnd;
-      continue;
-    }
-    sc.chain_of[i] = chain;
-    out.chain_channel = chain;
-    out.snr = packet_snr(ev.rx_power, ev.tx.channel.bandwidth);
-    // Inline detect(): the lock-on instant comes from the memoized
-    // preamble duration instead of a fresh preamble_duration call.
-    if (out.snr < demod_snr_threshold(ev.tx.params.sf) + kDetectionMargin) {
-      out.disposition = RxDisposition::kNotDetected;
-      continue;
-    }
-    sc.queue.push_back(DispatchEntry{i, ev.tx.start + airtime.preamble,
-                                     sc.end_of[i], ev.tx.network, ev.tx.id});
-  }
-
-  // Phase 2: FCFS dispatch into the decoder pool.
-  dispatch_queue(outcomes, /*already_sorted=*/false);
-
-  // Phase 3: decode each packet that holds a decoder, accounting for
-  // interference from *all* transmissions in the air (including ones the
-  // front-end rejected or that were never detected — their RF energy is
-  // still present).
-  build_bucket_index(events.size());
-
-  const RxScanSoA soa{sc.start_of.data(), sc.end_of.data(),
-                      sc.lin_power.data(), sc.channel_of.data(),
-                      sc.power_of.data(),  sc.sf_of.data(),
-                      sc.net_of.data()};
-  const std::uint32_t* order = sc.order.data();
-  for (const std::size_t i : sc.decoding) {
-    const auto& ev = events[i];
-    auto& out = outcomes[i];
-    const Channel& rx_ch =
-        chains_[static_cast<std::size_t>(sc.chain_of[i])].channel;
-
-    const double noise_lin = noise_floor_lin(ev.tx.channel.bandwidth);
-    ScanAccum acc;
-    const ScanEvent se{i,
-                       sc.start_of[i],
-                       sc.end_of[i],
-                       sc.power_of[i],
-                       sc.sf_of[i],
-                       sc.net_of[i],
-                       rx_ch};
-
-    // Candidates: same or adjacent frequency bucket, starting within
-    // [ev.start - bucket_longest, ev.end). The scan reads only the flat
-    // per-event arrays filled in phase 1 — never the RxEvent structs.
-    const std::int64_t center_bucket = bucket_of(ev.tx.channel.center);
-    for (std::int64_t bucket = center_bucket - 1;
-         bucket <= center_bucket + 1; ++bucket) {
-      const auto bucket_it = std::lower_bound(
-          sc.buckets.begin(), sc.buckets.end(), bucket,
-          [](const RxScratch::Bucket& b, std::int64_t id) {
-            return b.id < id;
-          });
-      if (bucket_it == sc.buckets.end() || bucket_it->id != bucket) continue;
-      // Uniform-channel bucket: one overlap test covers every event in it.
-      // Zero overlap means no event in the bucket can couple into this
-      // chain — skip the whole range (adjacent grid channels, typically).
-      const bool uniform = bucket_it->uniform;
-      double rho_uniform = 0.0;
-      if (uniform) {
-        rho_uniform = overlap_ratio(bucket_it->channel, rx_ch);
-        if (rho_uniform <= 0.0) continue;
-      }
-      scan_bucket_scalar(soa, order + bucket_it->begin,
-                         order + bucket_it->end, uniform, rho_uniform,
-                         bucket_it->max_duration, se, acc);
-    }
-
-    // Combined same-SF co-channel power must also satisfy capture.
-    if (!acc.collided && acc.aligned_same_sf_lin > 0.0) {
-      const Dbm combined = lin_to_dbm(acc.aligned_same_sf_lin);
-      if (ev.rx_power - combined <
-          capture_sir_threshold(ev.tx.params.sf, ev.tx.params.sf)) {
-        acc.collided = true;
-      }
-    }
-
-    if (acc.collided) {
-      out.disposition = RxDisposition::kDroppedCollision;
-      out.foreign_interferer = acc.foreign_fatal;
-      continue;
-    }
-
-    const Db snr_eff =
-        ev.rx_power - lin_to_dbm(noise_lin + acc.misaligned_intf_lin);
-    if (snr_eff < demod_snr_threshold(ev.tx.params.sf)) {
-      out.disposition = RxDisposition::kDroppedLowSnr;
-      continue;
-    }
-
-    out.disposition = ev.tx.sync_word == sync_word_
-                          ? RxDisposition::kDelivered
-                          : RxDisposition::kDecodedForeign;
-  }
-
-  if (capture_policy_ != nullptr) apply_capture_policy(events.size(), outcomes);
-  return outcomes;
-}
-
-
-std::vector<RxOutcome> GatewayRadio::process(const RxEventView& view) {
+  WindowTxTable table;
+  table.build(txs);
+  std::vector<std::uint32_t> tx_index(events.size());
+  std::iota(tx_index.begin(), tx_index.end(), 0u);
   std::vector<RxOutcome> outcomes;
-  process_into(view, outcomes);
+  process_into(RxEventView{&table, tx_index.data(), powers.data(),
+                           events.size()},
+               outcomes);
   return outcomes;
 }
 
@@ -517,13 +369,13 @@ void GatewayRadio::process_into(const RxEventView& view,
   if (observer_ != nullptr) observer_->on_radio_window_begin();
   auto& sc = scratch_;
 
-  // Phase 1, batched: the same per-event pipeline, reading the window's
-  // shared table columns instead of wide RxEvent structs. The airtime-
-  // derived instants (end, lock_on) come memoized from the table — the
-  // identical sums the scalar phase computes through airtime_for. As the
-  // dispatch queue fills, a running strict-order check records whether
-  // sort_fcfs can be skipped (ascending tx order usually already is
-  // lock-on ordered within a chain mix).
+  // Phase 1: front-end + detection per event, reading the window's shared
+  // table columns. Also fills the per-event scratch columns phases 3 and 4
+  // lean on: the airtime-derived end instant (memoized in the table) and
+  // the linear rx power (a pow), each otherwise paid once per *candidate
+  // pair* in the interferer scan. As the dispatch queue fills, a running
+  // strict-order check records whether sort_fcfs can be skipped (ascending
+  // tx order usually already is lock-on ordered within a chain mix).
   sc.queue.clear();
   sc.queue.reserve(view.count);
   sc.chain_of.assign(view.count, -1);
@@ -584,11 +436,14 @@ void GatewayRadio::process_into(const RxEventView& view,
   // Phase 2: FCFS dispatch (sort skipped when provably the identity).
   dispatch_queue(outcomes, queue_sorted);
 
-  // Phase 3, batched: the shared bucket index plus the batched-only prep
-  // (SF grouping, per-(bucket, chain) overlap memos), then the kernel
-  // dispatch per bucket: aligned uniform buckets take the SF-grouped
-  // kernel, partially overlapping uniform buckets the hoisted-coupling
-  // kernel, mixed-channel buckets the scalar reference kernel.
+  // Phase 3: decode each packet that holds a decoder, accounting for
+  // interference from *all* transmissions in the air (including ones the
+  // front-end rejected or that were never detected — their RF energy is
+  // still present). The bucket index and its prep (SF grouping,
+  // per-(bucket, chain) overlap memos) feed a kernel per bucket: aligned
+  // uniform buckets take the SF-grouped kernel, partially overlapping
+  // uniform buckets the hoisted-coupling kernel, mixed-channel buckets the
+  // per-pair reference kernel.
   build_bucket_index(view.count);
   build_sf_groups_and_memos(view.count);
 
@@ -625,9 +480,9 @@ void GatewayRadio::process_into(const RxEventView& view,
                        sc.net_of[i],
                        rx_ch};
 
-    // One lower_bound finds the candidate bucket run (ids are consecutive
-    // within [center-1, center+1], and buckets are id-sorted), walked in
-    // ascending id order — the same order the scalar loop probes them.
+    // Candidates: same or adjacent frequency bucket. One lower_bound finds
+    // the bucket run (ids are consecutive within [center-1, center+1], and
+    // buckets are id-sorted), walked in ascending id order.
     const std::int64_t center_bucket = bucket_of(sc.channel_of[i].center);
     auto bucket_it = std::lower_bound(
         sc.buckets.begin(), sc.buckets.end(), center_bucket - 1,

@@ -43,10 +43,10 @@ class GatewayRadio {
   // Pass nullptr to detach.
   void set_observer(SimObserver* observer);
 
-  // Attach a capture policy invoked at the end of process() (nullptr =
+  // Attach a capture policy invoked at the end of process_into() (nullptr =
   // stock pipeline only, bit-identical to the pre-policy code path). The
   // policy is not owned; the caller keeps it alive across windows. After
-  // resolve(), process() verifies the policy only rewrote outcomes whose
+  // resolve(), process_into() verifies the policy only rewrote outcomes whose
   // packet already held a decoder (consumed_decoder) and throws
   // std::logic_error otherwise — see capture_policy.hpp.
   void set_capture_policy(const CapturePolicy* policy);
@@ -54,39 +54,35 @@ class GatewayRadio {
     return capture_policy_;
   }
 
-  // Process one window of transmissions observed at this gateway. Events
-  // may arrive unsorted. Returns one outcome per input event (same order).
+  // Process one window of transmissions observed at this gateway: the
+  // view's events, read off the window's shared WindowTxTable columns
+  // through the receive kernels (phy/batch_kernels.hpp). Events may arrive
+  // unsorted. Fills `outcomes` (resized to view.count, same order as the
+  // view) instead of returning a fresh vector, so a caller-owned buffer
+  // keeps its capacity across windows. Capture policies read the columnar
+  // CaptureContext built from the per-event scratch columns.
+  void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
+
+  // Convenience adapter for an event list: builds a table and a view over
+  // the events (in order) and runs process_into. Returns one outcome per
+  // input event (same order).
   [[nodiscard]] std::vector<RxOutcome> process(
       const std::vector<RxEvent>& events);
-
-  // Batched-mode variant (ALPHAWAN_BATCH=1, sim/batch.hpp): same pipeline
-  // driven off the window's shared WindowTxTable columns through the
-  // batched kernels (phy/batch_kernels.hpp), returning outcomes
-  // bit-identical to process() on the equivalent RxEvent list
-  // (tests/property/test_prop_kernels.cpp). Capture policies read the
-  // columnar CaptureContext, filled from the same per-event scratch
-  // columns in both pipelines, so no RxEvent list is ever materialized.
-  [[nodiscard]] std::vector<RxOutcome> process(const RxEventView& view);
-
-  // In-place form of the batched variant: fills `outcomes` (resized to
-  // view.count) instead of returning a fresh vector, so a caller-owned
-  // buffer keeps its capacity across windows.
-  void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
 
  private:
   // Reusable per-window working storage (docs/performance.md): allocated
   // once, capacity retained across windows, so a steady-state window does
-  // no per-window heap allocation inside process(). The flat sorted bucket
-  // index replaces the per-window std::map frequency buckets.
+  // no per-window heap allocation inside process_into(). The flat sorted
+  // bucket index replaces the per-window std::map frequency buckets.
   struct RxScratch {
     std::vector<DispatchEntry> queue;
     std::vector<int> chain_of;          // event -> rx chain (-1 = rejected)
     std::vector<Seconds> end_of;        // cached tx.end() per event
     std::vector<double> lin_power;      // cached dBm->linear rx power
     std::vector<std::size_t> decoding;  // event indices holding a decoder
-    // Hot per-event fields mirrored into flat arrays in phase 1, so the
-    // interferer scan reads small contiguous vectors instead of doing one
-    // wide scattered RxEvent load per candidate pair.
+    // Hot per-event fields gathered from the table into flat arrays in
+    // phase 1, so the interferer scan reads small contiguous vectors
+    // instead of one scattered table lookup per candidate pair.
     std::vector<Seconds> start_of;
     std::vector<Channel> channel_of;
     std::vector<Dbm> power_of;
@@ -107,8 +103,8 @@ class GatewayRadio {
       // and zero overlap skips its entire scan range.
       bool uniform = true;
       Channel channel{};
-      // Batched mode only: [groups_begin, groups_end) into sf_groups for a
-      // uniform bucket's stable SF grouping (empty for mixed buckets).
+      // [groups_begin, groups_end) into sf_groups for a uniform bucket's
+      // stable SF grouping (empty for mixed buckets).
       std::uint32_t groups_begin = 0;
       std::uint32_t groups_end = 0;
     };
@@ -127,29 +123,19 @@ class GatewayRadio {
     // best_chain result per distinct packet channel; valid until the
     // channel set changes (cleared by configure_channels).
     std::vector<ChainMemo> chain_memo;
-    struct AirtimeMemo {
-      TxParams params{};
-      std::uint32_t payload_bytes = 0;
-      Seconds airtime{0.0};
-      Seconds preamble{0.0};
-    };
-    // time_on_air/preamble_duration per distinct (params, payload): a
-    // window draws from a handful of radio settings, so the full airtime
-    // formula runs once per setting instead of once per event.
-    std::vector<AirtimeMemo> airtime_memo;
     // Pre-resolve disposition snapshot for the capture-policy budget check
     // (only filled when a policy is installed).
     std::vector<RxDisposition> pre_policy;
-    // Batched-mode extras, filled by build_sf_groups_and_memos: every
-    // uniform bucket's events stably regrouped by SF (order_sf, with
-    // pos_sf the bucket rank of each entry), the flat SF-group ranges, and
-    // the per-(bucket, chain) overlap/coupling memo — values the scalar
-    // scan recomputes identically per decoded event.
+    // Filled by build_sf_groups_and_memos: every uniform bucket's events
+    // stably regrouped by SF (order_sf, with pos_sf the bucket rank of each
+    // entry), the flat SF-group ranges, and the per-(bucket, chain)
+    // overlap/coupling memo — values the reference kernel recomputes
+    // identically per decoded event.
     std::vector<std::uint32_t> order_sf;
     std::vector<std::uint32_t> pos_sf;
     std::vector<SfGroup> sf_groups;
     // Monotone window-start cursors (one per SF group / per bucket): the
-    // batched scan walks decoded events in ascending start order, so each
+    // scan walks decoded events in ascending start order, so each
     // kernel's lower window edge only ever advances (phy/batch_kernels.hpp).
     std::vector<std::uint32_t> group_cursor;
     std::vector<std::uint32_t> bucket_cursor;
@@ -164,24 +150,20 @@ class GatewayRadio {
   // every chain's filter truncates it.
   [[nodiscard]] int chain_for(const Channel& packet_channel);
 
-  // Memoized airtime terms for one transmission's radio settings.
-  [[nodiscard]] const RxScratch::AirtimeMemo& airtime_for(
-      const Transmission& tx);
-
   // Phase 2: FCFS dispatch of the filled queue into the decoder pool.
   // `already_sorted` skips sort_fcfs when the caller proved the queue
   // strictly ascending by (lock_on, packet) — any comparison sort is the
   // identity there, so skipping cannot change the dispatch order.
   void dispatch_queue(std::vector<RxOutcome>& outcomes, bool already_sorted);
   // Phase 3a: coarse frequency bucketing + per-bucket start-time sort over
-  // the phase-1 scratch columns (shared verbatim by both pipelines).
+  // the phase-1 scratch columns.
   void build_bucket_index(std::size_t count);
-  // Batched phase-3 prep: stable SF grouping of every uniform bucket and
-  // the per-(bucket, chain) overlap/coupling memos.
+  // Phase-3 prep: stable SF grouping of every uniform bucket and the
+  // per-(bucket, chain) overlap/coupling memos.
   void build_sf_groups_and_memos(std::size_t count);
   // Phase 4: pluggable capture resolution + the decoder-budget check.
   // Builds the columnar CaptureContext over the first `count` entries of
-  // the per-event scratch columns (both pipelines fill the same columns).
+  // the per-event scratch columns.
   void apply_capture_policy(std::size_t count,
                             std::vector<RxOutcome>& outcomes);
 

@@ -32,8 +32,7 @@ void WindowTxTable::build(const std::vector<Transmission>& txs) {
     const auto& airtime = airtime_for(tx);
     start[t] = tx.start;
     // Term for term the sums Transmission::end()/lock_on() compute, through
-    // the memoized airtime — the same construction GatewayRadio's scalar
-    // phase 1 uses, so the cached instants are bit-identical to both.
+    // the memoized airtime, so the cached instants are bit-identical.
     end[t] = tx.start + airtime.airtime;
     lock_on[t] = tx.start + airtime.preamble;
     channel[t] = tx.channel;

@@ -1,21 +1,19 @@
-// Window-level SoA views for the batched receive pipeline (ALPHAWAN_BATCH,
-// sim/batch.hpp).
+// Window-level SoA views for the receive pipeline.
 //
-// The scalar runner hands each gateway a vector of wide RxEvent structs; the
-// batched runner instead builds ONE WindowTxTable per window — the per-field
-// columns of the shared transmission list, with the airtime-derived times
-// (lock_on / end) memoized once per radio setting — and hands each gateway a
-// thin RxEventView: indices into that table plus the per-gateway received
+// The runner builds ONE WindowTxTable per window — the per-field columns of
+// the shared transmission list, with the airtime-derived times (lock_on /
+// end) memoized once per radio setting — and hands each gateway a thin
+// RxEventView: indices into that table plus the per-gateway received
 // powers. Every per-event quantity a gateway reads is either a table column
 // (shared, computed once per window instead of once per (gateway, event))
-// or a view column, so the batched GatewayRadio::process never touches a
+// or a view column, so GatewayRadio::process_into never touches a
 // Transmission struct on its hot path.
 //
-// Bit-exactness: the table columns hold exactly the values the scalar path
-// computes from the structs — end[t] is start + time_on_air(...) through the
-// same memoized pure function GatewayRadio::airtime_for evaluates, lock_on[t]
-// likewise — so both pipelines feed identical doubles into identical
-// expressions (tests/property/test_prop_kernels.cpp).
+// Bit-exactness: end[t] and lock_on[t] are term for term the sums
+// Transmission::end() / lock_on() compute (start + time_on_air(...), start +
+// preamble_duration(...)), through a memo of the same pure functions, so
+// uplink timestamps and capture windows match the struct-level values
+// (tests/golden/digests.txt pins them).
 #pragma once
 
 #include <cstdint>
@@ -44,9 +42,9 @@ struct WindowTxTable {
   [[nodiscard]] std::size_t size() const { return start.size(); }
 
  private:
-  // time_on_air/preamble_duration per distinct (params, payload) — the same
-  // memo shape as GatewayRadio::RxScratch::AirtimeMemo, evaluated through
-  // the same pure formulas, so the cached terms are bit-identical.
+  // time_on_air/preamble_duration per distinct (params, payload): a window
+  // draws from a handful of radio settings, so the full airtime formula
+  // runs once per setting instead of once per event.
   struct AirtimeMemo {
     TxParams params{};
     std::uint32_t payload_bytes = 0;
@@ -60,9 +58,8 @@ struct WindowTxTable {
 // One gateway's view of a window: `count` events, where event k is
 // transmission tx_index[k] received at power rx_power[k]. Both arrays are
 // owned by the caller (the runner's per-task arenas) and must outlive the
-// process() call. Indices ascend in transmission order — the same order the
-// scalar path pushes RxEvents — so every downstream accumulation order is
-// identical.
+// process_into() call. The runner's indices ascend in transmission order,
+// which fixes every downstream accumulation order.
 struct RxEventView {
   const WindowTxTable* table = nullptr;
   const std::uint32_t* tx_index = nullptr;

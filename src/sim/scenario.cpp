@@ -6,8 +6,6 @@
 #include "common/parallel.hpp"
 #include "phy/batch_kernels.hpp"
 #include "phy/sensitivity.hpp"
-#include "radio/detector.hpp"
-#include "sim/batch.hpp"
 
 namespace alphawan {
 namespace {
@@ -50,9 +48,9 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // slice (and recomputes antenna gains for gateways whose antenna changed
   // since the last call).
   ShardedLinkCache& caches = deployment_.shard_caches(shard_count);
-  // Flatten (network, gateway) pairs in deployment order: the parallel
+  // Flatten every network's gateways in deployment order: the parallel
   // fan-out runs them in any order, the merge below walks them in this one.
-  std::vector<std::pair<Network*, Gateway*>> tasks;
+  std::vector<Gateway*> tasks;
   for (auto& network : deployment_.networks()) {
     // (Re)attach the checker and capture policy every window: gateways may
     // have been added since the last one, and a null attach detaches stale
@@ -61,7 +59,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     for (auto& gw : network.gateways()) {
       gw.set_observer(invariants_);
       gw.set_capture_policy(options_.capture_policy.get());
-      tasks.emplace_back(&network, &gw);
+      tasks.push_back(&gw);
     }
   }
 
@@ -75,7 +73,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   sc.task_slot.resize(tasks.size());
   for (auto& sh : sc.shards) sh.tasks.clear();
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    Gateway* gw = tasks[t].second;
+    const Gateway* gw = tasks[t];
     const auto home = static_cast<std::size_t>(layout.shard_of(gw->position()));
     sc.task_shard[t] = static_cast<std::uint32_t>(home);
     sc.task_col[t] = caches.slice(home).column_of(gw->id());
@@ -145,28 +143,22 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     }
     shard_stats_.resident_rows += slice.row_count();
   }
-  if (sc.events.size() < tasks.size()) sc.events.resize(tasks.size());
   const double fading_sigma = channel.config().fast_fading_sigma_db.value();
 
-  // Batched receive kernels (sim/batch.hpp): build the window's shared
-  // transmission columns once; each gateway task then consumes them through
-  // the batched fading / filter / scan kernels instead of per-event struct
-  // walks. Either mode yields bit-identical windows
-  // (tests/property/test_prop_kernels.cpp).
-  const bool batched = resolve_batch_mode(options_.batch) != 0;
-  if (batched) {
-    sc.table.build(txs);
-    if (sc.task_idx.size() < tasks.size()) {
-      sc.task_idx.resize(tasks.size());
-      sc.task_fade.resize(tasks.size());
-      sc.task_power.resize(tasks.size());
-    }
+  // The window's shared transmission columns, built once; each gateway task
+  // consumes them through the receive kernels (phy/batch_kernels.hpp)
+  // instead of per-event struct walks.
+  sc.table.build(txs);
+  if (sc.task_idx.size() < tasks.size()) {
+    sc.task_idx.resize(tasks.size());
+    sc.task_fade.resize(tasks.size());
+    sc.task_power.resize(tasks.size());
   }
 
   // Per-gateway pipelines are independent: each consumes its shard's
   // candidate transmission list and touches only its own gateway (the link
   // cache slices and scratch arenas are read-only / per-task here). Yields
-  // land in shard-local staging; the window barrier below publishes them.
+  // land in shard-local staging; the shard loop below publishes them.
   // The invariant checker's observer protocol is sequential, so an attached
   // checker forces serial execution.
   auto& staged = sc.staged;
@@ -178,145 +170,68 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   parallel_for(
       tasks.size(),
       [&](std::size_t t) {
-        auto& [network, gw] = tasks[t];
+        Gateway* gw = tasks[t];
         const auto& sh = sc.shards[sc.task_shard[t]];
         auto& yield = staged[sc.task_shard[t]][sc.task_slot[t]];
         yield.uplinks.clear();
-        // Build this gateway's view of the air from the cached static link
-        // terms; only the fast-fading draw is per-packet. The expression
-        // reproduces the uncached arithmetic term for term —
+        // Gather the gateway's candidate transmission indices in ascending
+        // order, draw their fading in one keyed batch, filter by the prune
+        // floor, then run the radio off the shared columns. The rx power
+        // comes from the cached static link terms; only the fast-fading
+        // draw is per-packet, and the filter evaluates the uncached
+        // arithmetic term for term —
         //   ((tx_power - link_path_loss) + fading) + antenna_gain
         // — so rx powers are bit-identical.
         const auto gains = caches.slice(sc.task_shard[t]).gains(sc.task_col[t]);
-        auto& events = sc.events[t];
-        events.clear();
-        if (batched) {
-          // Batched pipeline: gather the gateway's candidate transmission
-          // indices (same ascending order the scalar loop visits), draw
-          // their fading in one keyed batch, filter by the prune floor,
-          // then run the batched radio kernels off the shared columns.
-          auto& idx = sc.task_idx[t];
-          auto& fade = sc.task_fade[t];
-          auto& power = sc.task_power[t];
-          idx.clear();
-          if (sh.use_mask) {
-            const std::uint64_t bit = std::uint64_t{1} << sc.task_col[t];
-            for (std::size_t i = 0; i < txs.size(); ++i) {
-              if (sh.tx_mask[i] & bit) {
-                idx.push_back(static_cast<std::uint32_t>(i));
-              }
-            }
-          } else {
-            const auto& list = sh.gw_txs[sc.task_col[t]];
-            idx.assign(list.begin(), list.end());
-          }
-          fade.resize(idx.size());
-          power.resize(idx.size());
-          const SubstreamBatch fading_stream(
-              rng_,
-              kFadingDomain ^ (static_cast<std::uint64_t>(gw->id()) << 40));
-          batch_fading_draws(fading_stream, sc.table.packet.data(), idx.data(),
-                             idx.size(), fading_sigma, fade.data());
-          const std::size_t kept = batch_rx_power_filter(
-              gains, sh.row_of_tx.data(), sc.table.tx_power.data(),
-              fade.data(), floor, idx.data(), idx.size(), power.data());
-          idx.resize(kept);
-          power.resize(kept);
-          yield.event_tx_index.assign(idx.begin(), idx.end());
-          // The deprecated RxPostProcessor shim is the one consumer left
-          // that takes an RxEvent list; capture policies read the columnar
-          // CaptureContext inside the radio and need no materialization.
-          if (options_.post_processor) {
-            events.reserve(kept);
-            for (std::size_t k = 0; k < kept; ++k) {
-              events.push_back(RxEvent{txs[idx[k]], power[k]});
+        auto& idx = sc.task_idx[t];
+        auto& fade = sc.task_fade[t];
+        auto& power = sc.task_power[t];
+        idx.clear();
+        if (sh.use_mask) {
+          const std::uint64_t bit = std::uint64_t{1} << sc.task_col[t];
+          for (std::size_t i = 0; i < txs.size(); ++i) {
+            if (sh.tx_mask[i] & bit) {
+              idx.push_back(static_cast<std::uint32_t>(i));
             }
           }
-          const RxEventView view{&sc.table, idx.data(), power.data(), kept};
-          gw->receive_window(view, yield.uplinks, yield.outcomes);
         } else {
-          events.reserve(txs.size());
-          yield.event_tx_index.clear();
-          yield.event_tx_index.reserve(txs.size());
-          const auto consider = [&](std::size_t i) {
-            const auto& tx = txs[i];
-            const LinkGain g = gains[sh.row_of_tx[i]];
-            Rng link_rng = packet_link_rng(rng_, gw->id(), tx.id);
-            const Db fading{link_rng.normal_once(0.0, fading_sigma)};
-            const Dbm rx_power =
-                tx.tx_power - g.path_loss + fading + g.antenna_gain;
-            if (rx_power < floor) return;
-            events.push_back(RxEvent{tx, rx_power});
-            yield.event_tx_index.push_back(i);
-          };
-          if (sh.use_mask) {
-            const std::uint64_t bit = std::uint64_t{1} << sc.task_col[t];
-            for (std::size_t i = 0; i < txs.size(); ++i) {
-              if (sh.tx_mask[i] & bit) consider(i);
-            }
-          } else {
-            for (const std::uint32_t i : sh.gw_txs[sc.task_col[t]]) {
-              consider(i);
-            }
-          }
-
-          yield.outcomes = gw->receive_window(events, yield.uplinks);
+          const auto& list = sh.gw_txs[sc.task_col[t]];
+          idx.assign(list.begin(), list.end());
         }
-        if (options_.post_processor) {
-          options_.post_processor(*gw, events, yield.outcomes);
-          // Post-processors may promote outcomes to kDelivered; forward
-          // newly delivered packets to the server like the radio would.
-          for (std::size_t e = 0; e < yield.outcomes.size(); ++e) {
-            const auto& out = yield.outcomes[e];
-            if (out.disposition != RxDisposition::kDelivered) continue;
-            const bool already = std::any_of(
-                yield.uplinks.begin(), yield.uplinks.end(),
-                [&](const UplinkRecord& r) {
-                  return r.packet == out.packet && r.gateway == gw->id();
-                });
-            if (already) continue;
-            UplinkRecord rec;
-            rec.packet = out.packet;
-            rec.node = out.node;
-            rec.gateway = gw->id();
-            rec.network = network->id();
-            rec.timestamp = events[e].tx.end();
-            rec.channel = events[e].tx.channel;
-            rec.dr = sf_to_dr(events[e].tx.params.sf);
-            rec.snr = out.snr;
-            yield.uplinks.push_back(rec);
-          }
-        }
+        fade.resize(idx.size());
+        power.resize(idx.size());
+        const SubstreamBatch fading_stream(
+            rng_, kFadingDomain ^ (static_cast<std::uint64_t>(gw->id()) << 40));
+        batch_fading_draws(fading_stream, sc.table.packet.data(), idx.data(),
+                           idx.size(), fading_sigma, fade.data());
+        const std::size_t kept = batch_rx_power_filter(
+            gains, sh.row_of_tx.data(), sc.table.tx_power.data(), fade.data(),
+            floor, idx.data(), idx.size(), power.data());
+        idx.resize(kept);
+        power.resize(kept);
+        yield.event_tx_index.assign(idx.begin(), idx.end());
+        const RxEventView view{&sc.table, idx.data(), power.data(), kept};
+        gw->receive_window(view, yield.uplinks, yield.outcomes);
       },
       threads);
 
-  // Deterministic window barrier: each shard's event queue holds a single
-  // publish event at the end of the window, which hands the shard's yields
-  // — boundary events included — to the global merge slots. Queues are
-  // drained in ascending shard order, and every yield lands in the slot of
+  // Publish each shard's yields — boundary events included — to the global
+  // merge slots, in ascending shard order. Every yield lands in the slot of
   // its global task index, so the exchange is order-insensitive by
   // construction and the merge below is byte-for-byte the monolithic one
   // (docs/sharding.md).
-  Seconds barrier{0.0};
-  for (const auto& tx : txs) barrier = std::max(barrier, tx.end());
   sc.yield_ptr.assign(tasks.size(), nullptr);
   for (std::size_t s = 0; s < shards; ++s) {
-    auto& sh = sc.shards[s];
-    sh.engine.reset();
-    sh.engine.schedule_at(barrier, [&, s] {
-      auto& mine = staged[s];
-      const auto& owned = sc.shards[s].tasks;
-      for (std::size_t k = 0; k < owned.size(); ++k) {
-        for (const std::size_t i : mine[k].event_tx_index) {
-          if (layout.shard_of(txs[i].origin) != static_cast<int>(s)) {
-            ++shard_stats_.boundary_events;
-          }
+    const auto& owned = sc.shards[s].tasks;
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+      for (const std::size_t i : staged[s][k].event_tx_index) {
+        if (layout.shard_of(txs[i].origin) != static_cast<int>(s)) {
+          ++shard_stats_.boundary_events;
         }
-        sc.yield_ptr[owned[k]] = &mine[k];
       }
-    });
+      sc.yield_ptr[owned[k]] = &staged[s][k];
+    }
   }
-  for (std::size_t s = 0; s < shards; ++s) sc.shards[s].engine.run();
 
   // Merge in deployment order: per own-network outcomes of each packet
   // (keyed by its index in txs) gather in gateway-ID order within the

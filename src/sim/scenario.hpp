@@ -8,19 +8,23 @@
 // executor (common/parallel.hpp) and merges per-gateway results in
 // deployment order — bit-identical to the serial run (docs/parallelism.md).
 //
+// Each window takes one receive path: the runner builds the window's shared
+// WindowTxTable once, and every gateway consumes it through an RxEventView
+// (Gateway::receive_window -> GatewayRadio::process_into), with capture
+// policies (RunOptions::capture_policy) as the one gateway-side extension
+// point.
+//
 // The world is additionally partitioned into spatial shards (sim/shard.hpp):
-// each shard owns a LinkCache slice, its own scratch arenas, and an event
-// queue that publishes the shard's window yields — boundary events included
-// — at a deterministic barrier. Shard count never changes results
+// each shard owns a LinkCache slice and its own scratch arenas, and the
+// shards' window yields — boundary events included — are published in
+// ascending shard order. Shard count never changes results
 // (docs/sharding.md); it bounds memory to the live audible links.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/topology.hpp"
 
@@ -35,15 +39,6 @@ class SimInvariants;
 [[nodiscard]] Rng packet_link_rng(const Rng& root, GatewayId gateway,
                                   PacketId packet);
 
-// Optional per-gateway outcome post-processor (hook used by the CIC
-// baseline to resolve collisions a stock gateway cannot). Receives the
-// events the gateway saw and may rewrite outcome dispositions. May be
-// invoked from concurrent gateway tasks, so it must not mutate state shared
-// across gateways (see docs/parallelism.md).
-using RxPostProcessor = std::function<void(
-    const Gateway& gw, const std::vector<RxEvent>& events,
-    std::vector<RxOutcome>& outcomes)>;
-
 // Per-runner knobs, consolidated in one value so a runner is configured in
 // a single statement instead of a pile of setters.
 struct RunOptions {
@@ -51,10 +46,9 @@ struct RunOptions {
   // dropped from that gateway's event list (they can neither be received
   // nor meaningfully interfere).
   Db prune_margin{25.0};
-  RxPostProcessor post_processor;
   // Pluggable gateway-side capture resolution (radio/capture_policy.hpp):
   // installed on every gateway each window, invoked inside
-  // GatewayRadio::process so rescued packets flow through the normal
+  // GatewayRadio::process_into so rescued packets flow through the normal
   // uplink-forwarding path. nullptr = stock COTS pipeline, bit-identical
   // to the pre-policy engine. The shared_ptr keeps registry-built schemes
   // alive for the lifetime of the options value.
@@ -62,15 +56,10 @@ struct RunOptions {
   // Worker threads for the per-gateway fan-out: 0 = the ALPHAWAN_THREADS
   // process default, 1 = force serial.
   int threads = 0;
-  // Spatial shards for the link-cache / event-queue partition: 0 = the
+  // Spatial shards for the link-cache partition: 0 = the
   // ALPHAWAN_SHARDS process default, >= 1 explicit. Any count produces
   // bit-identical results (docs/sharding.md).
   int shards = 0;
-  // Batched PHY receive kernels (sim/batch.hpp): -1 = the ALPHAWAN_BATCH
-  // process default, 0 = scalar reference, >= 1 = batched. Either mode
-  // produces bit-identical results (docs/performance.md, enforced by
-  // tests/property/test_prop_kernels.cpp).
-  int batch = -1;
 };
 
 // Telemetry from the last window's shard partition: how many transmitter
@@ -117,16 +106,6 @@ class ScenarioRunner {
   [[nodiscard]] Db prune_margin() const { return options_.prune_margin; }
   [[nodiscard]] std::uint64_t seed() const { return rng_.root_seed(); }
 
-  // Deprecated setter shims, kept for one release for external callers.
-  [[deprecated("pass RunOptions to the constructor or set_options")]]
-  void set_prune_margin(Db margin) {
-    options_.prune_margin = margin;
-  }
-  [[deprecated("pass RunOptions to the constructor or set_options")]]
-  void set_post_processor(RxPostProcessor proc) {
-    options_.post_processor = std::move(proc);
-  }
-
   // Attach the correctness harness: every window is checked for packet
   // conservation, FCFS ordering, and decoder-pool discipline. Enabled
   // automatically (fail-fast) when ALPHAWAN_CHECK=1 is exported. Pass
@@ -156,9 +135,8 @@ class ScenarioRunner {
   // invalid — they already were (network servers are shared state).
   //
   // Routing state (rows, candidate masks, per-column tx lists) lives per
-  // shard: each shard's arenas reference only its own LinkCache slice, and
-  // its Engine is the event queue that publishes the shard's yields at the
-  // window barrier (docs/sharding.md).
+  // shard: each shard's arenas reference only its own LinkCache slice
+  // (docs/sharding.md).
   struct ShardScratch {
     std::vector<std::uint32_t> row_of_tx;  // tx index -> row in this slice
     std::vector<std::uint64_t> tx_mask;    // tx index -> candidate columns
@@ -166,7 +144,6 @@ class ScenarioRunner {
                                                      // (> 64-column path)
     std::vector<std::size_t> tasks;  // global task indices homed here
     bool use_mask = true;            // slice fits the 64-column mask path
-    Engine engine;  // shard-local queue; publishes yields at the barrier
   };
 
   struct RunScratch {
@@ -174,18 +151,15 @@ class ScenarioRunner {
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
     std::vector<std::uint32_t> task_slot;   // task index -> slot in shard
-    std::vector<std::vector<RxEvent>> events;  // per-task event arena
     // Per-shard staging slots for the window's yields, plus the publish
-    // pointers the barrier exchange fills (global task index -> staged
-    // yield). Pointer publication replaces the old move-into-a-local-vector
-    // exchange so the per-task buffers persist window to window.
+    // pointers the shard loop fills (global task index -> staged yield).
+    // Pointer publication keeps the per-task buffers alive window to
+    // window.
     std::vector<std::vector<GatewayYield>> staged;
     std::vector<const GatewayYield*> yield_ptr;
-    // Batched-mode arenas (ALPHAWAN_BATCH=1): the window's shared
-    // transmission columns plus per-task candidate index / fading / power
-    // buffers consumed by the batched kernels (phy/batch_kernels.hpp).
-    // The RxEvent arenas above are then only materialized for tasks whose
-    // gateway runs a post-processor or capture policy (both take events).
+    // The window's shared transmission columns plus per-task candidate
+    // index / fading / power buffers consumed by the receive kernels
+    // (phy/batch_kernels.hpp).
     WindowTxTable table;
     std::vector<std::vector<std::uint32_t>> task_idx;
     std::vector<std::vector<double>> task_fade;

@@ -4,7 +4,7 @@
 // audible (conservatively, via the link cache's candidate bound), so nodes
 // near a border appear in both neighbouring shards and no reception is ever
 // missed. Shard count never changes results — only how the link cache,
-// event queues, and scratch arenas are partitioned (docs/sharding.md).
+// staged yields, and scratch arenas are partitioned (docs/sharding.md).
 //
 // Shard count comes from ALPHAWAN_SHARDS (default: 1), mirroring how
 // ALPHAWAN_THREADS picks the parallel width (common/parallel.hpp).

@@ -1,18 +1,26 @@
-// The batched-kernel differential harness (the ALPHAWAN_BATCH switch,
-// sim/batch.hpp): the batched PHY receive kernels must be bit-identical to
-// the scalar reference pipeline on every world — not just on average, not
-// just statistically. Three layers:
-//   - across >= 100 random worlds, the window fate digest of the batched
-//     mode equals the scalar (threads=1, shards=1) digest at every
-//     (shards, threads) in {1,8} x {1,8} — batching composes with
-//     sharding and the thread fan-out without perturbing a single fate;
+// Pinned digests for the receive path. The batched PHY receive kernels
+// (phy/batch_kernels.hpp) once ran next to a scalar reference pipeline,
+// and a differential harness here required the two to agree bit for bit.
+// The scalar pipeline is gone; its output survives as the digests below,
+// recorded from it (batched == scalar held on every case at the time).
+// Three layers:
+//   - over 100 random worlds, the window fate digests fold to the pinned
+//     value at every (shards, threads) in {1,8} x {1,8} — the kernels
+//     compose with sharding and the thread fan-out without perturbing a
+//     single fate;
 //   - every registered baseline scheme (MAC side and capture side,
 //     including the policy schemes cic / ss5g / curvinglora whose
-//     resolve() reads the columnar CaptureContext) produces identical
-//     digests in both modes on randomized worlds;
-//   - a same-seed batched rerun replays bit-for-bit (all randomness flows
-//     through keyed substreams, never iteration order).
+//     resolve() reads the columnar CaptureContext) reproduces its pinned
+//     digest over 5 randomized worlds at the same (shards, threads) grid;
+//   - a same-seed rerun replays bit-for-bit (all randomness flows through
+//     keyed substreams, never iteration order).
+//
+// A deliberate behaviour change re-records the pins with the same case
+// generators (prop::random_case from the seeds below, each world's
+// fate_digest folded in case order with fnv1a).
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "baselines/registry.hpp"
 #include "check/digest.hpp"
@@ -23,11 +31,13 @@ namespace {
 
 using prop::CaseParams;
 
-std::uint64_t window_digest(const CaseParams& params, int batch, int threads,
+// The (shards, threads) grid every pin must hold at.
+constexpr int kGrid[][2] = {{1, 1}, {1, 8}, {8, 1}, {8, 8}};
+
+std::uint64_t window_digest(const CaseParams& params, int threads,
                             int shards) {
   prop::World world = prop::build_world(params);
   RunOptions options;
-  options.batch = batch;
   options.threads = threads;
   options.shards = shards;
   ScenarioRunner runner(*world.deployment, params.seed, options);
@@ -47,27 +57,22 @@ TEST(BatchDifferential, BatchedEqualsScalarAcrossRandomWorlds) {
   hi.nodes_per_net = 40;
   hi.plan_channels = 8;
   hi.decoders = 16;
-  prop::check_property(
-      "batched kernels are bit-identical to the scalar reference",
-      /*cases=*/100, /*seed=*/20260811, lo, hi,
-      [](const CaseParams& params) -> std::optional<std::string> {
-        const std::uint64_t scalar = window_digest(params, /*batch=*/0,
-                                                   /*threads=*/1,
-                                                   /*shards=*/1);
-        for (const int shards : {1, 8}) {
-          for (const int threads : {1, 8}) {
-            const std::uint64_t batched =
-                window_digest(params, /*batch=*/1, threads, shards);
-            if (batched != scalar) {
-              return "batched digest " + digest_hex(batched) + " at shards=" +
-                     std::to_string(shards) + " threads=" +
-                     std::to_string(threads) + " != scalar digest " +
-                     digest_hex(scalar);
-            }
-          }
-        }
-        return std::nullopt;
-      });
+  std::vector<CaseParams> cases;
+  Rng meta(20260811);
+  for (int c = 0; c < 100; ++c) {
+    cases.push_back(prop::random_case(meta, lo, hi));
+  }
+
+  for (const auto& [shards, threads] : kGrid) {
+    std::uint64_t folded = kFnv1aOffset;
+    for (const auto& params : cases) {
+      const std::uint64_t digest = window_digest(params, threads, shards);
+      folded = fnv1a(&digest, sizeof digest, folded);
+    }
+    EXPECT_EQ(digest_hex(folded), "90c3ea8710380e67")
+        << "100-world digest moved at shards=" << shards
+        << " threads=" << threads;
+  }
 }
 
 TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
@@ -84,14 +89,13 @@ TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
   hi.plan_channels = 8;
   hi.decoders = 16;
   prop::check_property(
-      "same-seed batched window replays identically", /*cases=*/20,
+      "same-seed window replays identically", /*cases=*/20,
       /*seed=*/20260812, lo, hi,
       [](const CaseParams& params) -> std::optional<std::string> {
-        const std::uint64_t first = window_digest(params, /*batch=*/1,
-                                                  /*threads=*/8, /*shards=*/8);
-        const std::uint64_t replay = window_digest(params, /*batch=*/1,
-                                                   /*threads=*/8,
-                                                   /*shards=*/8);
+        const std::uint64_t first =
+            window_digest(params, /*threads=*/8, /*shards=*/8);
+        const std::uint64_t replay =
+            window_digest(params, /*threads=*/8, /*shards=*/8);
         if (first != replay) {
           return "replay digest " + digest_hex(replay) + " != first run " +
                  digest_hex(first);
@@ -100,7 +104,7 @@ TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
       });
 }
 
-// ---- every scheme, both modes --------------------------------------------
+// ---- every scheme, pinned ------------------------------------------------
 
 // Registry tuning sized for property cheapness (same shape as
 // test_prop_baselines.cpp).
@@ -144,11 +148,12 @@ SchemeWorld build_scheme_world(const BaselineScheme& scheme,
 }
 
 std::uint64_t scheme_digest(const BaselineScheme& scheme, const CaseParams& p,
-                            int batch) {
+                            int threads, int shards) {
   SchemeWorld world = build_scheme_world(scheme, p);
   RunOptions options;
   options.capture_policy = scheme.capture;
-  options.batch = batch;
+  options.threads = threads;
+  options.shards = shards;
   ScenarioRunner runner(*world.deployment, p.seed, std::move(options));
   return fate_digest(runner.run_window(world.txs).fates);
 }
@@ -156,7 +161,18 @@ std::uint64_t scheme_digest(const BaselineScheme& scheme, const CaseParams& p,
 TEST(BatchDifferential, EveryRegisteredSchemeBitIdenticalAcrossModes) {
   // Dense burst worlds differentiate the capture policies: heavy
   // collisions give cic / ss5g / curvinglora packets to rescue, so a
-  // context-column mismatch between the pipelines would flip fates.
+  // context-column slip in the radio would flip fates.
+  const std::map<std::string, std::string> pinned = {
+      {"alphawan", "98e589dbdccf237c"},
+      {"cic", "bd1954df5b45015b"},
+      {"curvinglora", "25458b6db20ad2c7"},
+      {"lmac", "97805a0fbd84b49b"},
+      {"random-cp", "a74b79c4b80376be"},
+      {"saloha", "08fb4173aca11365"},
+      {"ss5g", "16f1fc9e262f4ec7"},
+      {"standard", "ff0444f8ba318258"},
+      {"standard-no-adr", "1db6e2d73096ba30"},
+  };
   CaseParams lo;
   lo.networks = 1;
   lo.gateways_per_net = 1;
@@ -169,21 +185,31 @@ TEST(BatchDifferential, EveryRegisteredSchemeBitIdenticalAcrossModes) {
   hi.nodes_per_net = 32;
   hi.plan_channels = 6;
   hi.decoders = 12;
+  std::vector<CaseParams> cases;
+  Rng meta(20260813);
+  for (int c = 0; c < 5; ++c) {
+    cases.push_back(prop::random_case(meta, lo, hi));
+  }
+
   for (const auto& name : BaselineRegistry::instance().names()) {
+    const auto pin = pinned.find(name);
+    if (pin == pinned.end()) {
+      ADD_FAILURE() << "scheme '" << name << "' has no pinned digest";
+      continue;
+    }
     const BaselineScheme scheme =
         BaselineRegistry::instance().make(name, cheap_tuning());
-    prop::check_property(
-        ("scheme '" + name + "' is batch-mode invariant").c_str(),
-        /*cases=*/5, /*seed=*/20260813, lo, hi,
-        [&scheme](const CaseParams& params) -> std::optional<std::string> {
-          const std::uint64_t scalar = scheme_digest(scheme, params, 0);
-          const std::uint64_t batched = scheme_digest(scheme, params, 1);
-          if (batched != scalar) {
-            return "batched digest " + digest_hex(batched) +
-                   " != scalar digest " + digest_hex(scalar);
-          }
-          return std::nullopt;
-        });
+    for (const auto& [shards, threads] : kGrid) {
+      std::uint64_t folded = kFnv1aOffset;
+      for (const auto& params : cases) {
+        const std::uint64_t digest =
+            scheme_digest(scheme, params, threads, shards);
+        folded = fnv1a(&digest, sizeof digest, folded);
+      }
+      EXPECT_EQ(digest_hex(folded), pin->second)
+          << "scheme '" << name << "' at shards=" << shards
+          << " threads=" << threads;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 
 namespace alphawan {
@@ -235,113 +236,6 @@ TEST(Cic, BoundedResolvability) {
   const auto result = runner.run_window(concurrent_burst(nodes, Seconds{0.0}, ids));
   EXPECT_EQ(result.total_delivered(), 0u);
 }
-
-// ---- deprecated shim pinning ----------------------------------------------
-// The free functions are [[deprecated]] shims over the policy objects and
-// must stay bit-identical to them until removed. The attribute itself is
-// pinned by tests/compile_fail/deprecated_baseline_shims.cpp; these tests
-// pin the behaviour.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(DeprecatedShims, StandardLorawanShimMatchesPolicy) {
-  BaselineFixture shim_f, policy_f;
-  apply_standard_lorawan(shim_f.deployment, *shim_f.network, shim_f.rng);
-  StandardLorawanPolicy().configure(policy_f.deployment, *policy_f.network,
-                                    policy_f.rng);
-  const auto& a = shim_f.network->nodes();
-  const auto& b = policy_f.network->nodes();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].config().channel.center.value(),
-              b[i].config().channel.center.value());
-    EXPECT_EQ(a[i].config().dr, b[i].config().dr);
-  }
-  ASSERT_EQ(shim_f.network->gateways().size(),
-            policy_f.network->gateways().size());
-  for (std::size_t i = 0; i < shim_f.network->gateways().size(); ++i) {
-    EXPECT_EQ(shim_f.network->gateways()[i].channels(),
-              policy_f.network->gateways()[i].channels());
-  }
-}
-
-TEST(DeprecatedShims, RandomCpShimMatchesPolicy) {
-  BaselineFixture shim_f, policy_f;
-  apply_random_cp(shim_f.deployment, *shim_f.network, shim_f.rng);
-  RandomCpPolicy().configure(policy_f.deployment, *policy_f.network,
-                             policy_f.rng);
-  ASSERT_EQ(shim_f.network->gateways().size(),
-            policy_f.network->gateways().size());
-  for (std::size_t i = 0; i < shim_f.network->gateways().size(); ++i) {
-    EXPECT_EQ(shim_f.network->gateways()[i].channels(),
-              policy_f.network->gateways()[i].channels());
-  }
-  const auto& a = shim_f.network->nodes();
-  const auto& b = policy_f.network->nodes();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].config().channel.center.value(),
-              b[i].config().channel.center.value());
-  }
-}
-
-TEST(DeprecatedShims, LmacShimMatchesPolicy) {
-  BaselineFixture f;
-  std::vector<EndNode*> nodes;
-  NodeRadioConfig cfg;
-  cfg.channel = f.deployment.spectrum().grid_channel(0);
-  cfg.dr = DataRate::kDR4;
-  for (int i = 0; i < 8; ++i) {
-    nodes.push_back(&f.network->add_node(
-        f.deployment.next_node_id(),
-        Point{Meters{400.0 + 20.0 * i}, Meters{500.0}}, cfg));
-  }
-  PacketIdSource ids;
-  const auto txs = concurrent_burst(nodes, Seconds{0.0}, ids);
-  Rng shim_rng(11), policy_rng(11);
-  const auto via_shim = lmac_schedule(txs, shim_rng);
-  const auto via_policy = LmacPolicy().shape_window(txs, policy_rng);
-  ASSERT_EQ(via_shim.size(), via_policy.size());
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_EQ(via_shim[i].id, via_policy[i].id);
-    EXPECT_DOUBLE_EQ(via_shim[i].start.value(), via_policy[i].start.value());
-  }
-}
-
-TEST(DeprecatedShims, CicProcessorShimMatchesCapturePolicy) {
-  // Same two-packet collision world as Cic.ResolvesSmallCollisions, once
-  // through the deprecated RxPostProcessor shim and once through
-  // RunOptions::capture_policy: identical delivered counts.
-  for (const bool use_shim : {true, false}) {
-    Deployment deployment{Region{Meters{600.0}, Meters{600.0}},
-                          spectrum_1m6(), quiet_channel()};
-    auto& network = deployment.add_network("op");
-    auto& gw = network.add_gateway(1, deployment.region().center(),
-                                   default_profile());
-    gw.apply_channels(GatewayChannelConfig{
-        standard_plan(deployment.spectrum(), 0).channels});
-    NodeRadioConfig cfg;
-    cfg.channel = deployment.spectrum().grid_channel(0);
-    cfg.dr = DataRate::kDR3;
-    auto& n1 = network.add_node(1, Point{Meters{300}, Meters{310}}, cfg);
-    auto& n2 = network.add_node(2, Point{Meters{310}, Meters{300}}, cfg);
-    PacketIdSource ids;
-    RunOptions options;
-    if (use_shim) {
-      options.post_processor = make_cic_processor();
-    } else {
-      options.capture_policy = std::make_shared<CicCapturePolicy>();
-    }
-    ScenarioRunner runner(deployment, 7, std::move(options));
-    const std::vector<Transmission> txs = {
-        n1.make_transmission(Seconds{0.0}, 10, ids.next()),
-        n2.make_transmission(Seconds{0.0}, 10, ids.next())};
-    EXPECT_EQ(runner.run_window(txs).total_delivered(), 2u)
-        << (use_shim ? "shim" : "capture policy");
-  }
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace alphawan

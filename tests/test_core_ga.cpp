@@ -41,25 +41,6 @@ TEST(GaSolver, InvalidInstanceThrows) {
   EXPECT_THROW(solve_cp(bad), std::invalid_argument);
 }
 
-// The deprecated freeze_nodes + initial pair must keep working for one
-// release — including the runtime validation the typed API made
-// unrepresentable.
-TEST(GaSolver, LegacyFreezeShimStillValidatesAndFreezes) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  GaConfig cfg = fast_config();
-  cfg.freeze_nodes = true;
-  EXPECT_THROW(solve_cp(make_instance(1, 1), cfg), std::invalid_argument);
-
-  const auto inst = make_instance(3, 20);
-  const CpSolution initial = greedy_seed(inst);
-  cfg.initial = initial;
-  const auto result = solve_cp(inst, cfg);
-  EXPECT_EQ(result.best.node_channel, initial.node_channel);
-  EXPECT_EQ(result.best.node_level, initial.node_level);
-#pragma GCC diagnostic pop
-}
-
 TEST(GaSolver, SolutionAlwaysFeasible) {
   const auto inst = make_instance(3, 40);
   const auto result = solve_cp(inst, fast_config());

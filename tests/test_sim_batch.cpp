@@ -1,23 +1,22 @@
-// Batch-mode selection (sim/batch.hpp) and the batched pipeline's edge
-// shapes, pinned scalar-vs-batched at the exact seams where the batched
-// restructuring could diverge from the reference: counting-sort bucket
-// seams, partial-overlap lookback at the first/last event of a bucket,
-// batches of exactly 1 and exactly 65 candidates, and the all-pruned
-// window (every batched kernel invoked on an empty batch). The property
-// suite (tests/property/test_prop_kernels.cpp) covers random worlds; these
-// are the deliberate corners.
-#include "sim/batch.hpp"
-
+// The receive pipeline's edge shapes, pinned at the exact seams where the
+// batched restructuring could diverge from the per-event reference it
+// replaced: counting-sort bucket seams, partial-overlap lookback at the
+// first/last event of a bucket, batches of exactly 1 and exactly 65
+// candidates, the >64-column candidate-mask fallback, and the all-pruned
+// window (every batched kernel invoked on an empty batch). The expected
+// dispositions and digests were recorded from the scalar reference
+// pipeline while it still existed (it agreed with the batched one on every
+// case). The property suite (tests/property/test_prop_kernels.cpp) covers
+// random worlds; these are the deliberate corners.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <string>
 #include <vector>
 
 #include "check/digest.hpp"
 #include "common/rng.hpp"
 #include "net/sync_word.hpp"
 #include "radio/gateway_radio.hpp"
-#include "radio/rx_batch.hpp"
 #include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 
@@ -26,28 +25,7 @@ namespace {
 
 const Spectrum kSpec = spectrum_1m6();
 
-// ---- mode selection ------------------------------------------------------
-
-TEST(BatchMode, ParseRecognizesOnlyNonzeroIntegers) {
-  EXPECT_EQ(parse_batch_mode(nullptr), 0);
-  EXPECT_EQ(parse_batch_mode(""), 0);
-  EXPECT_EQ(parse_batch_mode("0"), 0);
-  EXPECT_EQ(parse_batch_mode("1"), 1);
-  EXPECT_EQ(parse_batch_mode("2"), 1);
-  EXPECT_EQ(parse_batch_mode("-1"), 1);
-  EXPECT_EQ(parse_batch_mode("garbage"), 0);
-  EXPECT_EQ(parse_batch_mode("1x"), 0);
-  EXPECT_EQ(parse_batch_mode("00"), 0);
-}
-
-TEST(BatchMode, ResolveHonorsExplicitRequestOverDefault) {
-  EXPECT_EQ(resolve_batch_mode(0), 0);
-  EXPECT_EQ(resolve_batch_mode(1), 1);
-  EXPECT_EQ(resolve_batch_mode(7), 1);
-  EXPECT_EQ(resolve_batch_mode(-1), default_batch_mode());
-}
-
-// ---- radio-level scalar/batched differential on crafted windows ----------
+// ---- radio-level pins on crafted windows ---------------------------------
 
 GatewayRadio make_radio(NetworkId network = 0, int num_channels = 8) {
   GatewayRadio radio(default_profile(), network,
@@ -73,55 +51,63 @@ Transmission make_tx(PacketId id, Channel channel, SpreadingFactor sf,
   return tx;
 }
 
-void expect_outcomes_equal(const std::vector<RxOutcome>& scalar,
-                           const std::vector<RxOutcome>& batched) {
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    const RxOutcome& s = scalar[i];
-    const RxOutcome& b = batched[i];
-    EXPECT_EQ(s.packet, b.packet) << "event " << i;
-    EXPECT_EQ(s.node, b.node) << "event " << i;
-    EXPECT_EQ(s.network, b.network) << "event " << i;
-    EXPECT_EQ(s.disposition, b.disposition) << "event " << i;
-    EXPECT_EQ(s.foreign_among_occupants, b.foreign_among_occupants)
-        << "event " << i;
-    EXPECT_EQ(s.foreign_interferer, b.foreign_interferer) << "event " << i;
-    EXPECT_EQ(s.snr.value(), b.snr.value()) << "event " << i;
-    EXPECT_EQ(s.chain_channel, b.chain_channel) << "event " << i;
+// Order-sensitive FNV-1a over every outcome field (field by field, so
+// struct padding never leaks in).
+std::uint64_t outcome_digest(const std::vector<RxOutcome>& outcomes) {
+  std::uint64_t h = kFnv1aOffset;
+  for (const auto& o : outcomes) {
+    h = fnv1a(&o.packet, sizeof o.packet, h);
+    h = fnv1a(&o.node, sizeof o.node, h);
+    h = fnv1a(&o.network, sizeof o.network, h);
+    const auto disposition = static_cast<std::uint8_t>(o.disposition);
+    h = fnv1a(&disposition, sizeof disposition, h);
+    const auto flags = static_cast<std::uint8_t>(
+        (o.foreign_among_occupants ? 1 : 0) | (o.foreign_interferer ? 2 : 0));
+    h = fnv1a(&flags, sizeof flags, h);
+    const double snr = o.snr.value();
+    h = fnv1a(&snr, sizeof snr, h);
+    const auto chain = static_cast<std::int32_t>(o.chain_channel);
+    h = fnv1a(&chain, sizeof chain, h);
   }
+  return h;
 }
 
-// Run the same crafted window through both pipelines on identically
-// configured fresh radios and require outcome-for-outcome equality.
-void expect_pipelines_agree(const std::vector<Transmission>& txs,
-                            const std::vector<Dbm>& powers) {
+// One letter per event, in RxDisposition order: Delivered, decoded
+// Foreign, decoder Busy, Collision, Low SNR, Not detected, front-end
+// Rejected.
+std::string disposition_letters(const std::vector<RxOutcome>& outcomes) {
+  std::string letters;
+  for (const auto& o : outcomes) {
+    letters += "DFBCLNR"[static_cast<int>(o.disposition)];
+  }
+  return letters;
+}
+
+// Run a crafted window through a freshly configured radio and require the
+// pinned dispositions and the pinned digest of every outcome field.
+void expect_pinned(const std::vector<Transmission>& txs,
+                   const std::vector<Dbm>& powers,
+                   const std::string& dispositions, const char* digest) {
   ASSERT_EQ(txs.size(), powers.size());
   std::vector<RxEvent> events;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     events.push_back(RxEvent{txs[i], powers[i]});
   }
-  GatewayRadio scalar_radio = make_radio();
-  const auto scalar = scalar_radio.process(events);
-
-  WindowTxTable table;
-  table.build(txs);
-  std::vector<std::uint32_t> tx_index(txs.size());
-  std::iota(tx_index.begin(), tx_index.end(), 0u);
-  const RxEventView view{&table, tx_index.data(), powers.data(), txs.size()};
-  GatewayRadio batched_radio = make_radio();
-  const auto batched = batched_radio.process(view);
-  expect_outcomes_equal(scalar, batched);
+  GatewayRadio radio = make_radio();
+  const auto outcomes = radio.process(events);
+  EXPECT_EQ(disposition_letters(outcomes), dispositions);
+  EXPECT_EQ(digest_hex(outcome_digest(outcomes)), digest);
 }
 
 TEST(BatchPipeline, SingleCandidateWindow) {
   const auto tx = make_tx(1, kSpec.grid_channel(3), SpreadingFactor::kSF9,
                           Seconds{0.01});
-  expect_pipelines_agree({tx}, {Dbm{-90.0}});
+  expect_pinned({tx}, {Dbm{-90.0}}, "D", "938408d15ec47703");
 }
 
 TEST(BatchPipeline, AllCandidatesBelowSensitivity) {
-  // Every event filtered out before dispatch: the batched kernels all run
-  // on empty decode sets.
+  // Every event filtered out before dispatch: the scan kernels all run on
+  // empty decode sets.
   std::vector<Transmission> txs;
   std::vector<Dbm> powers;
   for (int i = 0; i < 6; ++i) {
@@ -130,16 +116,7 @@ TEST(BatchPipeline, AllCandidatesBelowSensitivity) {
                           Seconds{0.002 * i}));
     powers.push_back(Dbm{-200.0});
   }
-  expect_pipelines_agree(txs, powers);
-  // And the fates really are "not detected" in both modes.
-  GatewayRadio radio = make_radio();
-  std::vector<RxEvent> events;
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    events.push_back(RxEvent{txs[i], powers[i]});
-  }
-  for (const auto& out : radio.process(events)) {
-    EXPECT_EQ(out.disposition, RxDisposition::kNotDetected);
-  }
+  expect_pinned(txs, powers, "NNNNNN", "423e1e4b3a52b814");
 }
 
 TEST(BatchPipeline, CountingSortBucketSeams) {
@@ -172,7 +149,7 @@ TEST(BatchPipeline, CountingSortBucketSeams) {
   // Cross-SF interferer in bucket 1.
   txs.push_back(make_tx(id++, ch1, SpreadingFactor::kSF12, Seconds{0.000}));
   powers.push_back(Dbm{-60.0});
-  expect_pipelines_agree(txs, powers);
+  expect_pinned(txs, powers, "CCCRRD", "96b62e3bee735d3e");
 }
 
 TEST(BatchPipeline, PartialOverlapLookbackAtBucketEdges) {
@@ -199,7 +176,7 @@ TEST(BatchPipeline, PartialOverlapLookbackAtBucketEdges) {
   // packet only.
   txs.push_back(make_tx(id++, offset, SpreadingFactor::kSF7, Seconds{0.91}));
   powers.push_back(Dbm{-58.0});
-  expect_pipelines_agree(txs, powers);
+  expect_pinned(txs, powers, "RLLR", "eeff76c5e12c6b11");
 }
 
 TEST(BatchPipeline, SixtyFiveCandidateWindow) {
@@ -217,18 +194,21 @@ TEST(BatchPipeline, SixtyFiveCandidateWindow) {
                           Seconds{rng.uniform(0.0, 0.2)}));
     powers.push_back(Dbm{rng.uniform(-130.0, -60.0)});
   }
-  expect_pipelines_agree(txs, powers);
+  expect_pinned(txs, powers,
+                "CCCCCBCCCCDBCCCDCCCCCCCCDCCBCCDCD"
+                "DCBCCCBCCCCCDCDCCCCCCCCCBBBDCCCC",
+                "50be90237b4a404a");
 }
 
-// ---- runner-level seams --------------------------------------------------
+// ---- runner-level pins ---------------------------------------------------
 
 struct RunnerOutcome {
   std::uint64_t digest = 0;
   std::size_t delivered = 0;
 };
 
-RunnerOutcome runner_digest(int batch, int gateways, int nodes,
-                            std::uint64_t seed, Dbm tx_power = Dbm{14.0}) {
+RunnerOutcome runner_digest(int gateways, int nodes, std::uint64_t seed,
+                            Dbm tx_power = Dbm{14.0}) {
   Deployment deployment(Region{Meters{1000.0}, Meters{1000.0}},
                         spectrum_1m6(), ChannelModelConfig{});
   auto& network = deployment.add_network("op");
@@ -244,40 +224,31 @@ RunnerOutcome runner_digest(int batch, int gateways, int nodes,
   }
   PacketIdSource ids;
   const auto txs = concurrent_burst(nodes_ptr, Seconds{0.0}, ids);
-  RunOptions options;
-  options.batch = batch;
-  ScenarioRunner runner(deployment, seed, options);
+  ScenarioRunner runner(deployment, seed);
   const auto result = runner.run_window(txs);
   return RunnerOutcome{fate_digest(result.fates), result.total_delivered()};
 }
 
 TEST(BatchPipeline, MaskFallbackBeyond64GatewayColumns) {
   // 65 gateways in one shard slice disable the 64-bit candidacy mask
-  // (sh.use_mask = false): the batched gather must agree with the scalar
-  // path through the range-list fallback too.
-  const RunnerOutcome scalar = runner_digest(/*batch=*/0, /*gateways=*/65,
-                                             /*nodes=*/24, /*seed=*/42);
-  const RunnerOutcome batched = runner_digest(/*batch=*/1, /*gateways=*/65,
-                                              /*nodes=*/24, /*seed=*/42);
-  EXPECT_EQ(digest_hex(batched.digest), digest_hex(scalar.digest));
-  // The window must be live, or the comparison proves nothing.
-  EXPECT_GT(scalar.delivered, 0u);
+  // (sh.use_mask = false): the gather must reproduce the pinned window
+  // through the range-list fallback too.
+  const RunnerOutcome run = runner_digest(/*gateways=*/65, /*nodes=*/24,
+                                          /*seed=*/42);
+  EXPECT_EQ(digest_hex(run.digest), "eee024bac2a789e7");
+  // The window must be live, or the pin proves little.
+  EXPECT_EQ(run.delivered, 20u);
 }
 
 TEST(BatchPipeline, AllPrunedWindowMatchesScalar) {
   // Transmit powers so low every (tx, gateway) candidate is pruned before
-  // the fading draw: the batched per-gateway batches are all empty.
-  const Dbm whisper{-80.0};
-  const RunnerOutcome scalar =
-      runner_digest(/*batch=*/0, /*gateways=*/3, /*nodes=*/12, /*seed=*/43,
-                    whisper);
-  const RunnerOutcome batched =
-      runner_digest(/*batch=*/1, /*gateways=*/3, /*nodes=*/12, /*seed=*/43,
-                    whisper);
-  EXPECT_EQ(digest_hex(batched.digest), digest_hex(scalar.digest));
+  // the fading draw: the per-gateway batches are all empty.
+  const RunnerOutcome run = runner_digest(/*gateways=*/3, /*nodes=*/12,
+                                          /*seed=*/43, Dbm{-80.0});
+  EXPECT_EQ(digest_hex(run.digest), "3dda7bd4e02304e5");
   // If anything was delivered, the window was not all-pruned and the test
   // is not exercising the empty-batch kernels.
-  EXPECT_EQ(scalar.delivered, 0u);
+  EXPECT_EQ(run.delivered, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 #include "check/invariants.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
-
-#include "radio/decoder_pool.hpp"
 
 namespace alphawan {
 namespace {
@@ -34,91 +33,87 @@ void SimInvariants::require_clean() const {
 }
 
 void SimInvariants::clear() {
-  pools_.clear();
   violations_.clear();
-  last_lock_on_ = Seconds{-1e300};
-  in_window_ = false;
   windows_checked_ = 0;
-  events_observed_ = 0;
 }
 
-void SimInvariants::on_pool_reset(const DecoderPool& pool) {
-  pools_[&pool].held.clear();
-}
+void SimInvariants::check_gateway_window(
+    const WindowTxTable& table, std::span<const std::size_t> tx_index,
+    std::span<const RxOutcome> outcomes, std::size_t decoders) {
+  if (tx_index.size() != outcomes.size()) {
+    std::ostringstream msg;
+    msg << "gateway window has " << outcomes.size() << " outcomes for "
+        << tx_index.size() << " events";
+    violate(msg.str());
+    return;
+  }
+  struct Dispatched {
+    Seconds lock_on;
+    PacketId packet;
+    std::size_t event;
+  };
+  std::vector<PacketId> ids;
+  std::vector<Dispatched> dispatched;
+  ids.reserve(outcomes.size());
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    const std::size_t t = tx_index[k];
+    const RxDisposition d = outcomes[k].disposition;
+    ids.push_back(table.packet[t]);
+    if (consumed_decoder(d) || d == RxDisposition::kDroppedDecoderBusy) {
+      dispatched.push_back(Dispatched{table.lock_on[t], table.packet[t], k});
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i] != ids[i - 1]) continue;
+    std::ostringstream msg;
+    msg << "duplicate packet id " << ids[i] << " in one gateway window";
+    violate(msg.str());
+  }
 
-void SimInvariants::on_pool_acquire(const DecoderPool& pool, Seconds now,
-                                    Seconds until, NetworkId network,
-                                    PacketId packet) {
-  (void)network;
-  ++events_observed_;
-  auto& state = pools_[&pool];
-  if (until < now) {
-    std::ostringstream msg;
-    msg << "decoder acquired for packet " << packet << " releases at "
-        << until << " before acquisition at " << now;
-    violate(msg.str());
+  std::sort(dispatched.begin(), dispatched.end(),
+            [](const Dispatched& a, const Dispatched& b) {
+              if (a.lock_on != b.lock_on) return a.lock_on < b.lock_on;
+              return a.packet < b.packet;
+            });
+  struct Holder {
+    Seconds end;
+    NetworkId network;
+  };
+  std::vector<Holder> held;
+  for (const auto& d : dispatched) {
+    const std::size_t t = tx_index[d.event];
+    const RxOutcome& out = outcomes[d.event];
+    std::erase_if(held, [&](const Holder& h) { return h.end <= d.lock_on; });
+    if (out.disposition != RxDisposition::kDroppedDecoderBusy) {
+      if (held.size() >= decoders) {
+        std::ostringstream msg;
+        msg << "packet " << d.packet << " holds a decoder while all "
+            << decoders << " are held (exceeds the decoder budget)";
+        violate(msg.str());
+      }
+      held.push_back(Holder{table.end[t], table.net[t]});
+      continue;
+    }
+    if (held.size() < decoders) {
+      std::ostringstream msg;
+      msg << "packet " << d.packet << " was refused a decoder while only "
+          << held.size() << "/" << decoders << " are held";
+      violate(msg.str());
+      continue;
+    }
+    const bool foreign =
+        std::any_of(held.begin(), held.end(), [&](const Holder& h) {
+          return h.network != table.net[t];
+        });
+    if (out.foreign_among_occupants != foreign) {
+      std::ostringstream msg;
+      msg << std::boolalpha << "packet " << d.packet << " was refused with "
+          << "foreign_among_occupants=" << out.foreign_among_occupants
+          << " but the holders say " << foreign;
+      violate(msg.str());
+    }
   }
-  if (!state.held.insert(packet).second) {
-    std::ostringstream msg;
-    msg << "packet " << packet << " acquired a decoder it already holds";
-    violate(msg.str());
-  }
-  if (state.held.size() > pool.capacity()) {
-    std::ostringstream msg;
-    msg << "decoder pool exceeded capacity " << pool.capacity() << " ("
-        << state.held.size() << " held) acquiring packet " << packet;
-    violate(msg.str());
-  }
-}
-
-void SimInvariants::on_pool_release(const DecoderPool& pool, PacketId packet,
-                                    bool was_held) {
-  ++events_observed_;
-  auto& state = pools_[&pool];
-  const bool tracked = state.held.erase(packet) > 0;
-  if (!was_held || !tracked) {
-    std::ostringstream msg;
-    msg << "packet " << packet
-        << " released a decoder it does not hold (double-free)";
-    violate(msg.str());
-  }
-}
-
-void SimInvariants::on_pool_refusal(const DecoderPool& pool, Seconds now,
-                                    NetworkId network, PacketId packet) {
-  (void)now;
-  (void)network;
-  ++events_observed_;
-  const auto& state = pools_[&pool];
-  if (state.held.size() < pool.capacity()) {
-    std::ostringstream msg;
-    msg << "packet " << packet << " was refused a decoder while only "
-        << state.held.size() << "/" << pool.capacity() << " are held";
-    violate(msg.str());
-  }
-}
-
-void SimInvariants::on_radio_window_begin() {
-  in_window_ = true;
-  last_lock_on_ = Seconds{-1e300};
-}
-
-void SimInvariants::on_dispatch(Seconds arrival, Seconds lock_on,
-                                PacketId packet) {
-  ++events_observed_;
-  if (lock_on < arrival) {
-    std::ostringstream msg;
-    msg << "packet " << packet << " locked on at " << lock_on
-        << " before its arrival at " << arrival;
-    violate(msg.str());
-  }
-  if (in_window_ && lock_on < last_lock_on_) {
-    std::ostringstream msg;
-    msg << "FCFS violation: packet " << packet << " dispatched at lock-on "
-        << lock_on << " after a dispatch at " << last_lock_on_;
-    violate(msg.str());
-  }
-  last_lock_on_ = lock_on;
 }
 
 void SimInvariants::check_window(const WindowResult& result) {

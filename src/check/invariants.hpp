@@ -1,31 +1,30 @@
 // SimInvariants: the machine-checked guarantees behind the paper's loss
 // attribution. Every claim in Figs. 4/12/13 is a sum over per-packet fates,
-// so the harness asserts — per event and per run — that:
+// so the harness asserts — per gateway window and per run — that:
 //
 //   * offered == delivered + Σ(loss causes), per network and in total;
-//   * no decoder pool ever exceeds its capacity, double-acquires a packet,
-//     or releases a decoder it does not hold (double-free);
-//   * FCFS dispatch respects lock-on order, and no packet locks on before
-//     it arrived;
+//   * every gateway's outcomes obey FCFS dispatch into its finite decoder
+//     pool (paper Appendix C), replayed from the window's table columns;
 //   * MetricsCollector totals match the per-network sums and the recorded
 //     fate stream.
 //
-// Attach a checker with ScenarioRunner::set_invariants (tests), or export
+// The checker reads outputs only, after a window's parallel region, so an
+// attached checker never changes how (or how parallel) the window runs.
+// Attach one with ScenarioRunner::set_invariants (tests), or export
 // ALPHAWAN_CHECK=1 to arm a fail-fast process-wide checker in any binary
 // (benches, examples) without code changes.
 #pragma once
 
-#include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "check/hooks.hpp"
+#include "radio/rx_batch.hpp"
 #include "sim/scenario.hpp"
 
 namespace alphawan {
 
-class SimInvariants final : public SimObserver {
+class SimInvariants {
  public:
   // When fail-fast, the first violation throws std::logic_error instead of
   // being collected — the mode the env-armed bench checker uses.
@@ -42,29 +41,20 @@ class SimInvariants final : public SimObserver {
   [[nodiscard]] std::size_t windows_checked() const {
     return windows_checked_;
   }
-  [[nodiscard]] std::size_t events_observed() const {
-    return events_observed_;
-  }
 
-  // ---- SimObserver hooks (called by instrumented components) ----
-  void on_pool_reset(const DecoderPool& pool) override;
-  // (now, until) mirrors DecoderPool::try_acquire's interval order.
-  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (now, until) interval)
-  // NOLINTNEXTLINE(bugprone-easily-swappable-parameters)
-  void on_pool_acquire(const DecoderPool& pool, Seconds now, Seconds until,
-                       NetworkId network, PacketId packet) override;
-  void on_pool_release(const DecoderPool& pool, PacketId packet,
-                       bool was_held) override;
-  void on_pool_refusal(const DecoderPool& pool, Seconds now,
-                       NetworkId network, PacketId packet) override;
-  void on_radio_window_begin() override;
-  // arrival precedes lock_on chronologically (preamble detection).
-  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: chronological order is
-  // checked at runtime by the dispatch-monotonicity invariant)
-  // NOLINTNEXTLINE(bugprone-easily-swappable-parameters)
-  void on_dispatch(Seconds arrival, Seconds lock_on, PacketId packet) override;
-
-  // ---- aggregate checks ----
+  // Verify one gateway's window output against the decoder contract: event
+  // k is transmission tx_index[k] of `table`, received with outcomes[k].
+  // FCFS is replayed from the table columns alone — every dispatched event
+  // (a decoder-holding disposition or kDroppedDecoderBusy) in (lock_on,
+  // packet) order, freeing holders whose end <= lock_on first — and
+  //   * a packet holds a decoder exactly when fewer than `decoders` are held;
+  //   * a refused packet's foreign_among_occupants says whether any holder
+  //     belongs to another network;
+  //   * packet ids are unique within the window.
+  void check_gateway_window(const WindowTxTable& table,
+                            std::span<const std::size_t> tx_index,
+                            std::span<const RxOutcome> outcomes,
+                            std::size_t decoders);
   // Verify a window result: per-network offered/delivered maps agree with
   // the fate stream, and delivered flags agree with causes.
   void check_window(const WindowResult& result);
@@ -75,19 +65,9 @@ class SimInvariants final : public SimObserver {
  private:
   void violate(std::string message);
 
-  struct PoolState {
-    std::set<PacketId> held;
-  };
-
-  // ALPHAWAN-LINT-ALLOW(ordering-pointer-key: lookup-only — nothing
-  // iterates pools_, so allocation-order keys never reach any output)
-  std::map<const DecoderPool*, PoolState> pools_;
-  Seconds last_lock_on_{-1e300};
-  bool in_window_ = false;
   std::vector<std::string> violations_;
   bool fail_fast_ = false;
   std::size_t windows_checked_ = 0;
-  std::size_t events_observed_ = 0;
 };
 
 // Process-wide fail-fast checker armed by the ALPHAWAN_CHECK environment

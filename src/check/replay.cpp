@@ -105,9 +105,8 @@ ReplayReport replay_packet(Deployment& deployment, std::uint64_t seed,
       }
 
       // Process on a copy: pools reset per window anyway, but the copy also
-      // keeps observers and server state out of the replay.
+      // keeps server state out of the replay.
       GatewayRadio radio = gw.radio();
-      radio.set_observer(nullptr);
       const auto outcomes = radio.process(events);
       const auto& out = outcomes[target_event];
       obs.snr = out.snr;

@@ -58,9 +58,6 @@ class Gateway {
     return config_version_;
   }
 
-  // Attach/detach a correctness observer on the underlying radio.
-  void set_observer(SimObserver* observer) { radio_.set_observer(observer); }
-
   // Attach/detach a pluggable capture policy on the underlying radio
   // (nullptr = stock COTS pipeline). Not owned; see radio/capture_policy.hpp
   // for the contract.

@@ -17,22 +17,7 @@ void DecoderPool::release_expired(Seconds now) {
   auto it = std::upper_bound(
       busy_slots_.begin(), busy_slots_.end(), now,
       [](Seconds t, const Slot& s) { return t < s.release_at; });
-  if (observer_ != nullptr) {
-    for (auto released = busy_slots_.begin(); released != it; ++released) {
-      observer_->on_pool_release(*this, released->packet, /*was_held=*/true);
-    }
-  }
   busy_slots_.erase(busy_slots_.begin(), it);
-}
-
-void DecoderPool::release(PacketId packet) {
-  const auto it = std::find_if(busy_slots_.begin(), busy_slots_.end(),
-                               [&](const Slot& s) { return s.packet == packet; });
-  const bool was_held = it != busy_slots_.end();
-  if (observer_ != nullptr) {
-    observer_->on_pool_release(*this, packet, was_held);
-  }
-  if (was_held) busy_slots_.erase(it);
 }
 
 std::size_t DecoderPool::busy(Seconds now) {
@@ -43,20 +28,12 @@ std::size_t DecoderPool::busy(Seconds now) {
 bool DecoderPool::try_acquire(Seconds now, Seconds until, NetworkId network,
                               PacketId packet) {
   release_expired(now);
-  if (busy_slots_.size() >= capacity_) {
-    if (observer_ != nullptr) {
-      observer_->on_pool_refusal(*this, now, network, packet);
-    }
-    return false;
-  }
+  if (busy_slots_.size() >= capacity_) return false;
   Slot slot{until, network, packet};
   const auto pos = std::upper_bound(
       busy_slots_.begin(), busy_slots_.end(), slot,
       [](const Slot& a, const Slot& b) { return a.release_at < b.release_at; });
   busy_slots_.insert(pos, slot);
-  if (observer_ != nullptr) {
-    observer_->on_pool_acquire(*this, now, until, network, packet);
-  }
   return true;
 }
 
@@ -74,7 +51,6 @@ std::vector<PacketId> DecoderPool::occupants() const {
 
 void DecoderPool::reset() {
   busy_slots_.clear();
-  if (observer_ != nullptr) observer_->on_pool_reset(*this);
 }
 
 }  // namespace alphawan

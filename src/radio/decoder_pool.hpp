@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "check/hooks.hpp"
 #include "common/types.hpp"
 
 namespace alphawan {
@@ -21,17 +20,8 @@ class DecoderPool {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  // Attach an observer notified of every acquire/release/refusal (the
-  // correctness harness). Pass nullptr to detach.
-  void set_observer(SimObserver* observer) { observer_ = observer; }
-
   // Release decoders whose packets end at or before `now`.
   void release_expired(Seconds now);
-
-  // Explicitly release the decoder held by `packet` (early teardown).
-  // Releasing a packet that holds no decoder is a no-op for the pool but is
-  // reported to the observer as a double-free.
-  void release(PacketId packet);
 
   // Number of decoders busy at `now` (after releasing expired ones).
   [[nodiscard]] std::size_t busy(Seconds now);
@@ -62,7 +52,6 @@ class DecoderPool {
 
   std::size_t capacity_;
   std::vector<Slot> busy_slots_;  // kept sorted by release_at
-  SimObserver* observer_ = nullptr;
 };
 
 }  // namespace alphawan

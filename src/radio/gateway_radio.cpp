@@ -65,11 +65,6 @@ void GatewayRadio::configure_channels(std::vector<Channel> channels) {
   scratch_.chain_memo.clear();
 }
 
-void GatewayRadio::set_observer(SimObserver* observer) {
-  observer_ = observer;
-  pool_.set_observer(observer);
-}
-
 void GatewayRadio::set_capture_policy(const CapturePolicy* policy) {
   capture_policy_ = policy;
 }
@@ -88,8 +83,7 @@ int GatewayRadio::chain_for(const Channel& packet_channel) {
   return index;
 }
 
-// Phase 2: FCFS dispatch into the decoder pool. The observer timestamp is
-// the event's start time, read from the phase-1 scratch column.
+// Phase 2: FCFS dispatch into the decoder pool.
 void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
                                   bool already_sorted) {
   auto& sc = scratch_;
@@ -97,10 +91,6 @@ void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
   sc.decoding.clear();
   sc.decoding.reserve(sc.queue.size());
   for (const auto& entry : sc.queue) {
-    if (observer_ != nullptr) {
-      observer_->on_dispatch(sc.start_of[entry.event_index], entry.lock_on,
-                             entry.packet);
-    }
     const DispatchResult result = dispatch(pool_, entry);
     auto& out = outcomes[entry.event_index];
     if (!result.acquired) {
@@ -366,7 +356,6 @@ void GatewayRadio::process_into(const RxEventView& view,
   const WindowTxTable& tbl = *view.table;
   outcomes.assign(view.count, RxOutcome{});
   pool_.reset();
-  if (observer_ != nullptr) observer_->on_radio_window_begin();
   auto& sc = scratch_;
 
   // Phase 1: front-end + detection per event, reading the window's shared

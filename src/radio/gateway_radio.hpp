@@ -38,11 +38,6 @@ class GatewayRadio {
   [[nodiscard]] NetworkId network() const { return network_; }
   [[nodiscard]] std::uint16_t sync_word() const { return sync_word_; }
 
-  // Attach a correctness observer: notified of window starts, every FCFS
-  // dispatch, and (via the pool) every decoder acquire/release/refusal.
-  // Pass nullptr to detach.
-  void set_observer(SimObserver* observer);
-
   // Attach a capture policy invoked at the end of process_into() (nullptr =
   // stock pipeline only, bit-identical to the pre-policy code path). The
   // policy is not owned; the caller keeps it alive across windows. After
@@ -172,7 +167,6 @@ class GatewayRadio {
   std::uint16_t sync_word_;
   std::vector<RxChain> chains_;
   DecoderPool pool_;
-  SimObserver* observer_ = nullptr;
   const CapturePolicy* capture_policy_ = nullptr;
   RxScratch scratch_;
 };

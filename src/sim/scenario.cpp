@@ -1,6 +1,9 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "check/invariants.hpp"
 #include "common/parallel.hpp"
@@ -12,6 +15,26 @@ namespace {
 // Substream domain tag separating fading draws from any future named
 // substreams derived from the same runner seed.
 constexpr std::uint64_t kFadingDomain = 0xFAD1'F0E5'7A7EULL;
+
+// Rejects a configuration the runner would otherwise clamp or use silently
+// inside a window, naming the offending field.
+RunOptions validated(RunOptions options) {
+  if (options.threads < 0) {
+    throw std::invalid_argument("RunOptions::threads must be >= 0, got " +
+                                std::to_string(options.threads));
+  }
+  if (options.shards < 0) {
+    throw std::invalid_argument("RunOptions::shards must be >= 0, got " +
+                                std::to_string(options.shards));
+  }
+  const double margin = options.prune_margin.value();
+  if (!std::isfinite(margin) || margin < 0.0) {
+    throw std::invalid_argument(
+        "RunOptions::prune_margin must be finite and >= 0 dB, got " +
+        std::to_string(margin));
+  }
+  return options;
+}
 
 }  // namespace
 
@@ -36,8 +59,12 @@ ScenarioRunner::ScenarioRunner(Deployment& deployment, std::uint64_t seed,
                                RunOptions options)
     : deployment_(deployment),
       rng_(seed),
-      options_(std::move(options)),
+      options_(validated(std::move(options))),
       invariants_(invariants_from_env()) {}
+
+void ScenarioRunner::set_options(RunOptions options) {
+  options_ = validated(std::move(options));
+}
 
 WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   WindowResult result;
@@ -52,12 +79,11 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // fan-out runs them in any order, the merge below walks them in this one.
   std::vector<Gateway*> tasks;
   for (auto& network : deployment_.networks()) {
-    // (Re)attach the checker and capture policy every window: gateways may
-    // have been added since the last one, and a null attach detaches stale
-    // state. The policy pointer is const and shared across concurrent
-    // gateway tasks — safe because resolve() is stateless by contract.
+    // (Re)attach the capture policy every window: gateways may have been
+    // added since the last one, and a null attach detaches stale state. The
+    // policy pointer is const and shared across concurrent gateway tasks —
+    // safe because resolve() is stateless by contract.
     for (auto& gw : network.gateways()) {
-      gw.set_observer(invariants_);
       gw.set_capture_policy(options_.capture_policy.get());
       tasks.push_back(&gw);
     }
@@ -159,14 +185,11 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // candidate transmission list and touches only its own gateway (the link
   // cache slices and scratch arenas are read-only / per-task here). Yields
   // land in shard-local staging; the shard loop below publishes them.
-  // The invariant checker's observer protocol is sequential, so an attached
-  // checker forces serial execution.
   auto& staged = sc.staged;
   staged.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     staged[s].resize(sc.shards[s].tasks.size());
   }
-  const int threads = invariants_ != nullptr ? 1 : options_.threads;
   parallel_for(
       tasks.size(),
       [&](std::size_t t) {
@@ -213,7 +236,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         const RxEventView view{&sc.table, idx.data(), power.data(), kept};
         gw->receive_window(view, yield.uplinks, yield.outcomes);
       },
-      threads);
+      options_.threads);
 
   // Publish each shard's yields — boundary events included — to the global
   // merge slots, in ascending shard order. Every yield lands in the slot of
@@ -230,6 +253,16 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         }
       }
       sc.yield_ptr[owned[k]] = &staged[s][k];
+    }
+  }
+  // The checker reads only the published yields, gateway by gateway in
+  // deployment order, so it never touches the parallel region.
+  if (invariants_ != nullptr) {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      const auto& yield = *sc.yield_ptr[t];
+      invariants_->check_gateway_window(
+          sc.table, yield.event_tx_index, yield.outcomes,
+          static_cast<std::size_t>(tasks[t]->radio().profile().decoders));
     }
   }
 

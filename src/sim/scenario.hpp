@@ -101,16 +101,20 @@ class ScenarioRunner {
   explicit ScenarioRunner(Deployment& deployment, std::uint64_t seed = 7,
                           RunOptions options = {});
 
-  void set_options(RunOptions options) { options_ = std::move(options); }
+  // The constructor and set_options throw std::invalid_argument, naming the
+  // field, for a negative threads or shards count or a negative or
+  // non-finite prune_margin.
+  void set_options(RunOptions options);
   [[nodiscard]] const RunOptions& options() const { return options_; }
   [[nodiscard]] Db prune_margin() const { return options_.prune_margin; }
   [[nodiscard]] std::uint64_t seed() const { return rng_.root_seed(); }
 
-  // Attach the correctness harness: every window is checked for packet
-  // conservation, FCFS ordering, and decoder-pool discipline. Enabled
-  // automatically (fail-fast) when ALPHAWAN_CHECK=1 is exported. Pass
-  // nullptr to detach. The observer protocol is sequential, so an attached
-  // checker forces the window to run serially.
+  // Attach the correctness harness: after each window's parallel region,
+  // every gateway's output is checked against FCFS decoder dispatch and the
+  // window against packet conservation. Enabled automatically (fail-fast)
+  // when ALPHAWAN_CHECK=1 is exported. Pass nullptr to detach. The checker
+  // only reads outputs, so the window still runs at options().threads and
+  // options().shards.
   void set_invariants(SimInvariants* invariants) { invariants_ = invariants; }
   [[nodiscard]] SimInvariants* invariants() const { return invariants_; }
 

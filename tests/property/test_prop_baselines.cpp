@@ -81,8 +81,12 @@ std::optional<std::string> conservation_holds(const BaselineScheme& scheme,
                                               const CaseParams& p) {
   SchemeWorld world = build_scheme_world(scheme, p);
   SimInvariants checker;
+  // Checked at threads 8 x shards 8: the checker reads outputs only, so it
+  // runs in the configuration people ship.
   RunOptions options;
   options.capture_policy = scheme.capture;
+  options.threads = 8;
+  options.shards = 8;
   ScenarioRunner runner(*world.deployment, p.seed ^ 0xBEEF,
                         std::move(options));
   runner.set_invariants(&checker);

@@ -1,7 +1,11 @@
 #include "sim/scenario.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "sim/traffic.hpp"
 
@@ -148,6 +152,54 @@ TEST(Scenario, DeterministicUnderSameSeed) {
     return runner.run_window(txs).total_delivered();
   };
   EXPECT_EQ(run_once(5), run_once(5));
+}
+
+// Bad configuration fails when the runner is built (or reconfigured), with
+// the offending field named, instead of being clamped inside a window.
+void expect_rejected(const RunOptions& bad, const std::string& field) {
+  Fixture f;
+  try {
+    ScenarioRunner runner(f.deployment, 7, bad);
+    ADD_FAILURE() << "constructor accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  ScenarioRunner runner(f.deployment);
+  EXPECT_THROW(runner.set_options(bad), std::invalid_argument);
+  EXPECT_EQ(runner.options().threads, 0);  // the rejected value never lands
+  EXPECT_EQ(runner.options().prune_margin, Db{25.0});
+}
+
+TEST(ScenarioOptions, NegativeThreadsRejected) {
+  expect_rejected(RunOptions{.threads = -1}, "threads");
+}
+
+TEST(ScenarioOptions, NegativeShardsRejected) {
+  expect_rejected(RunOptions{.shards = -2}, "shards");
+}
+
+TEST(ScenarioOptions, NegativePruneMarginRejected) {
+  expect_rejected(RunOptions{.prune_margin = Db{-1.0}}, "prune_margin");
+}
+
+TEST(ScenarioOptions, NanPruneMarginRejected) {
+  expect_rejected(
+      RunOptions{.prune_margin = Db{std::numeric_limits<double>::quiet_NaN()}},
+      "prune_margin");
+}
+
+TEST(ScenarioOptions, InfinitePruneMarginRejected) {
+  expect_rejected(
+      RunOptions{.prune_margin = Db{std::numeric_limits<double>::infinity()}},
+      "prune_margin");
+}
+
+TEST(ScenarioOptions, ZeroDefaultsAccepted) {
+  Fixture f;
+  ScenarioRunner runner(f.deployment, 7,
+                        RunOptions{.prune_margin = Db{0.0}, .threads = 0,
+                                   .shards = 0});
+  EXPECT_NO_THROW(runner.set_options(RunOptions{}));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "phy/link_cache.hpp"
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace alphawan {
@@ -16,8 +18,8 @@ std::uint32_t LinkCache::column_of(GatewayId id) const {
 }
 
 std::uint32_t LinkCache::row_of(NodeId node) const {
-  const auto it = row_of_.find(node);
-  return it == row_of_.end() ? kInvalidRow : it->second;
+  const std::uint32_t slot = slots_->find(node);
+  return slot < memos_.size() ? memos_[slot].row : kInvalidRow;
 }
 
 LinkGain LinkCache::compute_gain(const Column& column, NodeId node,
@@ -45,7 +47,7 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
         column.gains[row].antenna_gain = column.antenna_gain(row_origin_[row]);
       }
       candidates_valid_ = false;
-      ++structure_epoch_;  // a new antenna can make rejected nodes audible
+      ++audibility_epoch_;  // a new antenna can make rejected nodes audible
     }
     return it->second;
   }
@@ -65,133 +67,104 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
   columns_.push_back(std::move(column));
   column_of_.emplace(id, static_cast<std::uint32_t>(index));
   candidates_valid_ = false;
-  ++structure_epoch_;  // a new column can make rejected nodes audible
+  ++audibility_epoch_;  // a new column can make rejected nodes audible
   return index;
 }
 
-std::uint32_t LinkCache::ensure_row(NodeId node, const Point& origin) {
-  const auto it = row_of_.find(node);
-  if (it != row_of_.end()) {
-    const std::uint32_t row = it->second;
-    if (row_origin_[row] == origin) return row;
-    // Same id, new position: recompute the row in place. Candidate ranges
-    // may shrink or grow, so the flat layout is rebuilt lazily.
-    row_origin_[row] = origin;
-    for (auto& column : columns_) {
-      column.gains[row] = compute_gain(column, node, origin);
-    }
-    candidates_valid_ = false;
-    return row;
-  }
-
-  const auto row = static_cast<std::uint32_t>(row_origin_.size());
-  row_node_.push_back(node);
-  row_origin_.push_back(origin);
-  row_of_.emplace(node, row);
-  rejected_.erase(node);
-  for (auto& column : columns_) {
-    column.gains.push_back(compute_gain(column, node, origin));
-  }
-  if (candidates_valid_) append_candidates_for_row(row);
-  return row;
+LinkCache::Memo& LinkCache::memo(std::uint32_t slot) {
+  if (slot >= memos_.size()) memos_.resize(std::size_t{slot} + 1);
+  return memos_[slot];
 }
 
-std::uint32_t LinkCache::ensure_row_if_audible(NodeId node, const Point& origin,
-                                               Dbm floor, Dbm power_bound) {
-  if (row_of_.contains(node)) {
-    // Already materialized: take the ensure_row refresh path. The row stays
-    // resident even if it has drifted inaudible — its candidate list just
-    // goes empty, which is equally cheap in the fan-out.
-    return ensure_row(node, origin);
-  }
-  const auto memo = rejected_.find(node);
-  if (memo != rejected_.end()) {
-    const Rejection& r = memo->second;
-    if (r.origin == origin && r.epoch == structure_epoch_ &&
-        r.floor == floor && r.power_bound == power_bound) {
-      return kInvalidRow;
+std::uint32_t LinkCache::resolve(std::uint32_t slot, NodeId node,
+                                 const Point& origin, double threshold) {
+  Memo& m = memo(slot);
+  if (m.row != kInvalidRow) {
+    // Materialized rows stay resident even if they drift inaudible (their
+    // candidate mask just goes empty). Same id, new position: recompute the
+    // row in place.
+    if (m.origin == origin) return m.row;
+    m.origin = origin;
+    row_origin_[m.row] = origin;
+    for (auto& column : columns_) {
+      column.gains[m.row] = compute_gain(column, node, origin);
     }
+    if (candidates_valid_) write_candidates_for_row(m.row);
+    return m.row;
   }
   // Probe every column into scratch, materializing only on an audible hit
   // (so the probe's work is not thrown away when the node joins).
-  const double threshold = audible_threshold(floor, power_bound);
   probe_gains_.clear();
-  probe_gains_.reserve(columns_.size());
   bool audible = false;
-  for (auto& column : columns_) {
+  for (const auto& column : columns_) {
     const LinkGain g = compute_gain(column, node, origin);
     audible = audible ||
               g.antenna_gain.value() - g.path_loss.value() >= threshold;
     probe_gains_.push_back(g);
   }
   if (!audible) {
-    rejected_[node] = Rejection{origin, structure_epoch_, floor, power_bound};
+    m = Memo{origin, kInvalidRow, audibility_epoch_};
     return kInvalidRow;
   }
   const auto row = static_cast<std::uint32_t>(row_origin_.size());
   row_node_.push_back(node);
   row_origin_.push_back(origin);
-  row_of_.emplace(node, row);
   for (std::size_t col = 0; col < columns_.size(); ++col) {
     columns_[col].gains.push_back(probe_gains_[col]);
   }
-  if (candidates_valid_) append_candidates_for_row(row);
+  if (candidates_valid_) write_candidates_for_row(row);
+  m = Memo{origin, row, 0};
   return row;
 }
 
-double LinkCache::audible_threshold(Dbm floor, Dbm power_bound) const {
+std::uint32_t LinkCache::ensure_row_if_audible_at(std::uint32_t slot,
+                                                  NodeId node,
+                                                  const Point& origin,
+                                                  Dbm floor, Dbm power_bound) {
+  use_bound(floor, power_bound);
+  const Memo& m = memo(slot);
+  if (m.origin == origin &&
+      (m.row != kInvalidRow || m.epoch == audibility_epoch_)) {
+    return m.row;
+  }
+  return resolve(slot, node, origin, threshold_);
+}
+
+void LinkCache::use_bound(Dbm floor, Dbm power_bound) {
+  if (floor == floor_ && power_bound == power_bound_) return;
+  floor_ = floor;
+  power_bound_ = power_bound;
   const double fade_bound =
       kNormalTailSigmas * model_->config().fast_fading_sigma_db.value();
-  return floor.value() - power_bound.value() - fade_bound - kPruneSlackDb;
+  threshold_ = floor.value() - power_bound.value() - fade_bound - kPruneSlackDb;
+  candidates_valid_ = false;
+  ++audibility_epoch_;  // a new bound can make rejected nodes audible
 }
 
-double LinkCache::candidate_threshold() const {
-  return audible_threshold(candidate_floor_, candidate_power_bound_);
-}
-
-void LinkCache::append_candidates_for_row(std::uint32_t row) {
-  const double threshold = candidate_threshold();
-  const auto begin = static_cast<std::uint32_t>(candidate_flat_.size());
+void LinkCache::write_candidates_for_row(std::uint32_t row) {
+  const std::size_t end = (std::size_t{row} + 1) * mask_words();
+  if (candidate_words_.size() < end) candidate_words_.resize(end);
+  std::uint64_t* words = candidate_words_.data() + row * mask_words();
+  std::fill_n(words, mask_words(), std::uint64_t{0});
   for (std::uint32_t col = 0; col < columns_.size(); ++col) {
     const LinkGain& g = columns_[col].gains[row];
-    if (g.antenna_gain.value() - g.path_loss.value() >= threshold) {
-      candidate_flat_.push_back(col);
+    if (g.antenna_gain.value() - g.path_loss.value() >= threshold_) {
+      words[col / 64] |= std::uint64_t{1} << (col % 64);
     }
   }
-  candidate_range_.emplace_back(
-      begin, static_cast<std::uint32_t>(candidate_flat_.size()));
 }
 
-void LinkCache::rebuild_candidates(Dbm floor, Dbm power_bound) {
-  candidate_floor_ = floor;
-  candidate_power_bound_ = power_bound;
-  candidate_flat_.clear();
-  candidate_range_.clear();
-  candidate_range_.reserve(row_origin_.size());
-  candidates_valid_ = true;
-  for (std::uint32_t row = 0; row < row_origin_.size(); ++row) {
-    append_candidates_for_row(row);
+std::span<const std::uint64_t> LinkCache::candidate_mask(std::uint32_t row,
+                                                         Dbm floor,
+                                                         Dbm power_bound) {
+  use_bound(floor, power_bound);
+  if (!candidates_valid_) {
+    candidates_valid_ = true;
+    for (std::uint32_t r = 0; r < row_origin_.size(); ++r) {
+      write_candidates_for_row(r);
+    }
   }
-}
-
-std::span<const std::uint32_t> LinkCache::candidate_columns(std::uint32_t row,
-                                                            Dbm floor,
-                                                            Dbm power_bound) {
-  if (!candidates_valid_ || floor != candidate_floor_ ||
-      power_bound != candidate_power_bound_) {
-    rebuild_candidates(floor, power_bound);
-  }
-  const auto [begin, end] = candidate_range_[row];
-  return {candidate_flat_.data() + begin, end - begin};
-}
-
-std::uint64_t LinkCache::candidate_mask(std::uint32_t row, Dbm floor,
-                                        Dbm power_bound) {
-  std::uint64_t mask = 0;
-  for (const std::uint32_t col : candidate_columns(row, floor, power_bound)) {
-    mask |= std::uint64_t{1} << col;
-  }
-  return mask;
+  return {candidate_words_.data() + row * mask_words(), mask_words()};
 }
 
 }  // namespace alphawan

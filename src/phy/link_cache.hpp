@@ -10,17 +10,14 @@
 //   rx = ((tx_power - path_loss) + fading) + antenna_gain
 // which is what keeps the cached pipeline bit-identical to the original.
 //
-// The cache also derives per-row *candidate gateway lists*: the columns
-// whose best-case static gain could let any transmission clear a prune
-// floor, assuming the strongest legal tx power and the largest fast-fading
-// draw the Rng can produce (kNormalTailSigmas). Pruning against them is a
+// The cache also derives per-row *candidate column masks*: bit c is set
+// when column c's best-case static gain could let a transmission clear a
+// prune floor, assuming the strongest legal tx power and the largest
+// fast-fading draw the Rng can produce (kNormalTailSigmas). A mask holds
+// mask_words() = ceil(columns / 64) words. Pruning against it is a
 // conservative superset filter — a skipped (row, column) pair is guaranteed
 // to fall below the floor for every possible draw, so event lists are
 // unchanged.
-//
-// Mutation (upsert_gateway / ensure_row) is not thread-safe; the runner
-// performs all registration in a serial prepass and the parallel gateway
-// fan-out only reads.
 //
 // For city-scale worlds the cache is partitioned: a ShardedLinkCache holds
 // one independent slice per spatial shard, each covering a subset of the
@@ -29,10 +26,19 @@
 // (audible) links instead of the full node x gateway cross product, and
 // every slice computes the same LinkGain values a monolithic cache would,
 // so any partition of the columns is bit-identical (docs/sharding.md).
+//
+// Each slice memoizes, per node slot (NodeSlots, shared by the slices), the
+// node's row or its rejection, so a steady-state lookup is one vector load
+// plus a compare. Concurrency: the slot-keyed calls (*_at, candidate_mask)
+// touch only their own slice, so distinct slices may run them concurrently
+// once every slot in use is assigned; all other mutation — node-id-keyed
+// ensure_* (may assign slots), upsert_gateway, reset — is serial.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +54,24 @@ struct LinkGain {
   Db antenna_gain{0.0};  // receive antenna gain toward the node
 };
 
+// Dense node index: a slice keeps its per-node memo in a vector by slot.
+class NodeSlots {
+ public:
+  static constexpr std::uint32_t kNoSlot = ~0U;
+  std::uint32_t assign(NodeId node) {  // the next slot on first sight
+    const auto next = static_cast<std::uint32_t>(slot_of_.size());
+    return slot_of_.try_emplace(node, next).first->second;
+  }
+  [[nodiscard]] std::uint32_t find(NodeId node) const {
+    const auto it = slot_of_.find(node);
+    return it == slot_of_.end() ? kNoSlot : it->second;
+  }
+
+ private:
+  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: never iterated)
+  std::unordered_map<NodeId, std::uint32_t> slot_of_;
+};
+
 class LinkCache {
  public:
   // Queried for the receive antenna gain toward a transmitter position
@@ -55,7 +79,11 @@ class LinkCache {
   // re-upserted or the cache destroyed (gateways live in stable deques).
   using AntennaGainFn = std::function<Db(const Point&)>;
 
-  explicit LinkCache(ChannelModel& model) : model_(&model) {}
+  // Slices of a ShardedLinkCache share one NodeSlots.
+  explicit LinkCache(ChannelModel& model,
+                     std::shared_ptr<NodeSlots> slots =
+                         std::make_shared<NodeSlots>())
+      : model_(&model), slots_(std::move(slots)) {}
 
   // Register a gateway column, or refresh its antenna gains when
   // `antenna_epoch` advanced since the last upsert (Gateway::set_antenna
@@ -70,32 +98,54 @@ class LinkCache {
   // the link's static terms. A registered id whose origin later differs —
   // a traffic generator reusing virtual ids for different positions — is
   // recomputed in place. Returns the row index.
-  std::uint32_t ensure_row(NodeId node, const Point& origin);
+  std::uint32_t ensure_row(NodeId node, const Point& origin) {
+    return ensure_row_at(slots_->assign(node), node, origin);
+  }
+  // The same, given `node`'s slot in this cache's NodeSlots. Every finite
+  // static gain clears -inf, so the row always materializes.
+  std::uint32_t ensure_row_at(std::uint32_t slot, NodeId node,
+                              const Point& origin) {
+    return resolve(slot, node, origin,
+                   -std::numeric_limits<double>::infinity());
+  }
 
   // Like ensure_row, but materializes the row only if the node is audible
   // here — some column's static gain clears the same conservative bound
-  // candidate_columns prunes against (so a rejected node has no candidate
+  // candidate_mask prunes against (so a rejected node has no candidate
   // columns in this cache and skipping it drops no events). Returns
   // kInvalidRow on rejection; rejections are memoized per (origin,
-  // column-structure) so steady-state windows don't re-probe. A row that
+  // audibility epoch) so steady-state windows don't re-probe. A row that
   // already exists is refreshed like ensure_row and kept resident.
   static constexpr std::uint32_t kInvalidRow = ~0U;
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site, as below)
   std::uint32_t ensure_row_if_audible(NodeId node, const Point& origin,
-                                      Dbm floor, Dbm power_bound);
+                                      Dbm floor, Dbm power_bound) {
+    return ensure_row_if_audible_at(slots_->assign(node), node, origin, floor,
+                                    power_bound);
+  }
+  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
+  // floor-first at every audibility call site)
+  std::uint32_t ensure_row_if_audible_at(std::uint32_t slot, NodeId node,
+                                         const Point& origin, Dbm floor,
+                                         Dbm power_bound);
 
   // Row index of a registered transmitter id; kInvalidRow if absent.
   [[nodiscard]] std::uint32_t row_of(NodeId node) const;
 
-  // Bumped whenever the column set or an antenna changes — anything that
-  // can turn an inaudible node audible invalidates rejection memos.
-  [[nodiscard]] std::uint64_t structure_epoch() const {
-    return structure_epoch_;
+  // Bumped whenever the column set, an antenna or the audibility bound
+  // changes — anything that can turn an inaudible node audible — which
+  // invalidates every rejection memo.
+  [[nodiscard]] std::uint32_t audibility_epoch() const {
+    return audibility_epoch_;
   }
 
   [[nodiscard]] std::size_t row_count() const { return row_origin_.size(); }
   [[nodiscard]] std::size_t column_count() const { return columns_.size(); }
+  // Words in one candidate mask.
+  [[nodiscard]] std::size_t mask_words() const {
+    return (columns_.size() + 63) / 64;
+  }
 
   // Column index for a registered gateway id; kInvalidColumn if absent.
   static constexpr std::uint32_t kInvalidColumn = ~0U;
@@ -106,24 +156,16 @@ class LinkCache {
     return columns_[column].gains;
   }
 
-  // Columns whose best-case received power — tx power <= `power_bound`,
-  // fading up to kNormalTailSigmas * fast_fading_sigma, plus a 1 dB slack
-  // absorbing floating-point reassociation — can clear `floor` from `row`.
-  // Built lazily for the (floor, power_bound) in use and kept incrementally
-  // as rows are added; any gateway change rebuilds from scratch.
+  // Bitmask (bit c % 64 of word c / 64 == column c) of the columns whose
+  // best-case received power — tx power <= `power_bound`, fading up to
+  // kNormalTailSigmas * fast_fading_sigma, plus a 1 dB slack absorbing
+  // floating-point reassociation — can clear `floor` from `row`. Built
+  // lazily for the (floor, power_bound) in use and kept incrementally as
+  // rows are added or moved; any gateway change rebuilds from scratch.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site)
-  [[nodiscard]] std::span<const std::uint32_t> candidate_columns(
+  [[nodiscard]] std::span<const std::uint64_t> candidate_mask(
       std::uint32_t row, Dbm floor, Dbm power_bound);
-
-  // candidate_columns as a bitmask (bit c == column c). Only meaningful
-  // when column_count() <= 64 — the dense-deployment fast path that lets
-  // the runner test candidacy with one AND instead of materializing
-  // per-column transmission lists.
-  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
-  // floor-first at every audibility call site)
-  [[nodiscard]] std::uint64_t candidate_mask(std::uint32_t row, Dbm floor,
-                                             Dbm power_bound);
 
  private:
   struct Column {
@@ -135,21 +177,30 @@ class LinkCache {
     std::vector<LinkGain> gains;  // indexed by row
   };
 
+  // A slot's row (kept once materialized, tracking its origin), or a
+  // rejection valid while origin and audibility epoch both match.
+  struct Memo {
+    Point origin{};
+    std::uint32_t row = kInvalidRow;
+    std::uint32_t epoch = 0;  // audibility epoch of a rejection
+  };
+
   [[nodiscard]] LinkGain compute_gain(const Column& column, NodeId node,
                                       const Point& origin);
-  // Static-gain threshold below which a (row, column) pair can never clear
-  // `floor` for tx powers up to `power_bound` — the shared bound behind
-  // both candidate pruning and audibility gating.
+  Memo& memo(std::uint32_t slot);
+  // The memo-miss path: refresh the slot's row, or probe the node and
+  // materialize it if some column's static gain clears `threshold`.
+  std::uint32_t resolve(std::uint32_t slot, NodeId node, const Point& origin,
+                        double threshold);
+  // Switch the audibility bound both candidate pruning and audibility
+  // gating test against, invalidating what depended on the old one.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site)
-  [[nodiscard]] double audible_threshold(Dbm floor, Dbm power_bound) const;
-  [[nodiscard]] double candidate_threshold() const;
-  void append_candidates_for_row(std::uint32_t row);
-  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
-  // floor-first at every audibility call site)
-  void rebuild_candidates(Dbm floor, Dbm power_bound);
+  void use_bound(Dbm floor, Dbm power_bound);
+  void write_candidates_for_row(std::uint32_t row);
 
   ChannelModel* model_;
+  std::shared_ptr<NodeSlots> slots_;
   std::vector<Column> columns_;
   // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: keyed lookups only;
   // all iteration runs over the index-ordered columns_ vector)
@@ -157,30 +208,19 @@ class LinkCache {
 
   std::vector<NodeId> row_node_;
   std::vector<Point> row_origin_;
-  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: keyed lookups only;
-  // all iteration runs over the row_node_/row_origin_ vectors)
-  std::unordered_map<NodeId, std::uint32_t> row_of_;
+  std::vector<Memo> memos_;  // indexed by node slot
 
-  // Rejection memo for ensure_row_if_audible: valid while the node's
-  // origin, the column structure, and the audibility bound all match.
-  struct Rejection {
-    Point origin{};
-    std::uint64_t epoch = 0;
-    Dbm floor{0.0};
-    Dbm power_bound{0.0};
-  };
-  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: memo is probed per
-  // node id and never iterated, so its order cannot reach any digest)
-  std::unordered_map<NodeId, Rejection> rejected_;
-  std::uint64_t structure_epoch_ = 0;
+  std::uint32_t audibility_epoch_ = 1;  // memos start at 0: never current
+  // The audibility bound in use (NaN until the first call) and the static
+  // gain below which a (row, column) pair can never clear it.
+  Dbm floor_{std::numeric_limits<double>::quiet_NaN()};
+  Dbm power_bound_{0.0};
+  double threshold_ = 0.0;
   std::vector<LinkGain> probe_gains_;  // scratch for the audibility probe
 
-  // Flat candidate storage: per-row [begin, end) ranges into one vector.
+  // Flat candidate storage: mask_words() words per row.
   bool candidates_valid_ = false;
-  Dbm candidate_floor_{0.0};
-  Dbm candidate_power_bound_{0.0};
-  std::vector<std::uint32_t> candidate_flat_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidate_range_;
+  std::vector<std::uint64_t> candidate_words_;
 };
 
 // A set of independent LinkCache slices over one channel model, one per
@@ -190,17 +230,22 @@ class LinkCache {
 // LinkGain values a monolithic cache would (the model is a pure function of
 // the link key), so any partition of the columns yields bit-identical
 // physics while each slice's memory tracks only the links audible there.
+// The slices share one NodeSlots, so a node's slot indexes every slice.
 class ShardedLinkCache {
  public:
-  explicit ShardedLinkCache(ChannelModel& model) : model_(&model) {}
+  explicit ShardedLinkCache(ChannelModel& model)
+      : model_(&model), slots_(std::make_shared<NodeSlots>()) {}
 
-  // Drop every slice and start over with `count` empty ones. Gains are
-  // recomputed on the next refresh, so re-partitioning mid-run is safe —
-  // and bit-stable, since values depend only on the model.
+  // Drop every slice (memos included) and start over with `count` empty
+  // ones. Gains are recomputed on the next refresh, so re-partitioning
+  // mid-run is safe — and bit-stable, since values depend only on the
+  // model. Node slots survive: they name nodes, not rows.
   void reset(std::size_t count) {
     slices_.clear();
     slices_.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) slices_.emplace_back(*model_);
+    for (std::size_t s = 0; s < count; ++s) {
+      slices_.emplace_back(*model_, slots_);
+    }
   }
 
   [[nodiscard]] std::size_t shard_count() const { return slices_.size(); }
@@ -208,9 +253,11 @@ class ShardedLinkCache {
   [[nodiscard]] const LinkCache& slice(std::size_t shard) const {
     return slices_[shard];
   }
+  [[nodiscard]] NodeSlots& slots() { return *slots_; }
 
  private:
   ChannelModel* model_;
+  std::shared_ptr<NodeSlots> slots_;
   std::vector<LinkCache> slices_;
 };
 

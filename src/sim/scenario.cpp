@@ -23,8 +23,9 @@ RunOptions validated(RunOptions options) {
     throw std::invalid_argument("RunOptions::threads must be >= 0, got " +
                                 std::to_string(options.threads));
   }
-  if (options.shards < 0) {
-    throw std::invalid_argument("RunOptions::shards must be >= 0, got " +
+  if (options.shards < 0 || options.shards > kMaxShards) {
+    throw std::invalid_argument("RunOptions::shards must be in [0, " +
+                                std::to_string(kMaxShards) + "], got " +
                                 std::to_string(options.shards));
   }
   const double margin = options.prune_margin.value();
@@ -96,78 +97,72 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   sc.shards.resize(shards);
   sc.task_col.resize(tasks.size());
   sc.task_shard.resize(tasks.size());
-  sc.task_slot.resize(tasks.size());
-  for (auto& sh : sc.shards) sh.tasks.clear();
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const Gateway* gw = tasks[t];
     const auto home = static_cast<std::size_t>(layout.shard_of(gw->position()));
     sc.task_shard[t] = static_cast<std::uint32_t>(home);
     sc.task_col[t] = caches.slice(home).column_of(gw->id());
-    sc.task_slot[t] = static_cast<std::uint32_t>(sc.shards[home].tasks.size());
-    sc.shards[home].tasks.push_back(t);
   }
 
-  // Serial prepass, one pass per shard: register every audible transmitter
-  // row with the shard's LinkCache slice and record its candidate columns,
-  // so a gateway task walks only transmissions that could plausibly clear
-  // its prune floor. The audibility gate uses exactly the candidate bound,
+  // One serial pass resolves every transmission once: its node's slot in
+  // the slices' shared directory and its home shard.
+  sc.tx_slot.resize(txs.size());
+  sc.tx_home.resize(txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    sc.tx_slot[i] = caches.slots().assign(txs[i].node);
+    sc.tx_home[i] = static_cast<std::uint32_t>(layout.shard_of(txs[i].origin));
+  }
+
+  // Per-shard prepass, shards in parallel: register every audible
+  // transmitter row with the shard's LinkCache slice and record its
+  // candidate columns, so a gateway task walks only transmissions that
+  // could plausibly clear its prune floor. Each loop touches only its own
+  // slice and scratch. The audibility gate uses exactly the candidate bound,
   // so a transmitter skipped by a slice has no candidate columns there and
   // no event is lost; ascending tx order is preserved per gateway, so every
   // event list is identical to the monolithic loop's (docs/sharding.md).
+  parallel_for(
+      shards,
+      [&](std::size_t s) {
+        auto& sh = sc.shards[s];
+        LinkCache& slice = caches.slice(s);
+        // Candidacy is a column bitmask of mask_words words per
+        // transmission: the fan-out tests one bit per (tx, gateway) pair.
+        const std::size_t words = slice.mask_words();
+        sh.row_of_tx.resize(txs.size());
+        sh.tx_mask.resize(txs.size() * words);
+        sh.boundary_rows = 0;
+        for (std::size_t i = 0; i < txs.size(); ++i) {
+          const auto& tx = txs[i];
+          // Out-of-spec tx power: the candidate bound does not cover it, so
+          // register and consider the transmission at every gateway.
+          const bool in_spec = tx.tx_power <= kMaxTxPower;
+          const std::uint32_t row =
+              in_spec ? slice.ensure_row_if_audible_at(sc.tx_slot[i], tx.node,
+                                                       tx.origin, floor,
+                                                       kMaxTxPower)
+                      : slice.ensure_row_at(sc.tx_slot[i], tx.node, tx.origin);
+          sh.row_of_tx[i] = row;
+          std::uint64_t* mask = sh.tx_mask.data() + i * words;
+          if (row == LinkCache::kInvalidRow) {
+            std::fill_n(mask, words, std::uint64_t{0});
+            continue;
+          }
+          if (sc.tx_home[i] != s) ++sh.boundary_rows;
+          if (in_spec) {
+            const auto cand = slice.candidate_mask(row, floor, kMaxTxPower);
+            std::copy(cand.begin(), cand.end(), mask);
+          } else {
+            std::fill_n(mask, words, ~std::uint64_t{0});
+          }
+        }
+      },
+      options_.threads);
   shard_stats_ = ShardWindowStats{};
   shard_stats_.shards = shard_count;
   for (std::size_t s = 0; s < shards; ++s) {
-    auto& sh = sc.shards[s];
-    LinkCache& slice = caches.slice(s);
-    // Candidacy is recorded per transmission as a column bitmask when the
-    // slice fits in 64 gateways (one AND per (tx, gateway) pair in the
-    // fan-out); larger slices fall back to materialized per-column
-    // transmission lists. Both paths visit transmissions in ascending
-    // index order per gateway, so event lists are identical either way.
-    sh.use_mask = slice.column_count() <= 64;
-    sh.row_of_tx.resize(txs.size());
-    if (sh.use_mask) {
-      sh.tx_mask.resize(txs.size());
-    } else {
-      if (sh.gw_txs.size() < slice.column_count()) {
-        sh.gw_txs.resize(slice.column_count());
-      }
-      for (auto& list : sh.gw_txs) list.clear();
-    }
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      const auto& tx = txs[i];
-      // Out-of-spec tx power: the candidate bound does not cover it, so
-      // register and consider the transmission at every gateway.
-      const bool in_spec = tx.tx_power <= kMaxTxPower;
-      const std::uint32_t row =
-          in_spec ? slice.ensure_row_if_audible(tx.node, tx.origin, floor,
-                                                kMaxTxPower)
-                  : slice.ensure_row(tx.node, tx.origin);
-      sh.row_of_tx[i] = row;
-      if (row != LinkCache::kInvalidRow &&
-          layout.shard_of(tx.origin) != static_cast<int>(s)) {
-        ++shard_stats_.boundary_rows;
-      }
-      if (sh.use_mask) {
-        sh.tx_mask[i] =
-            row == LinkCache::kInvalidRow ? 0
-            : in_spec ? slice.candidate_mask(row, floor, kMaxTxPower)
-                      : ~std::uint64_t{0};
-        continue;
-      }
-      if (row == LinkCache::kInvalidRow) continue;
-      if (in_spec) {
-        for (const std::uint32_t col :
-             slice.candidate_columns(row, floor, kMaxTxPower)) {
-          sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
-        }
-      } else {
-        for (std::uint32_t col = 0; col < slice.column_count(); ++col) {
-          sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-    shard_stats_.resident_rows += slice.row_count();
+    shard_stats_.resident_rows += caches.slice(s).row_count();
+    shard_stats_.boundary_rows += sc.shards[s].boundary_rows;
   }
   const double fading_sigma = channel.config().fast_fading_sigma_db.value();
 
@@ -182,20 +177,17 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   }
 
   // Per-gateway pipelines are independent: each consumes its shard's
-  // candidate transmission list and touches only its own gateway (the link
-  // cache slices and scratch arenas are read-only / per-task here). Yields
-  // land in shard-local staging; the shard loop below publishes them.
-  auto& staged = sc.staged;
-  staged.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    staged[s].resize(sc.shards[s].tasks.size());
-  }
+  // candidate masks and touches only its own gateway (the link cache slices
+  // and scratch arenas are read-only / per-task here). Each yield lands in
+  // the slot of its global task index, so the merge below is byte-for-byte
+  // the monolithic one whatever the shard count (docs/sharding.md).
+  sc.yields.resize(tasks.size());
   parallel_for(
       tasks.size(),
       [&](std::size_t t) {
         Gateway* gw = tasks[t];
         const auto& sh = sc.shards[sc.task_shard[t]];
-        auto& yield = staged[sc.task_shard[t]][sc.task_slot[t]];
+        auto& yield = sc.yields[t];
         yield.uplinks.clear();
         // Gather the gateway's candidate transmission indices in ascending
         // order, draw their fading in one keyed batch, filter by the prune
@@ -205,21 +197,20 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         // arithmetic term for term —
         //   ((tx_power - link_path_loss) + fading) + antenna_gain
         // — so rx powers are bit-identical.
-        const auto gains = caches.slice(sc.task_shard[t]).gains(sc.task_col[t]);
+        const LinkCache& slice = caches.slice(sc.task_shard[t]);
+        const auto gains = slice.gains(sc.task_col[t]);
         auto& idx = sc.task_idx[t];
         auto& fade = sc.task_fade[t];
         auto& power = sc.task_power[t];
         idx.clear();
-        if (sh.use_mask) {
-          const std::uint64_t bit = std::uint64_t{1} << sc.task_col[t];
-          for (std::size_t i = 0; i < txs.size(); ++i) {
-            if (sh.tx_mask[i] & bit) {
-              idx.push_back(static_cast<std::uint32_t>(i));
-            }
+        const std::uint32_t col = sc.task_col[t];
+        const std::uint64_t bit = std::uint64_t{1} << (col % 64);
+        const std::uint64_t* mask = sh.tx_mask.data() + col / 64;
+        const std::size_t words = slice.mask_words();
+        for (std::size_t i = 0; i < txs.size(); ++i) {
+          if (mask[i * words] & bit) {
+            idx.push_back(static_cast<std::uint32_t>(i));
           }
-        } else {
-          const auto& list = sh.gw_txs[sc.task_col[t]];
-          idx.assign(list.begin(), list.end());
         }
         fade.resize(idx.size());
         power.resize(idx.size());
@@ -238,28 +229,18 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
       },
       options_.threads);
 
-  // Publish each shard's yields — boundary events included — to the global
-  // merge slots, in ascending shard order. Every yield lands in the slot of
-  // its global task index, so the exchange is order-insensitive by
-  // construction and the merge below is byte-for-byte the monolithic one
-  // (docs/sharding.md).
-  sc.yield_ptr.assign(tasks.size(), nullptr);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto& owned = sc.shards[s].tasks;
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      for (const std::size_t i : staged[s][k].event_tx_index) {
-        if (layout.shard_of(txs[i].origin) != static_cast<int>(s)) {
-          ++shard_stats_.boundary_events;
-        }
-      }
-      sc.yield_ptr[owned[k]] = &staged[s][k];
+  // A boundary event is a reception at a gateway outside the transmitter's
+  // home stripe.
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    for (const std::size_t i : sc.yields[t].event_tx_index) {
+      if (sc.tx_home[i] != sc.task_shard[t]) ++shard_stats_.boundary_events;
     }
   }
-  // The checker reads only the published yields, gateway by gateway in
+  // The checker reads only the finished yields, gateway by gateway in
   // deployment order, so it never touches the parallel region.
   if (invariants_ != nullptr) {
     for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const auto& yield = *sc.yield_ptr[t];
+      const auto& yield = sc.yields[t];
       invariants_->check_gateway_window(
           sc.table, yield.event_tx_index, yield.outcomes,
           static_cast<std::size_t>(tasks[t]->radio().profile().decoders));
@@ -276,7 +257,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     std::size_t t = 0;
     for (auto& network : deployment_.networks()) {
       for ([[maybe_unused]] auto& gw : network.gateways()) {
-        const auto& yield = *sc.yield_ptr[t++];
+        const auto& yield = sc.yields[t++];
         for (const std::size_t i : yield.event_tx_index) {
           if (txs[i].network == network.id()) ++sc.own_count[i];
         }
@@ -301,7 +282,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     std::vector<UplinkRecord>& uplinks = sc.uplinks;
     uplinks.clear();
     for ([[maybe_unused]] auto& gw : network.gateways()) {
-      const auto& yield = *sc.yield_ptr[t++];
+      const auto& yield = sc.yields[t++];
       for (std::size_t e = 0; e < yield.outcomes.size(); ++e) {
         const std::size_t i = yield.event_tx_index[e];
         if (txs[i].network != network.id()) continue;  // foreign at this GW

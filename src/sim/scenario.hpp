@@ -16,8 +16,7 @@
 //
 // The world is additionally partitioned into spatial shards (sim/shard.hpp):
 // each shard owns a LinkCache slice and its own scratch arenas, and the
-// shards' window yields — boundary events included — are published in
-// ascending shard order. Shard count never changes results
+// shards' prepass loops run in parallel. Shard count never changes results
 // (docs/sharding.md); it bounds memory to the live audible links.
 #pragma once
 
@@ -57,8 +56,8 @@ struct RunOptions {
   // process default, 1 = force serial.
   int threads = 0;
   // Spatial shards for the link-cache partition: 0 = the
-  // ALPHAWAN_SHARDS process default, >= 1 explicit. Any count produces
-  // bit-identical results (docs/sharding.md).
+  // ALPHAWAN_SHARDS process default, 1..kMaxShards explicit. Any count
+  // produces bit-identical results (docs/sharding.md).
   int shards = 0;
 };
 
@@ -102,8 +101,8 @@ class ScenarioRunner {
                           RunOptions options = {});
 
   // The constructor and set_options throw std::invalid_argument, naming the
-  // field, for a negative threads or shards count or a negative or
-  // non-finite prune_margin.
+  // field, for a negative threads count, a shards count outside
+  // [0, kMaxShards], or a negative or non-finite prune_margin.
   void set_options(RunOptions options);
   [[nodiscard]] const RunOptions& options() const { return options_; }
   [[nodiscard]] Db prune_margin() const { return options_.prune_margin; }
@@ -138,29 +137,23 @@ class ScenarioRunner {
   // (docs/performance.md). Makes concurrent run_window calls on one runner
   // invalid — they already were (network servers are shared state).
   //
-  // Routing state (rows, candidate masks, per-column tx lists) lives per
-  // shard: each shard's arenas reference only its own LinkCache slice
-  // (docs/sharding.md).
+  // Routing state (rows, candidate masks) lives per shard: each shard's
+  // arenas reference only its own LinkCache slice, so the per-shard
+  // prepass loops can run concurrently (docs/sharding.md).
   struct ShardScratch {
     std::vector<std::uint32_t> row_of_tx;  // tx index -> row in this slice
-    std::vector<std::uint64_t> tx_mask;    // tx index -> candidate columns
-    std::vector<std::vector<std::uint32_t>> gw_txs;  // per-column tx lists
-                                                     // (> 64-column path)
-    std::vector<std::size_t> tasks;  // global task indices homed here
-    bool use_mask = true;            // slice fits the 64-column mask path
+    // tx index -> candidate columns, the slice's mask_words() per tx.
+    std::vector<std::uint64_t> tx_mask;
+    std::size_t boundary_rows = 0;  // this shard's ShardWindowStats term
   };
 
   struct RunScratch {
+    std::vector<std::uint32_t> tx_slot;  // tx index -> node slot
+    std::vector<std::uint32_t> tx_home;  // tx index -> home shard
     std::vector<ShardScratch> shards;
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
-    std::vector<std::uint32_t> task_slot;   // task index -> slot in shard
-    // Per-shard staging slots for the window's yields, plus the publish
-    // pointers the shard loop fills (global task index -> staged yield).
-    // Pointer publication keeps the per-task buffers alive window to
-    // window.
-    std::vector<std::vector<GatewayYield>> staged;
-    std::vector<const GatewayYield*> yield_ptr;
+    std::vector<GatewayYield> yields;       // task index -> its yield
     // The window's shared transmission columns plus per-task candidate
     // index / fading / power buffers consumed by the receive kernels
     // (phy/batch_kernels.hpp).

@@ -9,7 +9,9 @@ int parse_shard_count(const char* text) {
   if (text == nullptr || *text == '\0') return 1;
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1) return 1;
+  if (end == text || *end != '\0' || value < 1 || value > kMaxShards) {
+    return 1;
+  }
   return static_cast<int>(value);
 }
 
@@ -20,7 +22,7 @@ int default_shard_count() {
 
 int resolve_shard_count(int requested) {
   if (requested == 0) return default_shard_count();
-  return std::max(requested, 1);
+  return std::clamp(requested, 1, kMaxShards);
 }
 
 ShardLayout::ShardLayout(const Region& region, int shards)

@@ -3,8 +3,8 @@
 // its position; a transmitter is resident in every shard where it is
 // audible (conservatively, via the link cache's candidate bound), so nodes
 // near a border appear in both neighbouring shards and no reception is ever
-// missed. Shard count never changes results — only how the link cache,
-// staged yields, and scratch arenas are partitioned (docs/sharding.md).
+// missed. Shard count never changes results — only how the link cache and
+// scratch arenas are partitioned (docs/sharding.md).
 //
 // Shard count comes from ALPHAWAN_SHARDS (default: 1), mirroring how
 // ALPHAWAN_THREADS picks the parallel width (common/parallel.hpp).
@@ -14,8 +14,12 @@
 
 namespace alphawan {
 
-// Parse an ALPHAWAN_SHARDS-style value: a positive integer gives that many
-// shards; null/empty/invalid falls back to 1 (monolithic).
+// Largest shard count a run accepts, matching the thread-count cap.
+inline constexpr int kMaxShards = 4096;
+
+// Parse an ALPHAWAN_SHARDS-style value: an integer in [1, kMaxShards] gives
+// that many shards; null/empty/invalid/out of range falls back to 1
+// (monolithic).
 [[nodiscard]] int parse_shard_count(const char* text);
 
 // The process-wide shard default: ALPHAWAN_SHARDS if exported, 1 otherwise.
@@ -23,7 +27,7 @@ namespace alphawan {
 [[nodiscard]] int default_shard_count();
 
 // Resolve a RunOptions-style request: 0 = the process default, otherwise
-// the explicit count (clamped to >= 1).
+// the explicit count (clamped to [1, kMaxShards]).
 [[nodiscard]] int resolve_shard_count(int requested);
 
 // Maps points to shard indices: `shards` equal-width vertical stripes over

@@ -109,9 +109,9 @@ std::map<NodeId, std::set<GatewayId>> monolithic_candidates(
   for (const auto& tx : world.txs) {
     const std::uint32_t row = cache.ensure_row(tx.node, tx.origin);
     auto& set = candidates[tx.node];
-    for (const std::uint32_t col :
-         cache.candidate_columns(row, floor, kMaxTxPower)) {
-      set.insert(column_ids[col]);
+    const auto mask = cache.candidate_mask(row, floor, kMaxTxPower);
+    for (std::uint32_t col = 0; col < cache.column_count(); ++col) {
+      if ((mask[col / 64] >> (col % 64)) & 1U) set.insert(column_ids[col]);
     }
   }
   return candidates;

@@ -41,6 +41,10 @@ std::vector<Tx> test_nodes() {
           {42, Point{Meters{-900.0}, Meters{400.0}}}};
 }
 
+bool has_column(std::span<const std::uint64_t> mask, std::uint32_t col) {
+  return (mask[col / 64] >> (col % 64)) & 1U;
+}
+
 void upsert(LinkCache& cache, const Site& site, std::uint64_t epoch = 0) {
   cache.upsert_gateway(site.id, kRxKeyBase + site.id, site.position, epoch,
                        toy_antenna_gain);
@@ -181,12 +185,9 @@ TEST(LinkCache, CandidateListsAreConservativeSuperset) {
 
   bool saw_pruned = false;
   for (const auto row : rows) {
-    const auto candidates = cache.candidate_columns(row, floor, power_bound);
+    const auto candidates = cache.candidate_mask(row, floor, power_bound);
     for (std::uint32_t col = 0; col < cache.column_count(); ++col) {
-      const bool is_candidate =
-          std::find(candidates.begin(), candidates.end(), col) !=
-          candidates.end();
-      if (is_candidate) continue;
+      if (has_column(candidates, col)) continue;
       saw_pruned = true;
       // Best case a pruned pair could ever realize must stay below floor.
       const LinkGain g = cache.gains(col)[row];
@@ -220,8 +221,8 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
   const Point near{Meters{200.0}, Meters{0.0}};
   const Point far{Meters{3.0e6}, Meters{0.0}};
   warm.ensure_row(1, near);
-  (void)warm.candidate_columns(0, floor, power_bound);  // build layout
-  warm.ensure_row(2, far);                              // incremental append
+  (void)warm.candidate_mask(0, floor, power_bound);  // build layout
+  warm.ensure_row(2, far);                           // incremental append
   warm.ensure_row(3, near);
 
   cold.ensure_row(1, near);
@@ -229,8 +230,8 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
   cold.ensure_row(3, near);
 
   for (std::uint32_t row = 0; row < 3; ++row) {
-    const auto a = warm.candidate_columns(row, floor, power_bound);
-    const auto b = cold.candidate_columns(row, floor, power_bound);
+    const auto a = warm.candidate_mask(row, floor, power_bound);
+    const auto b = cold.candidate_mask(row, floor, power_bound);
     ASSERT_EQ(a.size(), b.size()) << "row " << row;
     for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
   }

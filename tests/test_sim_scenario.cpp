@@ -178,6 +178,10 @@ TEST(ScenarioOptions, NegativeShardsRejected) {
   expect_rejected(RunOptions{.shards = -2}, "shards");
 }
 
+TEST(ScenarioOptions, ShardsAboveCapRejected) {
+  expect_rejected(RunOptions{.shards = 4097}, "shards");
+}
+
 TEST(ScenarioOptions, NegativePruneMarginRejected) {
   expect_rejected(RunOptions{.prune_margin = Db{-1.0}}, "prune_margin");
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "check/digest.hpp"
 #include "phy/sensitivity.hpp"
 #include "sim/scenario.hpp"
@@ -41,10 +44,19 @@ TEST(ShardCount, ParseMirrorsThreadCountRules) {
   EXPECT_EQ(parse_shard_count("8x"), 1);
 }
 
+TEST(ShardCount, ParseRejectsValuesAboveTheCap) {
+  // Values that overflow int must not wrap into a negative shard count.
+  EXPECT_EQ(parse_shard_count("3000000000"), 1);
+  EXPECT_EQ(parse_shard_count("4097"), 1);
+  EXPECT_EQ(parse_shard_count("4096"), kMaxShards);
+}
+
 TEST(ShardCount, ResolvePicksDefaultForZero) {
   EXPECT_EQ(resolve_shard_count(4), 4);
   EXPECT_EQ(resolve_shard_count(-2), 1);
+  EXPECT_EQ(resolve_shard_count(kMaxShards + 1), kMaxShards);
   EXPECT_GE(resolve_shard_count(0), 1);
+  EXPECT_LE(resolve_shard_count(0), kMaxShards);
 }
 
 // A region wide enough that audibility genuinely differs per stripe: with
@@ -141,7 +153,7 @@ TEST(ShardMembership, NewGatewayInvalidatesRejectionMemo) {
   ASSERT_EQ(east.ensure_row_if_audible(node, dead, f.prune_floor(),
                                        kMaxTxPower),
             LinkCache::kInvalidRow);
-  const std::uint64_t epoch_before = east.structure_epoch();
+  const std::uint32_t epoch_before = east.audibility_epoch();
   // A gateway appears next to the dead zone; the memo must not mask it.
   auto& gw = f.network->add_gateway(f.deployment.next_gateway_id(),
                                     Point{Meters{198500.0}, Meters{500.0}},
@@ -149,7 +161,7 @@ TEST(ShardMembership, NewGatewayInvalidatesRejectionMemo) {
   gw.apply_channels(GatewayChannelConfig{
       standard_plan(f.deployment.spectrum(), 0).channels});
   auto& refreshed = f.deployment.shard_caches(2);
-  EXPECT_GT(refreshed.slice(1).structure_epoch(), epoch_before);
+  EXPECT_GT(refreshed.slice(1).audibility_epoch(), epoch_before);
   EXPECT_NE(refreshed.slice(1).ensure_row_if_audible(node, dead,
                                                      f.prune_floor(),
                                                      kMaxTxPower),
@@ -211,6 +223,210 @@ TEST(ShardRunner, StatsReportBoundaryAndResidency) {
   // the border from its home stripe.
   EXPECT_EQ(stats.resident_rows, 3u);
   EXPECT_EQ(stats.boundary_rows, 1u);
+}
+
+// The shard telemetry is a pure function of the window and the partition:
+// the parallel prepass sums its per-shard terms in shard order, so the
+// thread count cannot move it.
+TEST(ShardRunner, StatsAreThreadInvariant) {
+  auto stats_at = [](int threads, int shards) {
+    WideFixture f;
+    std::vector<EndNode*> nodes;
+    for (const double x : {49800.0, 50300.0, 99500.0, 100000.0, 100600.0,
+                           149700.0, 150400.0, 199000.0}) {
+      nodes.push_back(&f.add_node(Point{Meters{x}, Meters{480.0}}));
+    }
+    ScenarioRunner runner(f.deployment, /*seed=*/7,
+                          RunOptions{.threads = threads, .shards = shards});
+    (void)runner.run_window(concurrent_burst(nodes, Seconds{0.0}, f.ids));
+    return runner.shard_stats();
+  };
+  for (const int shards : {2, 8}) {
+    const ShardWindowStats serial = stats_at(1, shards);
+    const ShardWindowStats parallel = stats_at(8, shards);
+    EXPECT_EQ(parallel.shards, serial.shards);
+    EXPECT_EQ(parallel.resident_rows, serial.resident_rows) << shards;
+    EXPECT_EQ(parallel.boundary_rows, serial.boundary_rows) << shards;
+    EXPECT_EQ(parallel.boundary_events, serial.boundary_events) << shards;
+    EXPECT_GT(serial.boundary_events, 0u) << shards;
+  }
+}
+
+// Memo invalidation through the runner. Each slice memoizes rows and
+// rejections per node across windows, so a runner's second window starts
+// from the first window's memo. Whatever changed in between, it must give
+// the fates a fresh deployment gives that window alone.
+const RunOptions kMemoOptions{.threads = 4, .shards = 8};
+constexpr double kNodeY = 480.0;
+
+Point at_x(double x) { return Point{Meters{x}, Meters{kNodeY}}; }
+
+// The wide fixture with one node per x position (plus `setup`), and a
+// burst with one transmission per node.
+struct MemoWorld {
+  WideFixture f;
+  std::vector<Transmission> txs;
+
+  MemoWorld(std::initializer_list<double> xs,
+            const std::function<void(WideFixture&)>& setup = {}) {
+    std::vector<EndNode*> nodes;
+    for (const double x : xs) nodes.push_back(&f.add_node(at_x(x)));
+    if (setup) setup(f);
+    txs = concurrent_burst(nodes, Seconds{0.0}, f.ids);
+  }
+};
+
+std::uint64_t fresh_digest(const std::vector<Transmission>& txs,
+                           std::initializer_list<double> xs,
+                           const std::function<void(WideFixture&)>& setup,
+                           RunOptions options = kMemoOptions) {
+  MemoWorld fresh(xs, setup);
+  ScenarioRunner runner(fresh.f.deployment, /*seed=*/7, options);
+  return fate_digest(runner.run_window(txs).fates);
+}
+
+bool delivered(const WindowResult& result, NodeId node) {
+  for (const PacketFate& fate : result.fates) {
+    if (fate.node == node) return fate.delivered;
+  }
+  return false;
+}
+
+void add_dead_zone_gateway(WideFixture& f) {
+  auto& gw = f.network->add_gateway(f.deployment.next_gateway_id(),
+                                    Point{Meters{198500.0}, Meters{500.0}},
+                                    default_profile());
+  gw.apply_channels(GatewayChannelConfig{
+      standard_plan(f.deployment.spectrum(), 0).channels});
+}
+
+TEST(ShardMemo, GatewayAddedBetweenWindows) {
+  const auto xs = {50300.0, 199000.0};
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  ASSERT_FALSE(delivered(runner.run_window(world.txs), world.txs[1].node));
+  add_dead_zone_gateway(world.f);
+  const WindowResult second = runner.run_window(world.txs);
+  EXPECT_TRUE(delivered(second, world.txs[1].node));
+  EXPECT_EQ(fate_digest(second.fates),
+            fresh_digest(world.txs, xs, add_dead_zone_gateway));
+}
+
+TEST(ShardMemo, AntennaChangedBetweenWindows) {
+  // 12 km east of the east gateway: beyond an omni antenna's reach, inside
+  // a 12 dBi panel's when it points east.
+  const auto xs = {50300.0, 162000.0};
+  const auto point_east = [](WideFixture& f) {
+    for (auto& gw : f.network->gateways()) {
+      if (gw.position() == f.gw_east) {
+        gw.set_antenna(std::make_unique<DirectionalAntenna>(), 0.0);
+      }
+    }
+  };
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  (void)runner.run_window(world.txs);
+  const std::size_t rows_before = runner.shard_stats().resident_rows;
+  point_east(world.f);
+  const WindowResult second = runner.run_window(world.txs);
+  EXPECT_GT(runner.shard_stats().resident_rows, rows_before);
+  EXPECT_EQ(fate_digest(second.fates), fresh_digest(world.txs, xs, point_east));
+}
+
+TEST(ShardMemo, NodeIdReusedAtNewOrigin) {
+  // A resident node moves into the dead zone and a rejected one next to a
+  // gateway, both under their old ids.
+  const auto xs = {50300.0, 199000.0};
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  (void)runner.run_window(world.txs);
+  std::vector<Transmission> moved = world.txs;
+  moved[0].origin = at_x(199000.0);
+  moved[1].origin = at_x(99800.0);
+  const WindowResult second = runner.run_window(moved);
+  EXPECT_FALSE(delivered(second, moved[0].node));
+  EXPECT_TRUE(delivered(second, moved[1].node));
+  EXPECT_EQ(fate_digest(second.fates), fresh_digest(moved, xs, {}));
+}
+
+TEST(ShardMemo, PruneMarginChangeReprobesRejections) {
+  // 10 km from the west gateway: rejected at the default 25 dB margin,
+  // audible once the margin widens the prune floor by 15 dB.
+  const auto xs = {50300.0, 60000.0};
+  const RunOptions kWide{.prune_margin = Db{40.0}, .threads = 4,
+                             .shards = 8};
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  (void)runner.run_window(world.txs);
+  const std::size_t rows_before = runner.shard_stats().resident_rows;
+  runner.set_options(kWide);
+  const WindowResult second = runner.run_window(world.txs);
+  EXPECT_GT(runner.shard_stats().resident_rows, rows_before);
+
+  MemoWorld fresh(xs);
+  ScenarioRunner fresh_runner(fresh.f.deployment, /*seed=*/7, kWide);
+  const WindowResult alone = fresh_runner.run_window(world.txs);
+  EXPECT_EQ(fate_digest(second.fates), fate_digest(alone.fates));
+  EXPECT_EQ(runner.shard_stats().resident_rows,
+            fresh_runner.shard_stats().resident_rows);
+}
+
+TEST(ShardMemo, ShardCountSwitchRebuildsSlices) {
+  const auto xs = {49800.0, 99500.0, 100600.0, 150400.0, 199000.0};
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  const std::uint64_t first = fate_digest(runner.run_window(world.txs).fates);
+  const ShardWindowStats eight = runner.shard_stats();
+  runner.set_options(RunOptions{.threads = 4, .shards = 4});
+  EXPECT_EQ(fate_digest(runner.run_window(world.txs).fates), first);
+  runner.set_options(kMemoOptions);
+  EXPECT_EQ(fate_digest(runner.run_window(world.txs).fates), first);
+  // The slices were rebuilt, so residency is the fresh run's again.
+  EXPECT_EQ(runner.shard_stats().resident_rows, eight.resident_rows);
+  EXPECT_EQ(runner.shard_stats().boundary_rows, eight.boundary_rows);
+  EXPECT_EQ(first, fresh_digest(world.txs, xs, {}));
+}
+
+TEST(ShardMemo, OutOfSpecPowerFromRejectedNode) {
+  // 10 km east of the east gateway: rejected at legal powers, heard when it
+  // transmits far above kMaxTxPower (which bypasses the audibility gate).
+  const auto xs = {50300.0, 160000.0};
+  MemoWorld world(xs);
+  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
+  ASSERT_FALSE(delivered(runner.run_window(world.txs), world.txs[1].node));
+  std::vector<Transmission> loud = world.txs;
+  loud[1].tx_power = Dbm{40.0};
+  const WindowResult second = runner.run_window(loud);
+  EXPECT_TRUE(delivered(second, loud[1].node));
+  EXPECT_EQ(fate_digest(second.fates), fresh_digest(loud, xs, {}));
+}
+
+TEST(ShardMemo, TwoRunnersShareVirtualIdsAtDifferentOrigins) {
+  // Two traffic sources on one deployment emit the same virtual ids from
+  // different places: runner `a` next to the west and east gateways,
+  // runner `b` from the dead zone and next to the west gateway. Each moves
+  // the other's rows between windows; the memo lives in the shared cache,
+  // so neither runner may trust a row it resolved itself a window earlier.
+  const auto xs = {50300.0, 150300.0};
+  MemoWorld world(xs);
+  std::vector<Transmission> a_txs = world.txs;
+  for (std::size_t k = 0; k < a_txs.size(); ++k) {
+    a_txs[k].node = static_cast<NodeId>(900'000 + k);
+  }
+  std::vector<Transmission> b_txs = a_txs;
+  b_txs[0].origin = at_x(199000.0);
+  b_txs[1].origin = at_x(50300.0);
+  for (auto& tx : b_txs) tx.id += 100;
+  ScenarioRunner a(world.f.deployment, /*seed=*/7, kMemoOptions);
+  ScenarioRunner b(world.f.deployment, /*seed=*/7, kMemoOptions);
+  (void)a.run_window(a_txs);
+  (void)b.run_window(b_txs);
+  const WindowResult a_second = a.run_window(a_txs);
+  const WindowResult b_second = b.run_window(b_txs);
+  EXPECT_EQ(a_second.total_delivered(), 2u);
+  EXPECT_EQ(b_second.total_delivered(), 1u);
+  EXPECT_EQ(fate_digest(a_second.fates), fresh_digest(a_txs, xs, {}));
+  EXPECT_EQ(fate_digest(b_second.fates), fresh_digest(b_txs, xs, {}));
 }
 
 }  // namespace

@@ -35,9 +35,9 @@ struct BusStats {
   std::size_t dropped = 0;
 };
 
-// Timeout/retry parameters shared by the bus endpoints that implement a
-// reliable exchange on top of the lossy substrate (OperatorClient, the
-// forwarder push/config paths). Exponential backoff: attempt k waits
+// Timeout/retry parameters for a bus endpoint that implements a reliable
+// exchange on top of the lossy substrate (OperatorClient's registration
+// and plan requests). Exponential backoff: attempt k waits
 // initial_timeout * backoff_factor^k, capped at max_timeout.
 struct RetryPolicy {
   Seconds initial_timeout{0.25};

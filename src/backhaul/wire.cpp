@@ -18,25 +18,17 @@ void BufferWriter::u32(std::uint32_t v) {
   }
 }
 
-void BufferWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
 void BufferWriter::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+  for (int i = 0; i < 8; ++i) {
+    buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
 }
 
 void BufferWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void BufferWriter::bytes(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
 bool BufferReader::take(std::size_t n) {
@@ -71,22 +63,17 @@ std::optional<std::uint32_t> BufferReader::u32() {
   return v;
 }
 
-std::optional<std::uint64_t> BufferReader::u64() {
+std::optional<double> BufferReader::f64() {
   if (!take(8)) return std::nullopt;
-  std::uint64_t v = 0;
+  std::uint64_t bits = 0;
   for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
+    bits |= static_cast<std::uint64_t>(
+                data_[pos_ + static_cast<std::size_t>(i)])
+            << (8 * i);
   }
   pos_ += 8;
-  return v;
-}
-
-std::optional<double> BufferReader::f64() {
-  const auto bits = u64();
-  if (!bits) return std::nullopt;
   double v;
-  std::memcpy(&v, &*bits, sizeof(v));
+  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
@@ -143,36 +130,6 @@ std::optional<std::span<const std::uint8_t>> open_payload(
   }
   if (crc32(body) != stored) return std::nullopt;
   return body;
-}
-
-std::vector<std::uint8_t> frame_message(std::span<const std::uint8_t> payload) {
-  BufferWriter w;
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.bytes(payload);
-  return w.take();
-}
-
-bool FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
-  if (poisoned_) return false;
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-  return true;
-}
-
-std::optional<std::vector<std::uint8_t>> FrameDecoder::next() {
-  if (poisoned_ || buf_.size() < 4) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(buf_[static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
-  if (len > kMaxFrameBytes) {
-    poisoned_ = true;
-    return std::nullopt;
-  }
-  if (buf_.size() < 4u + len) return std::nullopt;
-  std::vector<std::uint8_t> payload(buf_.begin() + 4, buf_.begin() + 4 + len);
-  buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
-  return payload;
 }
 
 }  // namespace alphawan

@@ -1,6 +1,6 @@
-// Binary wire codec for backhaul messages: little-endian primitives,
-// length-delimited strings, and length-prefixed frames, with explicit
-// bounds checking on the read side (never trust the peer).
+// Binary wire codec for backhaul messages: little-endian primitives and
+// length-delimited strings, with explicit bounds checking on the read side
+// (never trust the peer).
 #pragma once
 
 #include <cstdint>
@@ -16,10 +16,8 @@ class BufferWriter {
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
   void f64(double v);
   void str(const std::string& s);  // u32 length + bytes
-  void bytes(std::span<const std::uint8_t> data);
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -38,7 +36,6 @@ class BufferReader {
   [[nodiscard]] std::optional<std::uint8_t> u8();
   [[nodiscard]] std::optional<std::uint16_t> u16();
   [[nodiscard]] std::optional<std::uint32_t> u32();
-  [[nodiscard]] std::optional<std::uint64_t> u64();
   [[nodiscard]] std::optional<double> f64();
   [[nodiscard]] std::optional<std::string> str();
 
@@ -68,25 +65,5 @@ class BufferReader {
 // short to carry a trailer or the CRC does not match the body.
 [[nodiscard]] std::optional<std::span<const std::uint8_t>> open_payload(
     std::span<const std::uint8_t> payload);
-
-// Length-prefixed framing for a byte stream: [u32 length][payload].
-// Max frame size guards against corrupt prefixes.
-inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
-
-[[nodiscard]] std::vector<std::uint8_t> frame_message(
-    std::span<const std::uint8_t> payload);
-
-// Incremental stream decoder: feed received bytes, pop complete frames.
-class FrameDecoder {
- public:
-  // Returns false (and poisons the decoder) on an oversized length prefix.
-  bool feed(std::span<const std::uint8_t> bytes);
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next();
-  [[nodiscard]] bool poisoned() const { return poisoned_; }
-
- private:
-  std::vector<std::uint8_t> buf_;
-  bool poisoned_ = false;
-};
 
 }  // namespace alphawan

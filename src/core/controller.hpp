@@ -41,8 +41,13 @@ struct UpgradeReport {
 
 class AlphaWanController {
  public:
+  // Throws std::invalid_argument on an invalid config.planner.ga (see
+  // validate(const GaConfig&)), so bad configuration fails here rather
+  // than inside the first upgrade.
   AlphaWanController(AlphaWanConfig config, LatencyModel& latency)
-      : config_(config), latency_(latency) {}
+      : config_(config), latency_(latency) {
+    validate(config_.planner.ga);
+  }
 
   // Plan and apply a capacity upgrade for `network`. When spectrum
   // sharing is enabled a `master` must be supplied; the controller

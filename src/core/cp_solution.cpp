@@ -1,7 +1,5 @@
 #include "core/cp_solution.hpp"
 
-#include <cstdio>
-
 namespace alphawan {
 
 Dbm level_tx_power(int level) {
@@ -38,33 +36,6 @@ NetworkChannelConfig to_network_config(const CpInstance& instance,
     config.nodes[instance.nodes[i].id] = node_cfg;
   }
   return config;
-}
-
-std::string describe_solution(const CpInstance& instance,
-                              const CpSolution& solution,
-                              const CpEvaluation& eval) {
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "CP solution: objective=%.3f overload=%.3f pair=%.3f "
-                "disconnected=%.3f\n",
-                eval.objective, eval.overload_risk, eval.pair_overload,
-                eval.disconnected);
-  out += line;
-  for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
-    std::snprintf(line, sizeof(line), "  GW %u load=%.1f/%d channels=[",
-                  instance.gateways[j].id,
-                  j < eval.gateway_load.size() ? eval.gateway_load[j] : 0.0,
-                  instance.gateways[j].decoders);
-    out += line;
-    for (std::size_t k = 0; k < solution.gateway_channels[j].size(); ++k) {
-      std::snprintf(line, sizeof(line), "%s%d", k ? "," : "",
-                    solution.gateway_channels[j][k]);
-      out += line;
-    }
-    out += "]\n";
-  }
-  return out;
 }
 
 }  // namespace alphawan

@@ -5,8 +5,6 @@
 // offset, creating the misalignment that isolates coexisting networks.
 #pragma once
 
-#include <string>
-
 #include "core/cp_problem.hpp"
 #include "net/channel_plan.hpp"
 
@@ -21,10 +19,5 @@ namespace alphawan {
 // Transmit power for a distance level (paper: derived from the required
 // transmission distance via a mapping table).
 [[nodiscard]] Dbm level_tx_power(int level);
-
-// Human-readable summary for logs and examples.
-[[nodiscard]] std::string describe_solution(const CpInstance& instance,
-                                            const CpSolution& solution,
-                                            const CpEvaluation& eval);
 
 }  // namespace alphawan

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -132,10 +133,32 @@ CpSolution crossover(const CpInstance& instance, bool nodes_frozen,
 
 }  // namespace
 
+void validate(const GaConfig& config) {
+  auto at_least_one = [](int value, const char* field) {
+    if (value < 1) {
+      throw std::invalid_argument(std::string("GaConfig::") + field +
+                                  " must be >= 1, got " +
+                                  std::to_string(value));
+    }
+  };
+  auto probability = [](double value, const char* field) {
+    if (!(value >= 0.0 && value <= 1.0)) {
+      throw std::invalid_argument(std::string("GaConfig::") + field +
+                                  " must be in [0, 1], got " +
+                                  std::to_string(value));
+    }
+  };
+  at_least_one(config.population, "population");
+  at_least_one(config.tournament, "tournament");
+  probability(config.crossover_rate, "crossover_rate");
+  probability(config.mutation_rate, "mutation_rate");
+}
+
 GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   if (!instance.valid()) {
     throw std::invalid_argument("solve_cp: invalid CP instance");
   }
+  validate(config);
   const CpSolution* frozen =
       config.frozen_nodes ? &config.frozen_nodes->solution : nullptr;
   const bool nodes_frozen = frozen != nullptr;

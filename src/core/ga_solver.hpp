@@ -53,6 +53,12 @@ struct GaResult {
   std::size_t evaluations = 0;
 };
 
+// Throws std::invalid_argument naming the offending field when `config`
+// cannot drive a solve: population or tournament below 1, or a crossover
+// or mutation rate outside [0, 1].
+void validate(const GaConfig& config);
+
+// Throws std::invalid_argument on an invalid instance or configuration.
 [[nodiscard]] GaResult solve_cp(const CpInstance& instance,
                                 const GaConfig& config = GaConfig{});
 

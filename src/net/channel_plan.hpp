@@ -1,7 +1,7 @@
 // Network-level channel configuration: the artifact AlphaWAN's planners
-// produce and the LoRaWAN stack applies (gateway channel settings via the
-// packet-forwarder config, node settings via ADR / NewChannelReq MAC
-// commands).
+// produce. The simulator applies it directly through Network::apply_config;
+// Fig. 17 charges the gateway config push and node MAC commands as costs
+// (AlphaWanController::upgrade) rather than running either protocol.
 #pragma once
 
 #include <cstddef>

@@ -16,14 +16,6 @@ void Gateway::apply_channels(const GatewayChannelConfig& config) {
   ++reboot_count_;
 }
 
-bool Gateway::apply_channels(const GatewayChannelConfig& config,
-                             std::uint32_t version) {
-  if (version <= config_version_) return false;
-  apply_channels(config);
-  config_version_ = version;
-  return true;
-}
-
 void Gateway::set_antenna(std::unique_ptr<Antenna> antenna,
                           double boresight_rad) {
   antenna_ = std::move(antenna);

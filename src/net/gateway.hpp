@@ -48,16 +48,6 @@ class Gateway {
   // model). Throws on configurations the hardware cannot realize.
   void apply_channels(const GatewayChannelConfig& config);
 
-  // Versioned variant used by the forwarder push path: configs carry a
-  // monotonically increasing version so a duplicated or reordered push
-  // never re-applies (and never re-reboots) — only strictly newer versions
-  // take effect. Returns whether the config was applied.
-  bool apply_channels(const GatewayChannelConfig& config,
-                      std::uint32_t version);
-  [[nodiscard]] std::uint32_t config_version() const {
-    return config_version_;
-  }
-
   // Attach/detach a pluggable capture policy on the underlying radio
   // (nullptr = stock COTS pipeline). Not owned; see radio/capture_policy.hpp
   // for the contract.
@@ -95,7 +85,6 @@ class Gateway {
   std::unique_ptr<Antenna> antenna_;
   double boresight_rad_ = 0.0;
   std::uint64_t antenna_epoch_ = 0;
-  std::uint32_t config_version_ = 0;
   int reboot_count_ = 0;
 };
 

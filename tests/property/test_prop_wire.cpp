@@ -1,5 +1,5 @@
 // Wire-codec hardening properties: for RANDOM instances of every message
-// type of both backhaul protocols,
+// type of the Master protocol,
 //   - encode/decode round-trips exactly;
 //   - every strict prefix (truncation) is rejected with an error;
 //   - every single-bit flip is rejected with an error (guaranteed by the
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "backhaul/forwarder.hpp"
 #include "backhaul/master_protocol.hpp"
 #include "common/rng.hpp"
 
@@ -64,90 +63,29 @@ MasterMessage random_master_message(Rng& rng) {
   }
 }
 
-UplinkRecord random_uplink(Rng& rng) {
-  UplinkRecord rec;
-  rec.packet = rng.next();
-  rec.node = static_cast<NodeId>(rng.uniform_int(0, 1 << 20));
-  rec.gateway = static_cast<GatewayId>(rng.uniform_int(0, 1 << 10));
-  rec.network = static_cast<NetworkId>(rng.uniform_int(0, 65535));
-  rec.timestamp = Seconds{rng.uniform(0.0, 1e6)};
-  rec.channel = Channel{Hz{rng.uniform(902e6, 928e6)}, Hz{125e3}};
-  rec.dr = static_cast<DataRate>(rng.uniform_int(0, kNumDataRates - 1));
-  rec.snr = Db{rng.uniform(-25.0, 15.0)};
-  return rec;
-}
-
-ForwarderMessage random_forwarder_message(Rng& rng) {
-  switch (rng.uniform_int(0, 4)) {
-    case 0: {
-      PushDataMsg m;
-      m.token = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-      m.gateway = static_cast<GatewayId>(rng.uniform_int(0, 1 << 10));
-      const auto count = rng.uniform_int(0, 8);
-      for (std::int64_t i = 0; i < count; ++i) {
-        m.uplinks.push_back(random_uplink(rng));
-      }
-      return m;
-    }
-    case 1:
-      return PushAckMsg{static_cast<std::uint16_t>(rng.uniform_int(0, 65535))};
-    case 2:
-      return PullDataMsg{static_cast<std::uint16_t>(rng.uniform_int(0, 65535)),
-                         static_cast<GatewayId>(rng.uniform_int(0, 1 << 10))};
-    case 3: {
-      PullRespMsg m;
-      m.token = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-      m.gateway = static_cast<GatewayId>(rng.uniform_int(0, 1 << 10));
-      m.config_version = static_cast<std::uint32_t>(rng.next());
-      m.channels = random_channels(rng, 16);
-      return m;
-    }
-    default:
-      return PullAckMsg{static_cast<std::uint16_t>(rng.uniform_int(0, 65535))};
-  }
-}
-
-// The three properties, applied to one encoded frame. decode() is the
-// codec under test; eq checks the round-trip against the original.
-template <typename Decode, typename Eq>
-void check_frame(const std::vector<std::uint8_t>& bytes,
-                 const Decode& decode, const Eq& eq, const char* what) {
-  const auto back = decode(bytes);
-  ASSERT_TRUE(back.has_value()) << what << ": round trip failed";
-  EXPECT_TRUE(eq(*back)) << what << ": round trip changed the message";
+// The three properties, applied to one message and its encoded frame.
+void check_frame(const MasterMessage& msg) {
+  const std::vector<std::uint8_t> bytes = encode_message(msg);
+  const auto back = decode_message(bytes);
+  ASSERT_TRUE(back.has_value()) << "round trip failed";
+  EXPECT_TRUE(*back == msg) << "round trip changed the message";
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(bytes.data(), cut);
-    EXPECT_FALSE(decode(prefix).has_value())
-        << what << ": truncation to " << cut << " bytes accepted";
+    EXPECT_FALSE(decode_message(prefix).has_value())
+        << "truncation to " << cut << " bytes accepted";
   }
   for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
     auto flipped = bytes;
     flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(decode(flipped).has_value())
-        << what << ": flip of bit " << bit << " accepted";
+    EXPECT_FALSE(decode_message(flipped).has_value())
+        << "flip of bit " << bit << " accepted";
   }
 }
 
 TEST(WireProperty, MasterMessagesRoundTripAndRejectAllCorruption) {
   Rng rng(20260806);
   for (int i = 0; i < 120; ++i) {
-    const MasterMessage msg = random_master_message(rng);
-    check_frame(
-        encode_message(msg),
-        [](std::span<const std::uint8_t> b) { return decode_message(b); },
-        [&](const MasterMessage& back) { return back == msg; }, "master");
-  }
-}
-
-TEST(WireProperty, ForwarderMessagesRoundTripAndRejectAllCorruption) {
-  Rng rng(424242);
-  for (int i = 0; i < 120; ++i) {
-    const ForwarderMessage msg = random_forwarder_message(rng);
-    check_frame(
-        encode_forwarder(msg),
-        [](std::span<const std::uint8_t> b) { return decode_forwarder(b); },
-        [&](const ForwarderMessage& back) { return back == msg; },
-        "forwarder");
+    check_frame(random_master_message(rng));
   }
 }
 
@@ -162,7 +100,6 @@ TEST(WireProperty, RandomGarbageNeverDecodes) {
       b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
     (void)decode_message(junk);
-    (void)decode_forwarder(junk);
   }
 }
 

@@ -40,6 +40,13 @@ TEST(Controller, UpgradeWithoutSharing) {
   EXPECT_LT(report.total(), Seconds{10.0});
 }
 
+TEST(Controller, RejectsInvalidGaConfigAtConstruction) {
+  ControllerFixture f;
+  AlphaWanConfig cfg = f.fast_config();
+  cfg.planner.ga.tournament = 0;
+  EXPECT_THROW(AlphaWanController(cfg, f.latency), std::invalid_argument);
+}
+
 TEST(Controller, SharingRequiresMaster) {
   ControllerFixture f;
   AlphaWanController controller(f.fast_config(true), f.latency);

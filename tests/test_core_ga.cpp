@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -39,6 +41,51 @@ GaConfig fast_config() {
 TEST(GaSolver, InvalidInstanceThrows) {
   CpInstance bad;
   EXPECT_THROW(solve_cp(bad), std::invalid_argument);
+}
+
+// solve_cp must reject `cfg` with an invalid_argument naming `field`.
+void expect_rejected(const GaConfig& cfg, const std::string& field) {
+  const auto inst = make_instance(3, 30);
+  try {
+    (void)solve_cp(inst, cfg);
+    ADD_FAILURE() << "GaConfig::" << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("GaConfig::" + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GaSolver, RejectsNonPositivePopulation) {
+  GaConfig cfg = fast_config();
+  for (const int population : {0, -1}) {
+    cfg.population = population;
+    expect_rejected(cfg, "population");
+  }
+}
+
+TEST(GaSolver, RejectsNonPositiveTournament) {
+  GaConfig cfg = fast_config();
+  for (const int tournament : {0, -3}) {
+    cfg.tournament = tournament;
+    expect_rejected(cfg, "tournament");
+  }
+}
+
+TEST(GaSolver, RejectsCrossoverRateOutsideUnitInterval) {
+  GaConfig cfg = fast_config();
+  for (const double rate : {-0.1, 1.5, std::nan("")}) {
+    cfg.crossover_rate = rate;
+    expect_rejected(cfg, "crossover_rate");
+  }
+}
+
+TEST(GaSolver, RejectsMutationRateOutsideUnitInterval) {
+  GaConfig cfg = fast_config();
+  for (const double rate : {-0.1, 1.5, std::nan("")}) {
+    cfg.mutation_rate = rate;
+    expect_rejected(cfg, "mutation_rate");
+  }
 }
 
 TEST(GaSolver, SolutionAlwaysFeasible) {

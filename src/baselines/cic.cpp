@@ -1,33 +1,27 @@
 #include "baselines/cic.hpp"
 
-#include "baselines/overlap_index.hpp"
+#include <cmath>
+
+#include "baselines/policy.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
 
-void CicCapturePolicy::resolve(const CaptureContext& context,
-                               std::vector<RxOutcome>& outcomes) const {
-  const CicOptions& options = options_;
-  const OverlapIndex index(context);
+CicCapturePolicy::CicCapturePolicy(CicOptions options) : options_(options) {
+  require_option(options_.max_resolvable >= 1,
+                 "CicOptions: max_resolvable must be >= 1");
+  require_option(std::isfinite(options_.snr_headroom.value()),
+                 "CicOptions: snr_headroom must be finite");
+}
 
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    auto& out = outcomes[i];
-    if (out.disposition != RxDisposition::kDroppedCollision) continue;
-    // Count simultaneous transmissions on (nearly) the same channel.
-    int overlapping = 0;
-    index.for_each_cochannel_overlap(i, [&](std::size_t /*j*/) {
-      return ++overlapping < options.max_resolvable;
-    });
-    if (overlapping >= options.max_resolvable) continue;
-    // CIC needs workable SNR to pick apart sub-band spectra.
-    if (out.snr <
-        demod_snr_threshold(context.sf[i]) + options.snr_headroom) {
-      continue;
-    }
-    out.disposition = context.tx_sync[i] == context.sync_word
-                          ? RxDisposition::kDelivered
-                          : RxDisposition::kDecodedForeign;
-  }
+bool CicCapturePolicy::recovers(
+    const CaptureEvent& wanted,
+    std::span<const CaptureEvent> overlappers) const {
+  // CIC separates up to max_resolvable simultaneous transmissions on
+  // (nearly) the same channel, given workable SNR to pick apart sub-band
+  // spectra.
+  return static_cast<int>(overlappers.size()) < options_.max_resolvable &&
+         wanted.snr >= demod_snr_threshold(wanted.sf) + options_.snr_headroom;
 }
 
 }  // namespace alphawan

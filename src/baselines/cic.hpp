@@ -7,6 +7,8 @@
 // stay dropped.
 #pragma once
 
+#include <span>
+
 #include "radio/capture_policy.hpp"
 
 namespace alphawan {
@@ -23,11 +25,14 @@ struct CicOptions {
 // receptions when CIC could have resolved them.
 class CicCapturePolicy final : public CapturePolicy {
  public:
-  explicit CicCapturePolicy(CicOptions options = {}) : options_(options) {}
+  // Throws std::invalid_argument naming the field on max_resolvable < 1 or
+  // a non-finite snr_headroom.
+  explicit CicCapturePolicy(CicOptions options = {});
 
   [[nodiscard]] std::string_view name() const override { return "cic"; }
-  void resolve(const CaptureContext& context,
-               std::vector<RxOutcome>& outcomes) const override;
+  [[nodiscard]] bool recovers(
+      const CaptureEvent& wanted,
+      std::span<const CaptureEvent> overlappers) const override;
 
   [[nodiscard]] const CicOptions& options() const { return options_; }
 

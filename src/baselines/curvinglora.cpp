@@ -1,42 +1,36 @@
 #include "baselines/curvinglora.hpp"
 
-#include "baselines/overlap_index.hpp"
+#include <algorithm>
+#include <cmath>
+
+#include "baselines/policy.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
 
-void CurvingLoraCapturePolicy::resolve(const CaptureContext& context,
-                                       std::vector<RxOutcome>& outcomes) const {
-  const CurvingLoraOptions& options = options_;
-  const OverlapIndex index(context);
+CurvingLoraCapturePolicy::CurvingLoraCapturePolicy(CurvingLoraOptions options)
+    : options_(options) {
+  require_option(options_.curvature_count >= 1,
+                 "CurvingLoraOptions: curvature_count must be >= 1");
+  require_option(std::isfinite(options_.snr_headroom.value()),
+                 "CurvingLoraOptions: snr_headroom must be finite");
+}
 
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    auto& out = outcomes[i];
-    if (out.disposition != RxDisposition::kDroppedCollision) continue;
-    const SpreadingFactor sf = context.sf[i];
-    const int wanted_curvature = curvature_of(context.node[i]);
-
-    // Despreading with the wanted packet's curvature suppresses every
-    // same-SF interferer on a *different* curvature; a same-curvature
-    // interferer (or any cross-SF overlapper — curvature families are
-    // defined within one SF) keeps the collision fatal.
-    bool orthogonal = true;
-    index.for_each_cochannel_overlap(i, [&](std::size_t j) {
-      if (context.sf[j] != sf ||
-          curvature_of(context.node[j]) == wanted_curvature) {
-        orthogonal = false;
-        return false;
-      }
-      return true;
-    });
-    if (!orthogonal) continue;
-    if (out.snr < demod_snr_threshold(sf) + options.snr_headroom) {
-      continue;
-    }
-    out.disposition = context.tx_sync[i] == context.sync_word
-                          ? RxDisposition::kDelivered
-                          : RxDisposition::kDecodedForeign;
-  }
+bool CurvingLoraCapturePolicy::recovers(
+    const CaptureEvent& wanted,
+    std::span<const CaptureEvent> overlappers) const {
+  // Despreading with the wanted packet's curvature suppresses every same-SF
+  // interferer on a *different* curvature; a same-curvature interferer (or
+  // any cross-SF overlapper — curvature families are defined within one SF)
+  // keeps the collision fatal.
+  const int wanted_curvature = curvature_of(wanted.node);
+  const bool orthogonal = std::none_of(
+      overlappers.begin(), overlappers.end(), [&](const CaptureEvent& other) {
+        return other.sf != wanted.sf ||
+               curvature_of(other.node) == wanted_curvature;
+      });
+  return orthogonal &&
+         wanted.snr >= demod_snr_threshold(wanted.sf) + options_.snr_headroom;
 }
 
 }  // namespace alphawan

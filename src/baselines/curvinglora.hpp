@@ -7,6 +7,8 @@
 // packet still holds a decoder, so the pool stays the bottleneck.
 #pragma once
 
+#include <span>
+
 #include "baselines/standard_lorawan.hpp"
 #include "radio/capture_policy.hpp"
 
@@ -27,14 +29,16 @@ struct CurvingLoraOptions {
 // packet.
 class CurvingLoraCapturePolicy final : public CapturePolicy {
  public:
-  explicit CurvingLoraCapturePolicy(CurvingLoraOptions options = {})
-      : options_(options) {}
+  // Throws std::invalid_argument naming the field on curvature_count < 1
+  // or a non-finite snr_headroom.
+  explicit CurvingLoraCapturePolicy(CurvingLoraOptions options = {});
 
   [[nodiscard]] std::string_view name() const override {
     return "curvinglora";
   }
-  void resolve(const CaptureContext& context,
-               std::vector<RxOutcome>& outcomes) const override;
+  [[nodiscard]] bool recovers(
+      const CaptureEvent& wanted,
+      std::span<const CaptureEvent> overlappers) const override;
 
   // The curvature family a node's radio is configured with.
   [[nodiscard]] int curvature_of(NodeId node) const {

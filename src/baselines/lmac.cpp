@@ -19,6 +19,18 @@ std::int64_t freq_bucket(Hz center) {
 
 }  // namespace
 
+LmacPolicy::LmacPolicy(LmacOptions options, StandardLorawanOptions node_side)
+    : options_(options), node_side_(node_side) {
+  require_option(options_.max_defer >= Seconds{0.0},
+                 "LmacOptions: max_defer must be >= 0");
+  require_option(options_.min_gap >= Seconds{0.0},
+                 "LmacOptions: min_gap must be >= 0");
+  require_option(options_.min_gap <= options_.max_gap,
+                 "LmacOptions: min_gap must not exceed max_gap");
+  require_option(options_.sense_range >= Meters{0.0},
+                 "LmacOptions: sense_range must be >= 0");
+}
+
 std::vector<Transmission> LmacPolicy::shape_window(
     std::vector<Transmission> txs, Rng& rng) const {
   const LmacOptions& options = options_;

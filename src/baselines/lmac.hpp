@@ -29,9 +29,10 @@ struct LmacOptions {
 // carrier-sense deferral applied to every window's schedule.
 class LmacPolicy final : public NodeMacPolicy {
  public:
+  // Throws std::invalid_argument naming the field on a negative
+  // max_defer, min_gap or sense_range, or min_gap > max_gap.
   explicit LmacPolicy(LmacOptions options = {},
-                      StandardLorawanOptions node_side = {})
-      : options_(options), node_side_(node_side) {}
+                      StandardLorawanOptions node_side = {});
 
   [[nodiscard]] std::string_view name() const override { return "lmac"; }
   void configure(Deployment& deployment, Network& network,

@@ -1,6 +1,12 @@
 #include "baselines/policy.hpp"
 
+#include <stdexcept>
+
 namespace alphawan {
+
+void require_option(bool ok, const char* message) {
+  if (!ok) throw std::invalid_argument(message);
+}
 
 void NodeMacPolicy::configure(Deployment& /*deployment*/,
                               Network& /*network*/, Rng& /*rng*/) const {}

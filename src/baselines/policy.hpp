@@ -50,4 +50,8 @@ class NodeMacPolicy {
   NodeMacPolicy& operator=(const NodeMacPolicy&) = default;
 };
 
+// Scheme constructors validate their options with this: throws
+// std::invalid_argument(message), which names the field, unless `ok`.
+void require_option(bool ok, const char* message);
+
 }  // namespace alphawan

@@ -4,6 +4,17 @@
 
 namespace alphawan {
 
+RandomCpPolicy::RandomCpPolicy(RandomCpOptions options,
+                               StandardLorawanOptions node_side)
+    : options_(options), node_side_(node_side) {
+  require_option(options_.min_channels_per_gateway >= 1,
+                 "RandomCpOptions: min_channels_per_gateway must be >= 1");
+  require_option(
+      options_.min_channels_per_gateway <= options_.max_channels_per_gateway,
+      "RandomCpOptions: min_channels_per_gateway must not exceed "
+      "max_channels_per_gateway");
+}
+
 void RandomCpPolicy::configure(Deployment& deployment, Network& network,
                                Rng& rng) const {
   const RandomCpOptions& options = options_;

@@ -20,9 +20,10 @@ struct RandomCpOptions {
 // windows, nodes re-homed onto monitored channels.
 class RandomCpPolicy final : public NodeMacPolicy {
  public:
+  // Throws std::invalid_argument naming the field on
+  // min_channels_per_gateway < 1 or min > max_channels_per_gateway.
   explicit RandomCpPolicy(RandomCpOptions options = {},
-                          StandardLorawanOptions node_side = {})
-      : options_(options), node_side_(node_side) {}
+                          StandardLorawanOptions node_side = {});
 
   [[nodiscard]] std::string_view name() const override { return "random-cp"; }
   void configure(Deployment& deployment, Network& network,

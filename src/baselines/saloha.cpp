@@ -7,6 +7,17 @@
 
 namespace alphawan {
 
+SlottedAlohaPolicy::SlottedAlohaPolicy(SlottedAlohaOptions options,
+                                       StandardLorawanOptions node_side)
+    : options_(options), node_side_(node_side) {
+  require_option(options_.guard >= Seconds{0.0},
+                 "SlottedAlohaOptions: guard must be >= 0");
+  require_option(options_.sync_jitter >= Seconds{0.0},
+                 "SlottedAlohaOptions: sync_jitter must be >= 0");
+  require_option(options_.max_offset >= Seconds{0.0},
+                 "SlottedAlohaOptions: max_offset must be >= 0");
+}
+
 std::vector<Transmission> SlottedAlohaPolicy::shape_window(
     std::vector<Transmission> txs, Rng& rng) const {
   const SlottedAlohaOptions& options = options_;

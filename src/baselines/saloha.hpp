@@ -31,9 +31,10 @@ struct SlottedAlohaOptions {
 // per-DR slot alignment of every window's schedule.
 class SlottedAlohaPolicy final : public NodeMacPolicy {
  public:
+  // Throws std::invalid_argument naming the field on a negative guard,
+  // sync_jitter or max_offset.
   explicit SlottedAlohaPolicy(SlottedAlohaOptions options = {},
-                              StandardLorawanOptions node_side = {})
-      : options_(options), node_side_(node_side) {}
+                              StandardLorawanOptions node_side = {});
 
   [[nodiscard]] std::string_view name() const override { return "saloha"; }
   void configure(Deployment& deployment, Network& network,

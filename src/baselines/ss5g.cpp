@@ -1,55 +1,44 @@
 #include "baselines/ss5g.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "baselines/overlap_index.hpp"
+#include "baselines/policy.hpp"
 #include "phy/airtime.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
 
-void Ss5gCapturePolicy::resolve(const CaptureContext& context,
-                                std::vector<RxOutcome>& outcomes) const {
-  const Ss5gOptions& options = options_;
-  const OverlapIndex index(context);
+Ss5gCapturePolicy::Ss5gCapturePolicy(Ss5gOptions options)
+    : options_(options) {
+  require_option(options_.max_superposed >= 1,
+                 "Ss5gOptions: max_superposed must be >= 1");
+  require_option(options_.min_offset_symbols >= 0.0,
+                 "Ss5gOptions: min_offset_symbols must be >= 0");
+  require_option(std::isfinite(options_.snr_headroom.value()),
+                 "Ss5gOptions: snr_headroom must be finite");
+}
 
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    auto& out = outcomes[i];
-    if (out.disposition != RxDisposition::kDroppedCollision) continue;
-    const SpreadingFactor sf = context.sf[i];
-    const Seconds symbol = symbol_duration(sf, context.channel[i].bandwidth);
-    const Seconds min_offset{options.min_offset_symbols * symbol.value()};
-
-    // Every co-channel overlapper must be same-SF (cross-SF energy defeats
-    // the symbol slicer) and offset by whole symbols; the superposition
-    // count is bounded by what the algorithm can disentangle.
-    int superposed = 1;  // the wanted packet itself
-    bool resolvable = true;
-    index.for_each_cochannel_overlap(i, [&](std::size_t j) {
-      if (context.sf[j] != sf) {
-        resolvable = false;
-        return false;
-      }
-      const Seconds offset{
-          std::abs(context.start[j].value() - context.start[i].value())};
-      if (offset < min_offset) {
-        resolvable = false;  // near-aligned symbols cannot be sliced apart
-        return false;
-      }
-      if (++superposed > options.max_superposed) {
-        resolvable = false;
-        return false;
-      }
-      return true;
-    });
-    if (!resolvable) continue;
-    if (out.snr < demod_snr_threshold(sf) + options.snr_headroom) {
-      continue;
-    }
-    out.disposition = context.tx_sync[i] == context.sync_word
-                          ? RxDisposition::kDelivered
-                          : RxDisposition::kDecodedForeign;
+bool Ss5gCapturePolicy::recovers(
+    const CaptureEvent& wanted,
+    std::span<const CaptureEvent> overlappers) const {
+  // The superposition count (wanted packet included) is bounded by what the
+  // algorithm can disentangle; every overlapper must be same-SF (cross-SF
+  // energy defeats the symbol slicer) and offset by whole symbols
+  // (near-aligned symbols cannot be sliced apart).
+  if (static_cast<int>(overlappers.size()) + 1 > options_.max_superposed) {
+    return false;
   }
+  const Seconds symbol = symbol_duration(wanted.sf, wanted.bandwidth);
+  const Seconds min_offset{options_.min_offset_symbols * symbol.value()};
+  const bool sliceable = std::all_of(
+      overlappers.begin(), overlappers.end(), [&](const CaptureEvent& other) {
+        const Seconds offset{
+            std::abs(other.start.value() - wanted.start.value())};
+        return other.sf == wanted.sf && offset >= min_offset;
+      });
+  return sliceable &&
+         wanted.snr >= demod_snr_threshold(wanted.sf) + options_.snr_headroom;
 }
 
 }  // namespace alphawan

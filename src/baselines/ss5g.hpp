@@ -7,6 +7,8 @@
 // packet still occupied its own decoder, so decoder drops stay dropped.
 #pragma once
 
+#include <span>
+
 #include "baselines/standard_lorawan.hpp"
 #include "radio/capture_policy.hpp"
 
@@ -27,11 +29,14 @@ struct Ss5gOptions {
 // superposition decoder could have separated.
 class Ss5gCapturePolicy final : public CapturePolicy {
  public:
-  explicit Ss5gCapturePolicy(Ss5gOptions options = {}) : options_(options) {}
+  // Throws std::invalid_argument naming the field on max_superposed < 1, a
+  // negative or NaN min_offset_symbols, or a non-finite snr_headroom.
+  explicit Ss5gCapturePolicy(Ss5gOptions options = {});
 
   [[nodiscard]] std::string_view name() const override { return "ss5g"; }
-  void resolve(const CaptureContext& context,
-               std::vector<RxOutcome>& outcomes) const override;
+  [[nodiscard]] bool recovers(
+      const CaptureEvent& wanted,
+      std::span<const CaptureEvent> overlappers) const override;
 
   [[nodiscard]] const Ss5gOptions& options() const { return options_; }
 

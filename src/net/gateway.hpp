@@ -49,8 +49,8 @@ class Gateway {
   void apply_channels(const GatewayChannelConfig& config);
 
   // Attach/detach a pluggable capture policy on the underlying radio
-  // (nullptr = stock COTS pipeline). Not owned; see radio/capture_policy.hpp
-  // for the contract.
+  // (nullptr = stock COTS pipeline): the radio asks it about each collision
+  // drop. Not owned; see radio/capture_policy.hpp for the contract.
   void set_capture_policy(const CapturePolicy* policy) {
     radio_.set_capture_policy(policy);
   }

@@ -1,52 +1,32 @@
-// Pluggable gateway-side capture policy: how overlapping receptions
-// resolve after the stock pipeline ran. The COTS model in
-// GatewayRadio::process_into is the fixed physical baseline (front-end, FCFS
-// decoder dispatch, co/inter-SF SIR capture tests); a CapturePolicy is the
-// *receiver algorithm* layered on top — CIC sub-band separation, SS5G
-// superposition decoding, CurvingLoRa curvature-orthogonal despreading —
-// which may rescue packets the stock demodulator lost to collisions.
+// Pluggable gateway-side capture policy: the *receiver algorithm* layered
+// on the fixed COTS model of GatewayRadio::process_into (CIC sub-band
+// separation, SS5G superposition decoding, CurvingLoRa curvature-orthogonal
+// despreading), deciding whether a packet lost to an RF collision is
+// recovered.
 //
-// The decoder budget is the paper's methodology boundary (Sec. 5.2.1): a
-// policy may only rewrite outcomes whose packet already HELD a decoder
-// (consumed_decoder(disposition) == true). Decoder-contention drops,
-// undetected packets, and front-end rejections are off limits — resolving
-// a collision does not conjure a free decoder. GatewayRadio enforces this
-// contract after every resolve() call.
+// The decoder budget (paper Sec. 5.2.1) holds by construction: the radio
+// asks only about packets it marked kDroppedCollision, which held a
+// decoder, and it alone writes outcomes.
 //
 // Policies run inside concurrent per-gateway tasks (docs/parallelism.md):
-// resolve() must be const, must not touch state shared across gateways,
-// and must be deterministic — any randomness has to derive from the ids
-// already present in the events, never from an internal Rng.
+// recovers() is const and deterministic, and since the overlappers arrive
+// in no particular order, it may depend only on their set.
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "radio/transmission.hpp"
 
 namespace alphawan {
 
-// Everything GatewayRadio exposes to a capture policy about one window:
-// per-event columns over every transmission the front-end observed
-// (including foreign-network and never-detected ones — their RF energy
-// shaped the outcomes). Columnar rather than a vector<RxEvent> so the
-// radio can hand policies the per-event scratch columns it already filled
-// instead of materializing wide RxEvent structs per (gateway, window).
-struct CaptureContext {
-  std::size_t count = 0;                   // events this window
-  const Seconds* start = nullptr;          // tx start time
-  const Seconds* end = nullptr;            // tx end (start + time_on_air)
-  const Channel* channel = nullptr;        // tx channel
-  const SpreadingFactor* sf = nullptr;     // tx spreading factor
-  const NodeId* node = nullptr;            // transmitting node
-  const std::uint16_t* tx_sync = nullptr;  // per-tx sync word
-  // The gateway's network sync word: a rescued packet is kDelivered only
-  // if its sync word matches, kDecodedForeign otherwise.
-  std::uint16_t sync_word = 0;
-  // Decoder-pool capacity of this gateway (diagnostic; the budget itself
-  // is enforced by the outcome contract above).
-  int decoders = 0;
+// What a capture policy sees of one transmission.
+struct CaptureEvent {
+  Seconds start{0.0};
+  SpreadingFactor sf = SpreadingFactor::kSF7;
+  Hz bandwidth = kLoRaBandwidth125k;
+  NodeId node = kInvalidNode;
+  Db snr{-200.0};  // packet SNR at this gateway
 };
 
 class CapturePolicy {
@@ -55,11 +35,13 @@ class CapturePolicy {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  // Rewrite reception outcomes (one per event, same order) for one
-  // gateway window. Called at the end of GatewayRadio::process_into, so
-  // rescued deliveries flow through the normal uplink-forwarding path.
-  virtual void resolve(const CaptureContext& context,
-                       std::vector<RxOutcome>& outcomes) const = 0;
+  // Whether the receiver recovers `wanted`, a collision drop, given every
+  // other transmission overlapping it in time with co-channel spectral
+  // overlap (overlap_ratio >= kDetectOverlapThreshold) — detected or not,
+  // any network.
+  [[nodiscard]] virtual bool recovers(
+      const CaptureEvent& wanted,
+      std::span<const CaptureEvent> overlappers) const = 0;
 
  protected:
   CapturePolicy() = default;

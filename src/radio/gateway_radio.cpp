@@ -295,37 +295,44 @@ void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
   }
 }
 
-// Phase 4 (optional): pluggable capture resolution. The policy may
-// rescue packets the stock demodulator lost to collisions, but the
-// decoder budget is binding: only outcomes whose packet already held a
-// decoder may change, and they must stay decoder-consuming — a policy
-// cannot un-busy kDroppedDecoderBusy or decode an undetected packet.
-void GatewayRadio::apply_capture_policy(std::size_t count,
-                                        std::vector<RxOutcome>& outcomes) {
+// Phase 3, collision drops only: gather event i's co-channel
+// time-overlappers from the bucket index (same or adjacent coarse bucket,
+// each walked from the first event that could still be on the air at i's
+// start) and ask the capture policy.
+bool GatewayRadio::policy_recovers(std::size_t i, const RxEventView& view) {
   auto& sc = scratch_;
-  sc.pre_policy.resize(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    sc.pre_policy[i] = outcomes[i].disposition;
-  }
-  capture_policy_->resolve(
-      CaptureContext{count, sc.start_of.data(), sc.end_of.data(),
-                     sc.channel_of.data(), sc.sf_of.data(), sc.node_of.data(),
-                     sc.sync_of.data(), sync_word_, profile_.decoders},
-      outcomes);
-  if (outcomes.size() != count) {
-    throw std::logic_error(
-        "CapturePolicy: outcome count changed during resolve");
-  }
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const RxDisposition before = sc.pre_policy[i];
-    const RxDisposition after = outcomes[i].disposition;
-    if (after == before) continue;
-    if (!consumed_decoder(before) || !consumed_decoder(after)) {
-      throw std::logic_error(
-          "CapturePolicy violated the decoder budget: rewrote an outcome "
-          "that did not hold a decoder (or released one it held)");
+  const auto capture_event = [&](std::size_t k) {
+    const Hz bandwidth = sc.channel_of[k].bandwidth;
+    return CaptureEvent{sc.start_of[k], sc.sf_of[k], bandwidth,
+                        view.table->node[view.tx_index[k]],
+                        packet_snr(sc.power_of[k], bandwidth)};
+  };
+  const Seconds start = sc.start_of[i];
+  const Seconds end = sc.end_of[i];
+  const Channel& channel = sc.channel_of[i];
+  const std::int64_t center_bucket = bucket_of(channel.center);
+  sc.overlappers.clear();
+  auto bucket_it = std::lower_bound(
+      sc.buckets.begin(), sc.buckets.end(), center_bucket - 1,
+      [](const RxScratch::Bucket& b, std::int64_t id) { return b.id < id; });
+  for (; bucket_it != sc.buckets.end() && bucket_it->id <= center_bucket + 1;
+       ++bucket_it) {
+    const std::uint32_t* order = sc.order.data();
+    const std::uint32_t* last = order + bucket_it->end;
+    const std::uint32_t* it = std::lower_bound(
+        order + bucket_it->begin, last,
+        start - bucket_it->max_duration,
+        [&sc](std::uint32_t k, Seconds t) { return sc.start_of[k] < t; });
+    for (; it != last && sc.start_of[*it] < end; ++it) {
+      const std::uint32_t j = *it;
+      if (j == i || !(start < sc.end_of[j]) ||
+          overlap_ratio(sc.channel_of[j], channel) < kDetectOverlapThreshold) {
+        continue;
+      }
+      sc.overlappers.push_back(capture_event(j));
     }
   }
+  return capture_policy_->recovers(capture_event(i), sc.overlappers);
 }
 
 // Adapter for callers holding an event list (unit tests, replay, the figure
@@ -359,8 +366,8 @@ void GatewayRadio::process_into(const RxEventView& view,
   auto& sc = scratch_;
 
   // Phase 1: front-end + detection per event, reading the window's shared
-  // table columns. Also fills the per-event scratch columns phases 3 and 4
-  // lean on: the airtime-derived end instant (memoized in the table) and
+  // table columns. Also fills the per-event scratch columns phase 3 leans
+  // on: the airtime-derived end instant (memoized in the table) and
   // the linear rx power (a pow), each otherwise paid once per *candidate
   // pair* in the interferer scan. As the dispatch queue fills, a running
   // strict-order check records whether sort_fcfs can be skipped (ascending
@@ -375,11 +382,6 @@ void GatewayRadio::process_into(const RxEventView& view,
   sc.power_of.resize(view.count);
   sc.sf_of.resize(view.count);
   sc.net_of.resize(view.count);
-  const bool policy_columns = capture_policy_ != nullptr;
-  if (policy_columns) {
-    sc.node_of.resize(view.count);
-    sc.sync_of.resize(view.count);
-  }
   bool queue_sorted = true;
   for (std::size_t k = 0; k < view.count; ++k) {
     const std::uint32_t t = view.tx_index[k];
@@ -395,10 +397,6 @@ void GatewayRadio::process_into(const RxEventView& view,
     out.packet = tbl.packet[t];
     out.node = tbl.node[t];
     out.network = tbl.net[t];
-    if (policy_columns) {
-      sc.node_of[k] = tbl.node[t];
-      sc.sync_of[k] = tbl.sync[t];
-    }
     const int chain = chain_for(tbl.channel[t]);
     if (chain < 0) {
       out.disposition = RxDisposition::kRejectedFrontEnd;
@@ -514,14 +512,15 @@ void GatewayRadio::process_into(const RxEventView& view,
     }
 
     if (acc.collided) {
-      out.disposition = RxDisposition::kDroppedCollision;
       out.foreign_interferer = acc.foreign_fatal;
-      continue;
-    }
-
-    const Db snr_eff =
-        se.power - lin_to_dbm(noise_lin + acc.misaligned_intf_lin);
-    if (snr_eff < demod_snr_threshold(se.sf)) {
+      // A capture policy may recover the collision loss; a recovered
+      // packet is decoded like any other, sync-word filter included.
+      if (capture_policy_ == nullptr || !policy_recovers(i, view)) {
+        out.disposition = RxDisposition::kDroppedCollision;
+        continue;
+      }
+    } else if (se.power - lin_to_dbm(noise_lin + acc.misaligned_intf_lin) <
+               demod_snr_threshold(se.sf)) {
       out.disposition = RxDisposition::kDroppedLowSnr;
       continue;
     }
@@ -530,8 +529,6 @@ void GatewayRadio::process_into(const RxEventView& view,
                           ? RxDisposition::kDelivered
                           : RxDisposition::kDecodedForeign;
   }
-
-  if (capture_policy_ != nullptr) apply_capture_policy(view.count, outcomes);
 }
 
 }  // namespace alphawan

@@ -38,12 +38,10 @@ class GatewayRadio {
   [[nodiscard]] NetworkId network() const { return network_; }
   [[nodiscard]] std::uint16_t sync_word() const { return sync_word_; }
 
-  // Attach a capture policy invoked at the end of process_into() (nullptr =
-  // stock pipeline only, bit-identical to the pre-policy code path). The
-  // policy is not owned; the caller keeps it alive across windows. After
-  // resolve(), process_into() verifies the policy only rewrote outcomes whose
-  // packet already held a decoder (consumed_decoder) and throws
-  // std::logic_error otherwise — see capture_policy.hpp.
+  // Attach a capture policy (nullptr = stock pipeline only). process_into()
+  // asks it about each collision drop and delivers the packets it recovers
+  // — see capture_policy.hpp. The policy is not owned; the caller keeps it
+  // alive across windows.
   void set_capture_policy(const CapturePolicy* policy);
   [[nodiscard]] const CapturePolicy* capture_policy() const {
     return capture_policy_;
@@ -54,8 +52,7 @@ class GatewayRadio {
   // through the receive kernels (phy/batch_kernels.hpp). Events may arrive
   // unsorted. Fills `outcomes` (resized to view.count, same order as the
   // view) instead of returning a fresh vector, so a caller-owned buffer
-  // keeps its capacity across windows. Capture policies read the columnar
-  // CaptureContext built from the per-event scratch columns.
+  // keeps its capacity across windows.
   void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
 
   // Convenience adapter for an event list: builds a table and a view over
@@ -83,11 +80,6 @@ class GatewayRadio {
     std::vector<Dbm> power_of;
     std::vector<SpreadingFactor> sf_of;
     std::vector<NetworkId> net_of;
-    // Capture-policy columns (node + per-tx sync word), filled only when a
-    // policy is installed — the columnar CaptureContext points into these
-    // plus the hot columns above.
-    std::vector<NodeId> node_of;
-    std::vector<std::uint16_t> sync_of;
     struct Bucket {
       std::int64_t id = 0;      // coarse frequency bucket
       std::uint32_t begin = 0;  // [begin, end) range into `order`
@@ -118,9 +110,9 @@ class GatewayRadio {
     // best_chain result per distinct packet channel; valid until the
     // channel set changes (cleared by configure_channels).
     std::vector<ChainMemo> chain_memo;
-    // Pre-resolve disposition snapshot for the capture-policy budget check
-    // (only filled when a policy is installed).
-    std::vector<RxDisposition> pre_policy;
+    // One collision drop's co-channel time-overlappers, gathered for the
+    // capture policy.
+    std::vector<CaptureEvent> overlappers;
     // Filled by build_sf_groups_and_memos: every uniform bucket's events
     // stably regrouped by SF (order_sf, with pos_sf the bucket rank of each
     // entry), the flat SF-group ranges, and the per-(bucket, chain)
@@ -156,11 +148,9 @@ class GatewayRadio {
   // Phase-3 prep: stable SF grouping of every uniform bucket and the
   // per-(bucket, chain) overlap/coupling memos.
   void build_sf_groups_and_memos(std::size_t count);
-  // Phase 4: pluggable capture resolution + the decoder-budget check.
-  // Builds the columnar CaptureContext over the first `count` entries of
-  // the per-event scratch columns.
-  void apply_capture_policy(std::size_t count,
-                            std::vector<RxOutcome>& outcomes);
+  // Phase 3, collision drops only: gathers event i's co-channel
+  // time-overlappers from the bucket index and asks the capture policy.
+  [[nodiscard]] bool policy_recovers(std::size_t i, const RxEventView& view);
 
   GatewayProfile profile_;
   NetworkId network_;

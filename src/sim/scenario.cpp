@@ -83,7 +83,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     // (Re)attach the capture policy every window: gateways may have been
     // added since the last one, and a null attach detaches stale state. The
     // policy pointer is const and shared across concurrent gateway tasks —
-    // safe because resolve() is stateless by contract.
+    // safe because recovers() is a const, stateless predicate.
     for (auto& gw : network.gateways()) {
       gw.set_capture_policy(options_.capture_policy.get());
       tasks.push_back(&gw);

@@ -45,12 +45,12 @@ struct RunOptions {
   // dropped from that gateway's event list (they can neither be received
   // nor meaningfully interfere).
   Db prune_margin{25.0};
-  // Pluggable gateway-side capture resolution (radio/capture_policy.hpp):
-  // installed on every gateway each window, invoked inside
-  // GatewayRadio::process_into so rescued packets flow through the normal
-  // uplink-forwarding path. nullptr = stock COTS pipeline, bit-identical
-  // to the pre-policy engine. The shared_ptr keeps registry-built schemes
-  // alive for the lifetime of the options value.
+  // Pluggable gateway-side capture policy (radio/capture_policy.hpp):
+  // installed on every gateway each window; GatewayRadio::process_into
+  // asks it about each collision drop, so recovered packets flow through
+  // the normal uplink-forwarding path. nullptr = stock COTS pipeline. The
+  // shared_ptr keeps registry-built schemes alive for the lifetime of the
+  // options value.
   std::shared_ptr<const CapturePolicy> capture_policy;
   // Worker threads for the per-gateway fan-out: 0 = the ALPHAWAN_THREADS
   // process default, 1 = force serial.

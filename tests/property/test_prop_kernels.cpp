@@ -9,9 +9,9 @@
 //     compose with sharding and the thread fan-out without perturbing a
 //     single fate;
 //   - every registered baseline scheme (MAC side and capture side,
-//     including the policy schemes cic / ss5g / curvinglora whose
-//     resolve() reads the columnar CaptureContext) reproduces its pinned
-//     digest over 5 randomized worlds at the same (shards, threads) grid;
+//     including the capture schemes cic / ss5g / curvinglora, which the
+//     radio asks about each collision drop) reproduces its pinned digest
+//     over 5 randomized worlds at the same (shards, threads) grid;
 //   - a same-seed rerun replays bit-for-bit (all randomness flows through
 //     keyed substreams, never iteration order).
 //

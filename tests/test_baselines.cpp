@@ -1,12 +1,21 @@
 #include "baselines/cic.hpp"
+#include "baselines/curvinglora.hpp"
 #include "baselines/lmac.hpp"
 #include "baselines/random_cp.hpp"
+#include "baselines/registry.hpp"
+#include "baselines/saloha.hpp"
+#include "baselines/ss5g.hpp"
 #include "baselines/standard_lorawan.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "net/sync_word.hpp"
+#include "radio/gateway_radio.hpp"
 #include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 
@@ -235,6 +244,313 @@ TEST(Cic, BoundedResolvability) {
   ScenarioRunner runner(deployment, 7, std::move(cic_options));
   const auto result = runner.run_window(concurrent_burst(nodes, Seconds{0.0}, ids));
   EXPECT_EQ(result.total_delivered(), 0u);
+}
+
+// Capture-policy worlds: one gateway radio and hand-built packets (SF7
+// unless stated) at equal power, so every time-overlapping same-SF
+// co-channel pair collides on the stock pipeline and any delivery is the
+// policy's decision alone.
+const Spectrum kCaptureSpectrum = spectrum_1m6();
+const Seconds kSf7Symbol = symbol_duration(SpreadingFactor::kSF7,
+                                           kLoRaBandwidth125k);
+
+Transmission capture_tx(PacketId id, NodeId node, Seconds start,
+                        SpreadingFactor sf = SpreadingFactor::kSF7,
+                        Channel channel = kCaptureSpectrum.grid_channel(0)) {
+  Transmission tx;
+  tx.id = id;
+  tx.node = node;
+  tx.sync_word = sync_word_for_network(0);
+  tx.channel = channel;
+  tx.params.sf = sf;
+  tx.start = start;
+  return tx;
+}
+
+// Receive `txs` on one gateway with `policy` installed (nullptr = stock);
+// returns each packet's disposition.
+std::vector<RxDisposition> capture_receive(
+    const CapturePolicy* policy, const std::vector<Transmission>& txs,
+    std::vector<Channel> chains = {kCaptureSpectrum.grid_channel(0)},
+    int decoders = 16) {
+  GatewayProfile profile = default_profile();
+  profile.decoders = decoders;
+  GatewayRadio radio(profile, 0, sync_word_for_network(0));
+  radio.configure_channels(std::move(chains));
+  radio.set_capture_policy(policy);
+  std::vector<RxEvent> events;
+  for (const auto& tx : txs) events.push_back(RxEvent{tx, Dbm{-80.0}});
+  std::vector<RxDisposition> out;
+  for (const auto& o : radio.process(events)) out.push_back(o.disposition);
+  return out;
+}
+
+constexpr RxDisposition kOk = RxDisposition::kDelivered;
+constexpr RxDisposition kHit = RxDisposition::kDroppedCollision;
+
+TEST(Cic, RecoversThreeWayButNotFourWayCollision) {
+  // max_resolvable = 3: three packets (two overlappers each) are recovered,
+  // four (three overlappers each) are not.
+  const CicCapturePolicy cic;
+  std::vector<Transmission> txs;
+  for (int i = 0; i < 3; ++i) {
+    txs.push_back(capture_tx(static_cast<PacketId>(i + 1),
+                             static_cast<NodeId>(i + 1), kSf7Symbol * i));
+  }
+  EXPECT_EQ(capture_receive(nullptr, txs),
+            std::vector<RxDisposition>(3, kHit));
+  EXPECT_EQ(capture_receive(&cic, txs),
+            std::vector<RxDisposition>(3, kOk));
+  txs.push_back(capture_tx(4, 4, kSf7Symbol * 3));
+  EXPECT_EQ(capture_receive(&cic, txs),
+            std::vector<RxDisposition>(4, kHit));
+}
+
+TEST(Ss5g, RecoversSameSfPairOffsetByEnoughSymbols) {
+  const Ss5gCapturePolicy ss5g;
+  const std::vector<Transmission> txs = {
+      capture_tx(1, 1, Seconds{0.0}), capture_tx(2, 2, kSf7Symbol * 3.5)};
+  EXPECT_EQ(capture_receive(nullptr, txs),
+            std::vector<RxDisposition>(2, kHit));
+  EXPECT_EQ(capture_receive(&ss5g, txs),
+            std::vector<RxDisposition>(2, kOk));
+}
+
+TEST(Ss5g, NearAlignedPairStaysCollided) {
+  // Offset below min_offset_symbols = 3: no whole symbols to slice at.
+  const Ss5gCapturePolicy ss5g;
+  const std::vector<Transmission> txs = {
+      capture_tx(1, 1, Seconds{0.0}), capture_tx(2, 2, kSf7Symbol * 2.5)};
+  EXPECT_EQ(capture_receive(&ss5g, txs),
+            std::vector<RxDisposition>(2, kHit));
+}
+
+TEST(Ss5g, CrossSfOverlapperBlocksRecovery) {
+  // max_superposed = 3 so only the SF rule can refuse: a same-SF third
+  // packet is recovered with the pair, a cross-SF one blocks it.
+  Ss5gOptions options;
+  options.max_superposed = 3;
+  const Ss5gCapturePolicy ss5g(options);
+  std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                   capture_tx(2, 2, kSf7Symbol * 4),
+                                   capture_tx(3, 3, kSf7Symbol * 8)};
+  EXPECT_EQ(capture_receive(&ss5g, txs),
+            std::vector<RxDisposition>(3, kOk));
+  txs[2] = capture_tx(3, 3, kSf7Symbol * 8, SpreadingFactor::kSF8);
+  const auto outcomes = capture_receive(&ss5g, txs);
+  EXPECT_EQ(outcomes[0], kHit);
+  EXPECT_EQ(outcomes[1], kHit);
+}
+
+TEST(Ss5g, ThreeWaySuperpositionExceedsMaxSuperposed) {
+  const Ss5gCapturePolicy ss5g;  // max_superposed = 2
+  const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                         capture_tx(2, 2, kSf7Symbol * 4),
+                                         capture_tx(3, 3, kSf7Symbol * 8)};
+  EXPECT_EQ(capture_receive(&ss5g, txs),
+            std::vector<RxDisposition>(3, kHit));
+}
+
+TEST(CurvingLora, RecoversSameSfPacketsOnDifferentCurvatures) {
+  const CurvingLoraCapturePolicy curving;  // curvature_count = 4
+  const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                         capture_tx(2, 2, Seconds{0.0}),
+                                         capture_tx(3, 3, kSf7Symbol)};
+  EXPECT_EQ(capture_receive(nullptr, txs),
+            std::vector<RxDisposition>(3, kHit));
+  EXPECT_EQ(capture_receive(&curving, txs),
+            std::vector<RxDisposition>(3, kOk));
+}
+
+TEST(CurvingLora, SameCurvatureStaysCollided) {
+  // Nodes 1 and 5 are congruent mod curvature_count = 4.
+  const CurvingLoraCapturePolicy curving;
+  ASSERT_EQ(curving.curvature_of(1), curving.curvature_of(5));
+  const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                         capture_tx(2, 5, Seconds{0.0})};
+  EXPECT_EQ(capture_receive(&curving, txs),
+            std::vector<RxDisposition>(2, kHit));
+}
+
+TEST(CurvingLora, CrossSfOverlapperBlocksRecovery) {
+  const CurvingLoraCapturePolicy curving;
+  const std::vector<Transmission> txs = {
+      capture_tx(1, 1, Seconds{0.0}), capture_tx(2, 2, Seconds{0.0}),
+      capture_tx(3, 3, Seconds{0.0}, SpreadingFactor::kSF8)};
+  const auto outcomes = capture_receive(&curving, txs);
+  EXPECT_EQ(outcomes[0], kHit);
+  EXPECT_EQ(outcomes[1], kHit);
+}
+
+TEST(CapturePolicies, CountOverlapperAcrossFrequencyBucketBoundary) {
+  // Centres 2 kHz either side of a multiple of kChannelSpacing fall in
+  // adjacent coarse buckets yet overlap by 121/125 >= 0.95: each packet is
+  // the other's co-channel overlapper, so a same-curvature pair stays
+  // collided and CIC with max_resolvable = 1 cannot separate it.
+  const Hz boundary = kChannelSpacing * 4617.0;
+  const Channel below{boundary - Hz{2e3}, kLoRaBandwidth125k};
+  const Channel above{boundary + Hz{2e3}, kLoRaBandwidth125k};
+  ASSERT_GE(overlap_ratio(below, above), kDetectOverlapThreshold);
+  const std::vector<Transmission> txs = {
+      capture_tx(1, 1, Seconds{0.0}, SpreadingFactor::kSF7, below),
+      capture_tx(2, 5, Seconds{0.0}, SpreadingFactor::kSF7, above)};
+  EXPECT_EQ(capture_receive(nullptr, txs, {below}),
+            std::vector<RxDisposition>(2, kHit));
+  const CurvingLoraCapturePolicy curving;
+  EXPECT_EQ(capture_receive(&curving, txs, {below}),
+            std::vector<RxDisposition>(2, kHit));
+  CicOptions single;
+  single.max_resolvable = 1;
+  const CicCapturePolicy cic(single);
+  EXPECT_EQ(capture_receive(&cic, txs, {below}),
+            std::vector<RxDisposition>(2, kHit));
+}
+
+TEST(CapturePolicies, NeverRecoverADecoderBusyDrop) {
+  // One decoder: packet 1 holds it and collides with packet 2, which found
+  // no free decoder. Every capture scheme rescues packet 1 (the pair is
+  // resolvable for each) but packet 2 stays a decoder-contention drop.
+  const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                         capture_tx(2, 2, kSf7Symbol * 4)};
+  const std::vector<Channel> chains = {kCaptureSpectrum.grid_channel(0)};
+  constexpr RxDisposition kBusy = RxDisposition::kDroppedDecoderBusy;
+  EXPECT_EQ(capture_receive(nullptr, txs, chains, 1),
+            (std::vector<RxDisposition>{kHit, kBusy}));
+  int schemes = 0;
+  for (const auto& name : BaselineRegistry::instance().names()) {
+    const BaselineScheme scheme = BaselineRegistry::instance().make(name);
+    if (!scheme.capture) continue;
+    ++schemes;
+    EXPECT_EQ(capture_receive(scheme.capture.get(), txs, chains, 1),
+              (std::vector<RxDisposition>{kOk, kBusy}))
+        << name;
+  }
+  EXPECT_EQ(schemes, 3);
+}
+
+// Constructing a scheme from bad options throws std::invalid_argument
+// naming the field.
+template <typename Make>
+void expect_rejected(Make make, const std::string& field) {
+  try {
+    make();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Cic, RejectsNonPositiveMaxResolvable) {
+  for (const int value : {0, -1}) {
+    CicOptions options;
+    options.max_resolvable = value;
+    expect_rejected([&] { CicCapturePolicy{options}; }, "max_resolvable");
+  }
+}
+
+TEST(Ss5g, RejectsNonPositiveMaxSuperposed) {
+  for (const int value : {0, -2}) {
+    Ss5gOptions options;
+    options.max_superposed = value;
+    expect_rejected([&] { Ss5gCapturePolicy{options}; }, "max_superposed");
+  }
+}
+
+TEST(Ss5g, RejectsNegativeOrNanMinOffsetSymbols) {
+  for (const double value : {-0.5, kNan}) {
+    Ss5gOptions options;
+    options.min_offset_symbols = value;
+    expect_rejected([&] { Ss5gCapturePolicy{options}; }, "min_offset_symbols");
+  }
+}
+
+TEST(CurvingLora, RejectsNonPositiveCurvatureCount) {
+  // 0 was a modulo by zero in curvature_of; a negative count wrapped to a
+  // huge modulus.
+  for (const int value : {0, -4}) {
+    CurvingLoraOptions options;
+    options.curvature_count = value;
+    expect_rejected([&] { CurvingLoraCapturePolicy{options}; },
+                    "curvature_count");
+  }
+}
+
+TEST(CapturePolicies, RejectNonFiniteSnrHeadroom) {
+  for (const double value : {kNan, kInf, -kInf}) {
+    CicOptions cic;
+    cic.snr_headroom = Db{value};
+    expect_rejected([&] { CicCapturePolicy{cic}; }, "snr_headroom");
+    Ss5gOptions ss5g;
+    ss5g.snr_headroom = Db{value};
+    expect_rejected([&] { Ss5gCapturePolicy{ss5g}; }, "snr_headroom");
+    CurvingLoraOptions curving;
+    curving.snr_headroom = Db{value};
+    expect_rejected([&] { CurvingLoraCapturePolicy{curving}; },
+                    "snr_headroom");
+  }
+}
+
+TEST(RandomCp, RejectsMinChannelsBelowOne) {
+  RandomCpOptions options;
+  options.min_channels_per_gateway = 0;
+  expect_rejected([&] { RandomCpPolicy{options}; },
+                  "min_channels_per_gateway");
+}
+
+TEST(RandomCp, RejectsMinChannelsAboveMax) {
+  // An inverted range used to reach uniform_int and wrap.
+  RandomCpOptions options;
+  options.min_channels_per_gateway = 5;
+  options.max_channels_per_gateway = 3;
+  expect_rejected([&] { RandomCpPolicy{options}; },
+                  "max_channels_per_gateway");
+}
+
+TEST(Lmac, RejectsNegativeMaxDefer) {
+  LmacOptions options;
+  options.max_defer = Seconds{-1.0};
+  expect_rejected([&] { LmacPolicy{options}; }, "max_defer");
+}
+
+TEST(Lmac, RejectsNegativeMinGap) {
+  LmacOptions options;
+  options.min_gap = Seconds{-1e-3};
+  expect_rejected([&] { LmacPolicy{options}; }, "min_gap");
+}
+
+TEST(Lmac, RejectsMinGapAboveMaxGap) {
+  LmacOptions options;
+  options.min_gap = Seconds{40e-3};
+  options.max_gap = Seconds{30e-3};
+  expect_rejected([&] { LmacPolicy{options}; }, "max_gap");
+}
+
+TEST(Lmac, RejectsNegativeSenseRange) {
+  LmacOptions options;
+  options.sense_range = Meters{-1.0};
+  expect_rejected([&] { LmacPolicy{options}; }, "sense_range");
+}
+
+TEST(SlottedAloha, RejectsNegativeGuard) {
+  SlottedAlohaOptions options;
+  options.guard = Seconds{-1e-3};
+  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "guard");
+}
+
+TEST(SlottedAloha, RejectsNegativeSyncJitter) {
+  SlottedAlohaOptions options;
+  options.sync_jitter = Seconds{-1e-3};
+  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "sync_jitter");
+}
+
+TEST(SlottedAloha, RejectsNegativeMaxOffset) {
+  SlottedAlohaOptions options;
+  options.max_offset = Seconds{-1e-3};
+  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "max_offset");
 }
 
 }  // namespace

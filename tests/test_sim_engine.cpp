@@ -6,33 +6,33 @@ namespace alphawan {
 namespace {
 
 TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
+  Engine engine;
   std::vector<int> order;
-  q.push(Seconds{2.0}, [&] { order.push_back(2); });
-  q.push(Seconds{1.0}, [&] { order.push_back(1); });
-  q.push(Seconds{3.0}, [&] { order.push_back(3); });
-  Seconds now{0.0};
-  while (!q.empty()) q.pop(now)();
+  engine.schedule_at(Seconds{2.0}, [&] { order.push_back(2); });
+  engine.schedule_at(Seconds{1.0}, [&] { order.push_back(1); });
+  engine.schedule_at(Seconds{3.0}, [&] { order.push_back(3); });
+  EXPECT_EQ(engine.run(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(now.value(), 3.0);
+  EXPECT_DOUBLE_EQ(engine.now().value(), 3.0);
 }
 
 TEST(EventQueue, FifoAmongTies) {
-  EventQueue q;
+  Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.push(Seconds{1.0}, [&order, i] { order.push_back(i); });
+    engine.schedule_at(Seconds{1.0}, [&order, i] { order.push_back(i); });
   }
-  Seconds now{0.0};
-  while (!q.empty()) q.pop(now)();
+  EXPECT_EQ(engine.run(), 5u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, EmptyPopThrows) {
-  EventQueue q;
-  Seconds now{0.0};
-  EXPECT_THROW(q.pop(now), std::logic_error);
-  EXPECT_THROW(q.next_time(), std::logic_error);
+TEST(Engine, StepOnEmptyEngineRunsNothing) {
+  Engine engine;
+  engine.schedule_at(Seconds{2.0}, [] {});
+  engine.run();
+  EXPECT_FALSE(engine.step());
+  EXPECT_FALSE(engine.step(Seconds{10.0}));
+  EXPECT_DOUBLE_EQ(engine.now().value(), 2.0);
 }
 
 TEST(Engine, AdvancesClock) {

@@ -8,15 +8,10 @@ digest-affecting iteration over unordered containers, Quantity<Tag> instead
 of raw doubles) that used to be enforced only by review and by the property
 suites happening to hit a violation.  This tool enforces them statically.
 
-Two engines implement the same check catalogue:
-
-  * this file -- a token-level engine over a real C++ lexer (comments,
-    string/char literals and raw strings are blanked position-preservingly
-    before any pattern runs).  It needs nothing beyond Python 3 and runs in
-    every environment, so it is what ctest and the gating CI job execute.
-  * tools/lint/alphawan_lint_clang.cpp -- a clang libTooling / AST-matcher
-    checker built only where Clang development packages exist (see
-    tools/lint/CMakeLists.txt).  Same check ids, same allow grammar.
+This is a token-level engine over a real C++ lexer (comments, string/char
+literals and raw strings are blanked position-preservingly before any
+pattern runs).  It needs nothing beyond Python 3 and runs in every
+environment, so it is what ctest and the gating CI job execute.
 
 Check catalogue (ids are what ALPHAWAN-LINT-ALLOW annotations name):
 

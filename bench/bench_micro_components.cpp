@@ -1,9 +1,8 @@
 // Component micro-benchmarks (google-benchmark): throughput of the pieces
-// the system runs continuously — airtime math, decoder pool churn, the
-// gateway radio pipeline, frame encode/decode + MIC, the CP solver at the
-// Fig. 17 scales, and the kernel-versus-oracle PHY pairs
-// (phy/batch_kernels.hpp: each batched receive kernel against its scalar
-// reference). The BM_Batch* pairs also report through PerfRecorder, so the
+// the system runs continuously — airtime math, the gateway radio pipeline,
+// frame encode/decode + MIC, the CP solver at the Fig. 17 scales, and the
+// kernel-versus-oracle PHY pairs (phy/batch_kernels.hpp: each batched
+// receive kernel against its scalar reference). The BM_Batch* pairs also report through PerfRecorder, so the
 // per-kernel throughputs land in the alphawan-bench-v1 JSON trajectory
 // alongside the end-to-end numbers.
 #include <benchmark/benchmark.h>
@@ -33,17 +32,6 @@ void BM_Airtime(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Airtime);
-
-void BM_DecoderPoolChurn(benchmark::State& state) {
-  DecoderPool pool(16);
-  Seconds t{0.0};
-  PacketId id = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.try_acquire(t, t + Seconds{0.05}, 0, id++));
-    t += Seconds{0.001};
-  }
-}
-BENCHMARK(BM_DecoderPoolChurn);
 
 std::vector<RxEvent> burst_events(int count) {
   const Spectrum spec = spectrum_1m6();

@@ -1,11 +1,23 @@
 #include "baselines/alphawan_policy.hpp"
 
+#include <cmath>
+
 namespace alphawan {
+
+AlphaWanPolicy::AlphaWanPolicy(AlphaWanBaselineOptions options,
+                               StandardLorawanOptions node_side)
+    : options_(options), node_side_(node_side) {
+  require_option(std::isfinite(options_.demand_per_node) &&
+                     options_.demand_per_node >= 0.0,
+                 "AlphaWanBaselineOptions: demand_per_node must be finite and "
+                 ">= 0");
+  validate(options_.controller.planner.ga);
+}
 
 void AlphaWanPolicy::configure(Deployment& deployment, Network& network,
                                Rng& rng) const {
   // Start from the commercial status quo AlphaWAN upgrades in the field.
-  StandardLorawanPolicy(node_side_).configure(deployment, network, rng);
+  node_side_.configure(deployment, network, rng);
 
   // The latency model's jitter stream derives from the caller's root seed
   // (keyed substream), so the whole upgrade replays with the experiment.

@@ -28,9 +28,11 @@ struct AlphaWanBaselineOptions {
 
 class AlphaWanPolicy final : public NodeMacPolicy {
  public:
+  // Throws std::invalid_argument naming the field on a negative or
+  // non-finite demand_per_node, an invalid controller.planner.ga (see
+  // validate(const GaConfig&)) or bad node_side options.
   explicit AlphaWanPolicy(AlphaWanBaselineOptions options = {},
-                          StandardLorawanOptions node_side = {})
-      : options_(options), node_side_(node_side) {}
+                          StandardLorawanOptions node_side = {});
 
   [[nodiscard]] std::string_view name() const override { return "alphawan"; }
   void configure(Deployment& deployment, Network& network,
@@ -42,7 +44,7 @@ class AlphaWanPolicy final : public NodeMacPolicy {
 
  private:
   AlphaWanBaselineOptions options_;
-  StandardLorawanOptions node_side_;
+  StandardLorawanPolicy node_side_;
 };
 
 }  // namespace alphawan

@@ -1,10 +1,24 @@
 #include "baselines/standard_lorawan.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
+
+StandardLorawanPolicy::StandardLorawanPolicy(StandardLorawanOptions options)
+    : options_(options) {
+  const AdrConfig& adr = options_.adr;
+  require_option(std::isfinite(adr.step_db.value()) && adr.step_db > Db{0.0},
+                 "StandardLorawanOptions: adr.step_db must be finite and > 0");
+  require_option(adr.min_tx_power <= adr.max_tx_power,
+                 "StandardLorawanOptions: adr.min_tx_power must be <= "
+                 "adr.max_tx_power");
+  require_option(std::isfinite(adr.installation_margin.value()),
+                 "StandardLorawanOptions: adr.installation_margin must be "
+                 "finite");
+}
 
 void StandardLorawanPolicy::configure(Deployment& deployment,
                                       Network& network, Rng& rng) const {

@@ -31,7 +31,8 @@ UpgradeReport AlphaWanController::upgrade(
     offset = assign->frequency_offset;
     report.overlap_ratio = assign->overlap_ratio;
     report.master_epoch = assign->master_epoch;
-    (void)accept_plan(network.id(), *assign);
+    (void)network.server().adopt_plan(assign->master_epoch, offset,
+                                      assign->channels);
   }
   report.frequency_offset = offset;
 
@@ -67,25 +68,6 @@ UpgradeReport AlphaWanController::upgrade(
 
   network.apply_config(outcome.config);
   return report;
-}
-
-bool AlphaWanController::accept_plan(NetworkId operator_id,
-                                     const PlanAssignMsg& assign) {
-  auto [it, inserted] = plan_epochs_.try_emplace(operator_id,
-                                                 assign.master_epoch);
-  if (!inserted) {
-    if (assign.master_epoch < it->second) {
-      ++stale_plans_ignored_;
-      return false;
-    }
-    it->second = assign.master_epoch;
-  }
-  return true;
-}
-
-std::uint32_t AlphaWanController::plan_epoch(NetworkId operator_id) const {
-  const auto it = plan_epochs_.find(operator_id);
-  return it == plan_epochs_.end() ? 0 : it->second;
 }
 
 }  // namespace alphawan

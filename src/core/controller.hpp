@@ -17,7 +17,6 @@ struct AlphaWanConfig {
   IntraPlannerConfig planner{};
   // Strategy 8: coordinate spectrum with the Master.
   bool strategy8_spectrum_sharing = true;
-  double desired_overlap = 0.4;
 };
 
 // Latency breakdown of one capacity-upgrade operation (Fig. 17).
@@ -51,29 +50,19 @@ class AlphaWanController {
 
   // Plan and apply a capacity upgrade for `network`. When spectrum
   // sharing is enabled a `master` must be supplied; the controller
-  // registers the operator and requests its misaligned plan first.
+  // registers the operator, requests its misaligned plan and adopts it on
+  // the network's server (NetworkServer::adopt_plan, which ignores stale
+  // epochs).
   UpgradeReport upgrade(Network& network, const Spectrum& spectrum,
                         const LinkEstimates& links,
                         const std::map<NodeId, double>& traffic,
                         MasterNode* master = nullptr);
-
-  // Epoch-guarded plan acceptance: record `assign` as the plan in force
-  // for its operator unless it is staler than the plan already held (a
-  // delayed/duplicated backhaul delivery). Returns whether it was
-  // accepted; stale assignments are counted instead.
-  bool accept_plan(NetworkId operator_id, const PlanAssignMsg& assign);
-  [[nodiscard]] std::uint32_t plan_epoch(NetworkId operator_id) const;
-  [[nodiscard]] std::size_t stale_plans_ignored() const {
-    return stale_plans_ignored_;
-  }
 
   [[nodiscard]] const AlphaWanConfig& config() const { return config_; }
 
  private:
   AlphaWanConfig config_;
   LatencyModel& latency_;
-  std::map<NetworkId, std::uint32_t> plan_epochs_;
-  std::size_t stale_plans_ignored_ = 0;
 };
 
 }  // namespace alphawan

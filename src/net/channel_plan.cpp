@@ -28,10 +28,7 @@ bool valid_for_profile(const GatewayChannelConfig& config,
   if (static_cast<int>(config.channels.size()) > profile.data_rx_chains) {
     return false;
   }
-  auto [lo, hi] = std::minmax_element(
-      config.channels.begin(), config.channels.end(),
-      [](const Channel& a, const Channel& b) { return a.center < b.center; });
-  return hi->high() - lo->low() <= profile.rx_spectrum + Hz{1.0};
+  return channel_span(config.channels) <= profile.rx_spectrum + Hz{1.0};
 }
 
 NetworkChannelConfig homogeneous_standard_config(

@@ -12,7 +12,6 @@ Gateway::Gateway(GatewayId id, NetworkId network, Point position,
 
 void Gateway::apply_channels(const GatewayChannelConfig& config) {
   radio_.configure_channels(config.channels);
-  channels_ = config.channels;
   ++reboot_count_;
 }
 

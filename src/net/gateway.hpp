@@ -41,7 +41,7 @@ class Gateway {
   }
   [[nodiscard]] const GatewayRadio& radio() const { return radio_; }
   [[nodiscard]] const std::vector<Channel>& channels() const {
-    return channels_;
+    return radio_.channels();
   }
 
   // Apply a channel configuration (triggers a "reboot" in the latency
@@ -81,7 +81,6 @@ class Gateway {
   NetworkId network_;
   Point position_;
   GatewayRadio radio_;
-  std::vector<Channel> channels_;
   std::unique_ptr<Antenna> antenna_;
   double boresight_rad_ = 0.0;
   std::uint64_t antenna_epoch_ = 0;

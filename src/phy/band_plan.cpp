@@ -23,12 +23,17 @@ int Spectrum::nearest_grid_index(Hz center) const {
       std::lround((center - base - kChannelSpacing / 2) / kChannelSpacing));
 }
 
-Hz ChannelPlan::span() const {
+Hz ChannelPlan::span() const { return channel_span(channels); }
+
+Hz channel_span(const std::vector<Channel>& channels) {
   if (channels.empty()) return Hz{0.0};
-  auto [lo, hi] = std::minmax_element(
-      channels.begin(), channels.end(),
-      [](const Channel& a, const Channel& b) { return a.center < b.center; });
-  return hi->high() - lo->low();
+  Hz lo = channels.front().low();
+  Hz hi = channels.front().high();
+  for (const auto& ch : channels) {
+    lo = std::min(lo, ch.low());
+    hi = std::max(hi, ch.high());
+  }
+  return hi - lo;
 }
 
 ChannelPlan standard_plan(const Spectrum& spectrum, int plan_index) {

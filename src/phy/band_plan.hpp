@@ -60,6 +60,10 @@ struct ChannelPlan {
   [[nodiscard]] Hz span() const;
 };
 
+// Frequency span of a channel set: the highest high edge minus the lowest
+// low edge (0 for an empty set). The radio bandwidth B_j bounds it.
+[[nodiscard]] Hz channel_span(const std::vector<Channel>& channels);
+
 // Standard LoRaWAN channel plan #n: grid channels [8n, 8n+8) of the
 // spectrum (Appendix B, Fig. 19). Throws if the plan exceeds the spectrum.
 [[nodiscard]] ChannelPlan standard_plan(const Spectrum& spectrum, int plan_index);

@@ -4,17 +4,22 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "phy/capture.hpp"
 #include "phy/overlap.hpp"
 #include "phy/sensitivity.hpp"
-#include "radio/detector.hpp"
 
 namespace alphawan {
 namespace {
 
 double dbm_to_lin(Dbm p) { return std::pow(10.0, p.value() / 10.0); }
 Dbm lin_to_dbm(double lin) { return Dbm{10.0 * std::log10(lin)}; }
+
+// SNR of a received packet given its in-band power.
+Db packet_snr(Dbm rx_power, Hz bandwidth) {
+  return rx_power - noise_floor_dbm(bandwidth);
+}
 
 // The per-packet noise-floor conversion is a pow() on a three-valued input;
 // memoize the three LoRa bandwidths (anything else still reaches
@@ -39,10 +44,11 @@ std::int64_t bucket_of(Hz center) {
 
 GatewayRadio::GatewayRadio(GatewayProfile profile, NetworkId network,
                            std::uint16_t sync_word)
-    : profile_(profile),
-      network_(network),
-      sync_word_(sync_word),
-      pool_(static_cast<std::size_t>(profile.decoders)) {}
+    : profile_(profile), network_(network), sync_word_(sync_word) {
+  if (profile_.decoders < 1) {
+    throw std::invalid_argument("GatewayRadio: decoders must be >= 1");
+  }
+}
 
 void GatewayRadio::configure_channels(std::vector<Channel> channels) {
   if (channels.empty()) {
@@ -52,16 +58,11 @@ void GatewayRadio::configure_channels(std::vector<Channel> channels) {
     throw std::invalid_argument(
         "GatewayRadio: more channels than Rx chains (P_j violated)");
   }
-  auto [lo, hi] = std::minmax_element(
-      channels.begin(), channels.end(),
-      [](const Channel& a, const Channel& b) { return a.center < b.center; });
-  if (hi->high() - lo->low() > profile_.rx_spectrum + Hz{1.0}) {
+  if (channel_span(channels) > profile_.rx_spectrum + Hz{1.0}) {
     throw std::invalid_argument(
         "GatewayRadio: channel span exceeds radio bandwidth (B_j violated)");
   }
-  chains_.clear();
-  chains_.reserve(channels.size());
-  for (const auto& ch : channels) chains_.push_back(RxChain{ch});
+  channels_ = std::move(channels);
   scratch_.chain_memo.clear();
 }
 
@@ -76,29 +77,56 @@ int GatewayRadio::chain_for(const Channel& packet_channel) {
       return memo.chain;
     }
   }
-  const auto chain = best_chain(chains_, packet_channel);
-  const int index = chain ? static_cast<int>(*chain) : -1;
+  int index = -1;
+  double best = 0.0;
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const double rho = overlap_ratio(packet_channel, channels_[c]);
+    if (rho >= kDetectOverlapThreshold && rho > best) {
+      best = rho;
+      index = static_cast<int>(c);
+    }
+  }
   scratch_.chain_memo.push_back(RxScratch::ChainMemo{
       packet_channel.center, packet_channel.bandwidth, index});
   return index;
 }
 
-// Phase 2: FCFS dispatch into the decoder pool.
+// Phase 2: FCFS dispatch (paper Appendix C). In (lock_on, packet id)
+// order, each detected packet claims one of the profile's decoders at its
+// lock-on instant and holds it to its end; a decoder frees at the instant
+// its packet ends. With every decoder held the packet is dropped at once
+// (the radio cannot re-synchronize mid-packet), flagged as inter-network
+// contention when any holder belongs to another network.
 void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
                                   bool already_sorted) {
   auto& sc = scratch_;
-  if (!already_sorted) sort_fcfs(sc.queue);
+  if (!already_sorted) {
+    std::sort(sc.queue.begin(), sc.queue.end(),
+              [](const RxScratch::Queued& a, const RxScratch::Queued& b) {
+                if (a.lock_on != b.lock_on) return a.lock_on < b.lock_on;
+                return a.packet < b.packet;
+              });
+  }
+  const auto decoders = static_cast<std::size_t>(profile_.decoders);
+  sc.held.clear();
   sc.decoding.clear();
   sc.decoding.reserve(sc.queue.size());
   for (const auto& entry : sc.queue) {
-    const DispatchResult result = dispatch(pool_, entry);
-    auto& out = outcomes[entry.event_index];
-    if (!result.acquired) {
+    std::erase_if(sc.held, [&](const RxScratch::Holder& h) {
+      return h.end <= entry.lock_on;
+    });
+    if (sc.held.size() >= decoders) {
+      auto& out = outcomes[entry.event];
       out.disposition = RxDisposition::kDroppedDecoderBusy;
-      out.foreign_among_occupants = result.foreign_among_occupants;
+      out.foreign_among_occupants =
+          std::any_of(sc.held.begin(), sc.held.end(),
+                      [&](const RxScratch::Holder& h) {
+                        return h.network != entry.network;
+                      });
       continue;
     }
-    sc.decoding.push_back(entry.event_index);
+    sc.held.push_back(RxScratch::Holder{entry.end, entry.network});
+    sc.decoding.push_back(entry.event);
   }
 }
 
@@ -243,7 +271,7 @@ void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
   sc.pos_sf.resize(count);
   sc.sf_groups.clear();
   sc.bucket_cursor.assign(sc.buckets.size(), 0);
-  const std::size_t n_chains = chains_.size();
+  const std::size_t n_chains = channels_.size();
   sc.bucket_chain.resize(sc.buckets.size() * n_chains);
   for (std::size_t bpos = 0; bpos < sc.buckets.size(); ++bpos) {
     auto& b = sc.buckets[bpos];
@@ -252,10 +280,10 @@ void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
     if (!b.uniform) continue;  // mixed buckets take the reference kernel
     for (std::size_t c = 0; c < n_chains; ++c) {
       auto& memo = sc.bucket_chain[bpos * n_chains + c];
-      memo.rho = overlap_ratio(b.channel, chains_[c].channel);
+      memo.rho = overlap_ratio(b.channel, channels_[c]);
       memo.coupling =
           (memo.rho > 0.0 && memo.rho < kDetectOverlapThreshold)
-              ? coupling_db(b.channel, chains_[c].channel)
+              ? coupling_db(b.channel, channels_[c])
               : Db{-400.0};
     }
     std::uint32_t counts[6] = {0, 0, 0, 0, 0, 0};
@@ -362,7 +390,6 @@ void GatewayRadio::process_into(const RxEventView& view,
                                 std::vector<RxOutcome>& outcomes) {
   const WindowTxTable& tbl = *view.table;
   outcomes.assign(view.count, RxOutcome{});
-  pool_.reset();
   auto& sc = scratch_;
 
   // Phase 1: front-end + detection per event, reading the window's shared
@@ -370,8 +397,9 @@ void GatewayRadio::process_into(const RxEventView& view,
   // on: the airtime-derived end instant (memoized in the table) and
   // the linear rx power (a pow), each otherwise paid once per *candidate
   // pair* in the interferer scan. As the dispatch queue fills, a running
-  // strict-order check records whether sort_fcfs can be skipped (ascending
-  // tx order usually already is lock-on ordered within a chain mix).
+  // strict-order check records whether the dispatch sort can be skipped
+  // (ascending tx order usually already is lock-on ordered within a chain
+  // mix).
   sc.queue.clear();
   sc.queue.reserve(view.count);
   sc.chain_of.assign(view.count, -1);
@@ -416,8 +444,8 @@ void GatewayRadio::process_into(const RxEventView& view,
           (prev.lock_on == tbl.lock_on[t] && prev.packet < tbl.packet[t]);
       if (!strictly_before) queue_sorted = false;
     }
-    sc.queue.push_back(DispatchEntry{k, tbl.lock_on[t], sc.end_of[k],
-                                     tbl.net[t], tbl.packet[t]});
+    sc.queue.push_back(RxScratch::Queued{k, tbl.lock_on[t], sc.end_of[k],
+                                         tbl.net[t], tbl.packet[t]});
   }
 
   // Phase 2: FCFS dispatch (sort skipped when provably the identity).
@@ -439,7 +467,7 @@ void GatewayRadio::process_into(const RxEventView& view,
                       sc.power_of.data(),  sc.sf_of.data(),
                       sc.net_of.data()};
   const std::uint32_t* order = sc.order.data();
-  const std::size_t n_chains = chains_.size();
+  const std::size_t n_chains = channels_.size();
   // Visit decoded events in ascending start order (ties by event index):
   // outcomes are per-event independent, so any visit order gives identical
   // results, and a monotone order lets the kernels' window-start cursors
@@ -455,7 +483,7 @@ void GatewayRadio::process_into(const RxEventView& view,
   for (const std::size_t i : sc.decoding) {
     auto& out = outcomes[i];
     const auto chain = static_cast<std::size_t>(sc.chain_of[i]);
-    const Channel& rx_ch = chains_[chain].channel;
+    const Channel& rx_ch = channels_[chain];
 
     const double noise_lin = noise_floor_lin(sc.channel_of[i].bandwidth);
     ScanAccum acc;

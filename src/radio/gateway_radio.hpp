@@ -14,10 +14,7 @@
 #include "phy/batch_kernels.hpp"
 #include "phy/overlap.hpp"
 #include "radio/capture_policy.hpp"
-#include "radio/decoder_pool.hpp"
-#include "radio/dispatcher.hpp"
 #include "radio/profiles.hpp"
-#include "radio/rx_chain.hpp"
 #include "radio/rx_batch.hpp"
 #include "radio/transmission.hpp"
 
@@ -25,6 +22,7 @@ namespace alphawan {
 
 class GatewayRadio {
  public:
+  // Throws std::invalid_argument if the profile has fewer than one decoder.
   GatewayRadio(GatewayProfile profile, NetworkId network,
                std::uint16_t sync_word);
 
@@ -34,7 +32,10 @@ class GatewayRadio {
   void configure_channels(std::vector<Channel> channels);
 
   [[nodiscard]] const GatewayProfile& profile() const { return profile_; }
-  [[nodiscard]] const std::vector<RxChain>& chains() const { return chains_; }
+  // The operating channels, one per Rx chain (chain i takes channel i).
+  [[nodiscard]] const std::vector<Channel>& channels() const {
+    return channels_;
+  }
   [[nodiscard]] NetworkId network() const { return network_; }
   [[nodiscard]] std::uint16_t sync_word() const { return sync_word_; }
 
@@ -43,9 +44,6 @@ class GatewayRadio {
   // — see capture_policy.hpp. The policy is not owned; the caller keeps it
   // alive across windows.
   void set_capture_policy(const CapturePolicy* policy);
-  [[nodiscard]] const CapturePolicy* capture_policy() const {
-    return capture_policy_;
-  }
 
   // Process one window of transmissions observed at this gateway: the
   // view's events, read off the window's shared WindowTxTable columns
@@ -67,7 +65,21 @@ class GatewayRadio {
   // no per-window heap allocation inside process_into(). The flat sorted
   // bucket index replaces the per-window std::map frequency buckets.
   struct RxScratch {
-    std::vector<DispatchEntry> queue;
+    // A detected packet awaiting FCFS dispatch (`event` indexes the view).
+    struct Queued {
+      std::size_t event = 0;
+      Seconds lock_on{0.0};
+      Seconds end{0.0};
+      NetworkId network = 0;
+      PacketId packet = 0;
+    };
+    // A decoder held until `end` by a packet of `network`.
+    struct Holder {
+      Seconds end{0.0};
+      NetworkId network = 0;
+    };
+    std::vector<Queued> queue;
+    std::vector<Holder> held;
     std::vector<int> chain_of;          // event -> rx chain (-1 = rejected)
     std::vector<Seconds> end_of;        // cached tx.end() per event
     std::vector<double> lin_power;      // cached dBm->linear rx power
@@ -107,7 +119,7 @@ class GatewayRadio {
       Hz bandwidth{};
       int chain = -1;
     };
-    // best_chain result per distinct packet channel; valid until the
+    // chain_for result per distinct packet channel; valid until the
     // channel set changes (cleared by configure_channels).
     std::vector<ChainMemo> chain_memo;
     // One collision drop's co-channel time-overlappers, gathered for the
@@ -133,14 +145,15 @@ class GatewayRadio {
     std::vector<BucketChainMemo> bucket_chain;  // bucket * n_chains + chain
   };
 
-  // Memoized best_chain: the chain index for a packet channel, or -1 when
-  // every chain's filter truncates it.
+  // The chain whose filter best overlaps a packet channel (ties go to the
+  // lower index), or -1 when every chain's filter truncates it (front-end
+  // rejection, the Strategy-8 isolation path). Memoized per channel.
   [[nodiscard]] int chain_for(const Channel& packet_channel);
 
-  // Phase 2: FCFS dispatch of the filled queue into the decoder pool.
-  // `already_sorted` skips sort_fcfs when the caller proved the queue
-  // strictly ascending by (lock_on, packet) — any comparison sort is the
-  // identity there, so skipping cannot change the dispatch order.
+  // Phase 2: FCFS dispatch of the filled queue into the profile's
+  // decoders. `already_sorted` skips the (lock_on, packet) sort when the
+  // caller proved the queue strictly ascending — any comparison sort is
+  // the identity there, so skipping cannot change the dispatch order.
   void dispatch_queue(std::vector<RxOutcome>& outcomes, bool already_sorted);
   // Phase 3a: coarse frequency bucketing + per-bucket start-time sort over
   // the phase-1 scratch columns.
@@ -155,8 +168,7 @@ class GatewayRadio {
   GatewayProfile profile_;
   NetworkId network_;
   std::uint16_t sync_word_;
-  std::vector<RxChain> chains_;
-  DecoderPool pool_;
+  std::vector<Channel> channels_;
   const CapturePolicy* capture_policy_ = nullptr;
   RxScratch scratch_;
 };

@@ -1,3 +1,4 @@
+#include "baselines/alphawan_policy.hpp"
 #include "baselines/cic.hpp"
 #include "baselines/curvinglora.hpp"
 #include "baselines/lmac.hpp"
@@ -551,6 +552,45 @@ TEST(SlottedAloha, RejectsNegativeMaxOffset) {
   SlottedAlohaOptions options;
   options.max_offset = Seconds{-1e-3};
   expect_rejected([&] { SlottedAlohaPolicy{options}; }, "max_offset");
+}
+
+TEST(StandardLorawan, RejectsNonPositiveOrNonFiniteAdrStep) {
+  // 0 made standard_adr cast an infinite step count to int.
+  for (const double value : {0.0, -3.0, kNan, kInf}) {
+    StandardLorawanOptions options;
+    options.adr.step_db = Db{value};
+    expect_rejected([&] { StandardLorawanPolicy{options}; }, "step_db");
+  }
+}
+
+TEST(StandardLorawan, RejectsMinTxPowerAboveMax) {
+  StandardLorawanOptions options;
+  options.adr.min_tx_power = Dbm{16.0};
+  options.adr.max_tx_power = Dbm{14.0};
+  expect_rejected([&] { StandardLorawanPolicy{options}; }, "min_tx_power");
+}
+
+TEST(StandardLorawan, RejectsNonFiniteInstallationMargin) {
+  for (const double value : {kNan, kInf, -kInf}) {
+    StandardLorawanOptions options;
+    options.adr.installation_margin = Db{value};
+    expect_rejected([&] { StandardLorawanPolicy{options}; },
+                    "installation_margin");
+  }
+}
+
+TEST(AlphaWanScheme, RejectsNegativeOrNonFiniteDemandPerNode) {
+  for (const double value : {-0.001, kNan, kInf}) {
+    AlphaWanBaselineOptions options;
+    options.demand_per_node = value;
+    expect_rejected([&] { AlphaWanPolicy{options}; }, "demand_per_node");
+  }
+}
+
+TEST(AlphaWanScheme, RejectsBadGaConfigAtConstruction) {
+  AlphaWanBaselineOptions options;
+  options.controller.planner.ga.population = 0;
+  expect_rejected([&] { AlphaWanPolicy{options}; }, "population");
 }
 
 }  // namespace

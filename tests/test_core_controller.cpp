@@ -92,31 +92,6 @@ TEST(Controller, RebootOnlyWhenGatewaysChange) {
   EXPECT_DOUBLE_EQ(second.gateway_reboot.value(), 0.0);
 }
 
-TEST(Controller, AcceptPlanGuardsAgainstStaleEpochs) {
-  ControllerFixture f;
-  AlphaWanController controller(f.fast_config(false), f.latency);
-  PlanAssignMsg fresh;
-  fresh.operator_id = 1;
-  fresh.master_epoch = 5;
-  EXPECT_TRUE(controller.accept_plan(1, fresh));
-  EXPECT_EQ(controller.plan_epoch(1), 5u);
-
-  PlanAssignMsg stale = fresh;
-  stale.master_epoch = 3;
-  EXPECT_FALSE(controller.accept_plan(1, stale));
-  EXPECT_EQ(controller.plan_epoch(1), 5u);  // last-known-good kept
-  EXPECT_EQ(controller.stale_plans_ignored(), 1u);
-
-  // Same epoch (a duplicate) and newer epochs are accepted.
-  EXPECT_TRUE(controller.accept_plan(1, fresh));
-  PlanAssignMsg newer = fresh;
-  newer.master_epoch = 9;
-  EXPECT_TRUE(controller.accept_plan(1, newer));
-  EXPECT_EQ(controller.plan_epoch(1), 9u);
-  // Epochs are tracked per operator.
-  EXPECT_EQ(controller.plan_epoch(2), 0u);
-}
-
 TEST(Controller, UpgradeStampsMasterEpoch) {
   ControllerFixture f;
   AlphaWanController controller(f.fast_config(true), f.latency);
@@ -127,7 +102,7 @@ TEST(Controller, UpgradeStampsMasterEpoch) {
       controller.upgrade(*f.network, f.deployment.spectrum(), links,
                          uniform_traffic(*f.network), &master);
   EXPECT_EQ(report.master_epoch, master.current_epoch());
-  EXPECT_EQ(controller.plan_epoch(f.network->id()), master.current_epoch());
+  EXPECT_EQ(f.network->server().plan_epoch(), master.current_epoch());
 }
 
 TEST(Controller, RebootDominatesLatency) {

@@ -69,5 +69,13 @@ TEST(ChannelPlanConfig, HomogeneousStandardSinglePlan) {
   EXPECT_EQ(config.gateways.at(1).channels.size(), 8u);
 }
 
+TEST(ChannelPlanConfig, ValidForProfileMeasuresMixedBandwidthEdges) {
+  // True span 901.85-903.4625 MHz = 1.6125 MHz: over the 1.6 MHz B_j.
+  const GatewayChannelConfig mixed{{Channel{Hz{902.0e6}, kLoRaBandwidth125k},
+                                    Channel{Hz{902.1e6}, kLoRaBandwidth500k},
+                                    Channel{Hz{903.4e6}, kLoRaBandwidth125k}}};
+  EXPECT_FALSE(valid_for_profile(mixed, profile_rak7268cv2()));
+}
+
 }  // namespace
 }  // namespace alphawan

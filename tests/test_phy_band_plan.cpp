@@ -83,5 +83,15 @@ TEST(BandPlan, PlanSpanCoversOuterEdges) {
   EXPECT_DOUBLE_EQ(plan.span().value(), 0.4e6 + 125e3);
 }
 
+TEST(BandPlan, PlanSpanCoversMixedBandwidthEdges) {
+  // The 500 kHz channel's low edge (901.85 MHz) lies below the
+  // lowest-centre channel's (901.9375 MHz).
+  ChannelPlan plan;
+  plan.channels = {Channel{Hz{902.0e6}, kLoRaBandwidth125k},
+                   Channel{Hz{902.1e6}, kLoRaBandwidth500k},
+                   Channel{Hz{903.4e6}, kLoRaBandwidth125k}};
+  EXPECT_DOUBLE_EQ(plan.span().value(), 1.6125e6);
+}
+
 }  // namespace
 }  // namespace alphawan

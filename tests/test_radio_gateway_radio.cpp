@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include "phy/band_plan.hpp"
 #include "phy/capture.hpp"
 #include "phy/overlap.hpp"
+#include "phy/sensitivity.hpp"
 #include "net/sync_word.hpp"
 #include "common/rng.hpp"
 
@@ -459,6 +463,438 @@ TEST(GatewayRadio, DecoderFreedAfterPacketEnd) {
   }
   const auto outcomes = radio.process(events);
   EXPECT_EQ(count(outcomes, RxDisposition::kDelivered), 40u);
+}
+
+TEST(GatewayRadio, ConfigRejectsMixedBandwidthOverspan) {
+  // The 500 kHz channel's low edge lies below the lowest-centre channel's:
+  // the true span is 903.4625 - 901.85 = 1.6125 MHz > B_j = 1.6 MHz.
+  GatewayRadio radio(profile_rak7268cv2(), 0, kPublicSyncWord);
+  EXPECT_THROW(radio.configure_channels(
+                   {Channel{Hz{902.0e6}, kLoRaBandwidth125k},
+                    Channel{Hz{902.1e6}, kLoRaBandwidth500k},
+                    Channel{Hz{903.4e6}, kLoRaBandwidth125k}}),
+               std::invalid_argument);
+}
+
+// ---- Pipeline stages, driven through the radio -----------------------
+// Each suite below is named after the receive stage it checks: the
+// decoder pool (C_j decoders, claimed at lock-on and held to the packet's
+// end), the preamble detector, FCFS dispatch and the Rx chains.
+
+GatewayRadio radio_on(std::vector<Channel> channels, int decoders = 16) {
+  GatewayProfile profile = default_profile();
+  profile.decoders = decoders;
+  GatewayRadio radio(profile, 0, sync_word_for_network(0));
+  radio.configure_channels(std::move(channels));
+  return radio;
+}
+
+GatewayRadio radio_with_decoders(int decoders) {
+  std::vector<Channel> channels;
+  for (int i = 0; i < 8; ++i) channels.push_back(kSpec.grid_channel(i));
+  return radio_on(channels, decoders);
+}
+
+// Packet `id` on grid channel id % 8 whose preamble ends at `lock_on`.
+RxEvent locking_on_at(PacketId id, Seconds lock_on,
+                      SpreadingFactor sf = SpreadingFactor::kSF12,
+                      NetworkId network = 0) {
+  Transmission tx = make_tx(id, static_cast<int>(id % 8), sf, Seconds{0.0},
+                            network);
+  tx.start = lock_on - preamble_duration(tx.params);
+  return RxEvent{tx, Dbm{-80.0}};
+}
+
+// Moves `later`'s start so that its lock-on instant equals `end` exactly.
+void lock_on_exactly_at(Transmission& later, Seconds end) {
+  const Seconds preamble = preamble_duration(later.params);
+  double start = (end - preamble).value();
+  for (int step = 0; step < 64 && Seconds{start} + preamble != end; ++step) {
+    start = std::nextafter(start, Seconds{start} + preamble < end
+                                      ? std::numeric_limits<double>::max()
+                                      : -std::numeric_limits<double>::max());
+  }
+  later.start = Seconds{start};
+}
+
+bool claimed(const RxOutcome& out) {
+  return consumed_decoder(out.disposition);
+}
+
+bool refused(const RxOutcome& out) {
+  return out.disposition == RxDisposition::kDroppedDecoderBusy;
+}
+
+std::size_t claimed_count(const std::vector<RxOutcome>& outcomes) {
+  return static_cast<std::size_t>(
+      std::count_if(outcomes.begin(), outcomes.end(), claimed));
+}
+
+TEST(DecoderPool, ZeroCapacityThrows) {
+  for (const int decoders : {0, -1}) {
+    GatewayProfile profile = default_profile();
+    profile.decoders = decoders;
+    EXPECT_THROW(GatewayRadio(profile, 0, kPublicSyncWord),
+                 std::invalid_argument)
+        << decoders << " decoders";
+  }
+}
+
+TEST(DecoderPool, AcquireUpToCapacity) {
+  auto radio = radio_with_decoders(3);
+  std::vector<RxEvent> events;
+  for (PacketId id = 1; id <= 4; ++id) {
+    events.push_back(locking_on_at(id, Seconds{0.001 * id}));
+  }
+  const auto outcomes = radio.process(events);
+  EXPECT_EQ(claimed_count(outcomes), 3u);
+  EXPECT_TRUE(refused(outcomes[3]));
+}
+
+TEST(DecoderPool, ReleaseFreesSlots) {
+  // A holder whose end equals a later packet's lock-on frees its decoder
+  // for that packet; a packet locking on before that end is refused.
+  auto radio = radio_with_decoders(2);
+  RxEvent short_one = locking_on_at(1, Seconds{0.0}, SpreadingFactor::kSF7);
+  RxEvent long_one = locking_on_at(2, Seconds{0.001});
+  RxEvent early = locking_on_at(3, short_one.tx.end() - Seconds{0.005},
+                                SpreadingFactor::kSF7);
+  RxEvent on_the_edge = locking_on_at(4, Seconds{0.0}, SpreadingFactor::kSF7);
+  lock_on_exactly_at(on_the_edge.tx, short_one.tx.end());
+  ASSERT_EQ(on_the_edge.tx.lock_on(), short_one.tx.end());
+  ASSERT_LT(short_one.tx.end(), long_one.tx.end());
+  const auto outcomes =
+      radio.process({short_one, long_one, early, on_the_edge});
+  EXPECT_TRUE(claimed(outcomes[0]));
+  EXPECT_TRUE(claimed(outcomes[1]));
+  EXPECT_TRUE(refused(outcomes[2]));
+  EXPECT_TRUE(claimed(outcomes[3]));
+}
+
+TEST(DecoderPool, BusyNeverExceedsCapacity) {
+  // 100 SF9 packets locking on 5 ms apart: about 19 would be on the air
+  // at once, so the 16-decoder pool must refuse some and never hold more.
+  auto radio = radio_with_decoders(16);
+  std::vector<RxEvent> events;
+  for (PacketId id = 1; id <= 100; ++id) {
+    events.push_back(
+        locking_on_at(id, Seconds{0.005 * id}, SpreadingFactor::kSF9));
+  }
+  const auto outcomes = radio.process(events);
+  EXPECT_GT(count(outcomes, RxDisposition::kDroppedDecoderBusy), 0u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!claimed(outcomes[i])) continue;
+    const Seconds now = events[i].tx.lock_on();
+    std::size_t held = 0;
+    for (std::size_t j = 0; j < events.size(); ++j) {
+      if (claimed(outcomes[j]) && events[j].tx.lock_on() <= now &&
+          now < events[j].tx.end()) {
+        ++held;
+      }
+    }
+    ASSERT_LE(held, 16u) << "at packet " << i + 1;
+  }
+}
+
+TEST(DecoderPool, ForeignOccupantDetection) {
+  // Two holders, one per network: a refusal is inter-network contention
+  // for a packet of either network.
+  for (const NetworkId late_network : {NetworkId{0}, NetworkId{1}}) {
+    auto radio = radio_with_decoders(2);
+    const auto outcomes = radio.process(
+        {locking_on_at(1, Seconds{0.0}, SpreadingFactor::kSF12, 0),
+         locking_on_at(2, Seconds{0.001}, SpreadingFactor::kSF12, 1),
+         locking_on_at(3, Seconds{0.002}, SpreadingFactor::kSF12,
+                       late_network)});
+    ASSERT_TRUE(refused(outcomes[2]));
+    EXPECT_TRUE(outcomes[2].foreign_among_occupants) << late_network;
+  }
+  // Own-network holders only: foreign to a packet of the other network.
+  auto radio = radio_with_decoders(2);
+  const auto outcomes = radio.process(
+      {locking_on_at(1, Seconds{0.0}), locking_on_at(2, Seconds{0.001}),
+       locking_on_at(3, Seconds{0.002}, SpreadingFactor::kSF12, 1)});
+  ASSERT_TRUE(refused(outcomes[2]));
+  EXPECT_TRUE(outcomes[2].foreign_among_occupants);
+}
+
+TEST(DecoderPool, OccupantsListed) {
+  // Packets below capacity all hold a decoder, none is refused.
+  auto radio = radio_with_decoders(4);
+  const auto outcomes = radio.process(
+      {locking_on_at(11, Seconds{0.0}), locking_on_at(22, Seconds{0.001})});
+  EXPECT_EQ(claimed_count(outcomes), 2u);
+  EXPECT_EQ(count(outcomes, RxDisposition::kDroppedDecoderBusy), 0u);
+}
+
+TEST(DecoderPool, ResetClears) {
+  // Back-to-back process() calls each start with the full pool: the
+  // second window's packet locks on while the first's would still hold
+  // the only decoder.
+  auto radio = radio_with_decoders(1);
+  const auto first = radio.process({locking_on_at(1, Seconds{0.0})});
+  ASSERT_TRUE(claimed(first[0]));
+  const auto second = radio.process({locking_on_at(2, Seconds{0.001})});
+  EXPECT_TRUE(claimed(second[0]));
+}
+
+TEST(DecoderPool, InterleavedReleaseOrder) {
+  // The later-claimed, shorter packet releases first.
+  auto radio = radio_with_decoders(2);
+  const RxEvent long_one = locking_on_at(1, Seconds{0.0});
+  const RxEvent short_one =
+      locking_on_at(2, Seconds{0.1}, SpreadingFactor::kSF7);
+  const Seconds short_end = short_one.tx.end();
+  const RxEvent refused_early =
+      locking_on_at(3, short_end - Seconds{0.001}, SpreadingFactor::kSF7);
+  const RxEvent takes_slot =
+      locking_on_at(4, short_end + Seconds{0.001}, SpreadingFactor::kSF7);
+  const RxEvent refused_late =
+      locking_on_at(5, short_end + Seconds{0.002}, SpreadingFactor::kSF7);
+  ASSERT_LT(refused_late.tx.lock_on(), long_one.tx.end());
+  const auto outcomes = radio.process(
+      {long_one, short_one, refused_early, takes_slot, refused_late});
+  EXPECT_TRUE(claimed(outcomes[0]));
+  EXPECT_TRUE(claimed(outcomes[1]));
+  EXPECT_TRUE(refused(outcomes[2]));
+  EXPECT_TRUE(claimed(outcomes[3]));
+  EXPECT_TRUE(refused(outcomes[4]));
+}
+
+class PoolCapacitySweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolCapacitySweep, ExactlyCapacityConcurrent) {
+  // capacity + 10 overlapping packets, then as many again after all of
+  // them ended: exactly `capacity` claim a decoder each time.
+  const int capacity = GetParam();
+  auto radio = radio_with_decoders(capacity);
+  std::vector<RxEvent> events;
+  const auto burst = static_cast<PacketId>(capacity + 10);
+  for (PacketId id = 1; id <= burst; ++id) {
+    events.push_back(locking_on_at(id, Seconds{0.001 * id}));
+  }
+  for (PacketId id = 1; id <= burst; ++id) {
+    events.push_back(locking_on_at(burst + id, Seconds{10.0 + 0.001 * id}));
+  }
+  const auto outcomes = radio.process(events);
+  const auto half = outcomes.begin() + static_cast<std::ptrdiff_t>(burst);
+  EXPECT_EQ(std::count_if(outcomes.begin(), half, claimed), capacity);
+  EXPECT_EQ(std::count_if(half, outcomes.end(), claimed), capacity);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, PoolCapacitySweep,
+                         ::testing::Values(1, 2, 8, 16, 32, 64));
+
+// One packet of spreading factor `sf` received at `snr` above the noise
+// floor on a single-channel radio.
+RxOutcome receive_at_snr(SpreadingFactor sf, Db snr) {
+  auto radio = radio_on({kSpec.grid_channel(0)});
+  const Transmission tx = make_tx(1, 0, sf, Seconds{2.5});
+  const Dbm power = noise_floor_dbm(tx.channel.bandwidth) + snr;
+  return radio.process({RxEvent{tx, power}})[0];
+}
+
+TEST(Detector, LocksOnAboveThreshold) {
+  const Db threshold =
+      demod_snr_threshold(SpreadingFactor::kSF9) + kDetectionMargin;
+  const RxOutcome out =
+      receive_at_snr(SpreadingFactor::kSF9, threshold + Db{0.1});
+  EXPECT_EQ(out.disposition, RxDisposition::kDelivered);
+  EXPECT_NEAR(out.snr.value(), (threshold + Db{0.1}).value(), 1e-9);
+}
+
+TEST(Detector, RejectsBelowThreshold) {
+  const Db threshold =
+      demod_snr_threshold(SpreadingFactor::kSF9) + kDetectionMargin;
+  const RxOutcome out =
+      receive_at_snr(SpreadingFactor::kSF9, threshold - Db{0.1});
+  EXPECT_EQ(out.disposition, RxDisposition::kNotDetected);
+  EXPECT_EQ(out.chain_channel, 0);
+}
+
+TEST(Detector, ThresholdAtExactBoundaryLocks) {
+  // Received power whose SNR is exactly the detection threshold: it is
+  // detected, and its SNR is the power above the bandwidth's noise floor.
+  auto radio = radio_on({kSpec.grid_channel(0)});
+  const SpreadingFactor sf = SpreadingFactor::kSF12;
+  const Transmission tx = make_tx(1, 0, sf, Seconds{0.0});
+  const Dbm floor = noise_floor_dbm(tx.channel.bandwidth);
+  const Db threshold = demod_snr_threshold(sf) + kDetectionMargin;
+  const Dbm power = floor + threshold;
+  ASSERT_EQ(power - floor, threshold);
+  const RxOutcome out = radio.process({RxEvent{tx, power}})[0];
+  EXPECT_NE(out.disposition, RxDisposition::kNotDetected);
+  EXPECT_EQ(out.snr, power - floor);
+}
+
+TEST(Detector, SlowerSpreadingFactorsLockDeeperInNoise) {
+  // SF12 demodulates far below SF7's floor — the range/rate trade-off.
+  EXPECT_LT(demod_snr_threshold(SpreadingFactor::kSF12),
+            demod_snr_threshold(SpreadingFactor::kSF7));
+  const Db deep = demod_snr_threshold(SpreadingFactor::kSF12) + Db{0.5};
+  EXPECT_NE(receive_at_snr(SpreadingFactor::kSF12, deep).disposition,
+            RxDisposition::kNotDetected);
+  EXPECT_EQ(receive_at_snr(SpreadingFactor::kSF7, deep).disposition,
+            RxDisposition::kNotDetected);
+}
+
+TEST(Detector, LockOnIsPreambleEndNotPacketStart) {
+  // One decoder: an SF9 packet starts first, but an SF7 packet starting
+  // later ends its short preamble first and takes the decoder.
+  auto radio = radio_with_decoders(1);
+  const RxEvent first_start = locking_on_at(1, Seconds{0.1},
+                                            SpreadingFactor::kSF9);
+  const RxEvent first_lock_on = locking_on_at(
+      2, first_start.tx.lock_on() - Seconds{0.001}, SpreadingFactor::kSF7);
+  ASSERT_LT(first_start.tx.start, first_lock_on.tx.start);
+  ASSERT_LT(first_start.tx.lock_on(), first_lock_on.tx.end());
+  const auto outcomes = radio.process({first_start, first_lock_on});
+  EXPECT_TRUE(refused(outcomes[0]));
+  EXPECT_TRUE(claimed(outcomes[1]));
+}
+
+TEST(Detector, HigherSfLocksLater) {
+  // Same start: a longer preamble (higher SF) commits the decoder later.
+  const Transmission fast = make_tx(1, 0, SpreadingFactor::kSF7, Seconds{2.5});
+  const Transmission slow = make_tx(2, 0, SpreadingFactor::kSF12, Seconds{2.5});
+  EXPECT_LT(fast.lock_on(), slow.lock_on());
+}
+
+TEST(Detector, PacketSnrIsRelativeToNoiseFloor) {
+  for (const Hz bandwidth : {kLoRaBandwidth125k, kLoRaBandwidth500k}) {
+    auto radio = radio_on({Channel{kSpec.grid_center(3), bandwidth}});
+    Transmission tx = make_tx(1, 3, SpreadingFactor::kSF9, Seconds{0.0});
+    tx.channel.bandwidth = bandwidth;
+    const Dbm power = noise_floor_dbm(bandwidth) + Db{12.5};
+    const RxOutcome out = radio.process({RxEvent{tx, power}})[0];
+    EXPECT_EQ(out.snr, power - noise_floor_dbm(bandwidth));
+    EXPECT_NEAR(out.snr.value(), 12.5, 1e-9);
+  }
+}
+
+TEST(Dispatcher, SortsByLockOn) {
+  // Events arrive out of lock-on order; the two earliest lock-ons take
+  // the two decoders.
+  auto radio = radio_with_decoders(2);
+  const auto outcomes = radio.process({locking_on_at(10, Seconds{0.003}),
+                                       locking_on_at(11, Seconds{0.001}),
+                                       locking_on_at(12, Seconds{0.002})});
+  EXPECT_TRUE(refused(outcomes[0]));
+  EXPECT_TRUE(claimed(outcomes[1]));
+  EXPECT_TRUE(claimed(outcomes[2]));
+}
+
+TEST(Dispatcher, TiesBrokenByPacketId) {
+  // Equal lock-on instants dispatch by packet id: the lower id takes the
+  // last free decoder, whatever the event order.
+  auto radio = radio_with_decoders(2);
+  const RxEvent holder = locking_on_at(3, Seconds{0.0});
+  const RxEvent high = locking_on_at(20, Seconds{0.001});
+  RxEvent low = locking_on_at(7, Seconds{0.0});
+  low.tx.start = high.tx.start;
+  ASSERT_EQ(low.tx.lock_on(), high.tx.lock_on());
+  const auto outcomes = radio.process({holder, high, low});
+  EXPECT_TRUE(claimed(outcomes[0]));
+  EXPECT_TRUE(refused(outcomes[1]));
+  EXPECT_TRUE(claimed(outcomes[2]));
+}
+
+TEST(Dispatcher, DispatchAcquires) {
+  auto radio = radio_with_decoders(1);
+  const auto outcomes = radio.process({locking_on_at(1, Seconds{0.0})});
+  EXPECT_EQ(outcomes[0].disposition, RxDisposition::kDelivered);
+}
+
+TEST(Dispatcher, DispatchRefusalReportsForeignMix) {
+  auto radio = radio_with_decoders(1);
+  const auto outcomes = radio.process(
+      {locking_on_at(1, Seconds{0.0}, SpreadingFactor::kSF12, /*network=*/1),
+       locking_on_at(2, Seconds{0.1})});
+  ASSERT_TRUE(refused(outcomes[1]));
+  EXPECT_TRUE(outcomes[1].foreign_among_occupants);
+}
+
+TEST(Dispatcher, DispatchRefusalIntraOnly) {
+  // Only own-network holders: the refusal is intra-network contention.
+  auto radio = radio_with_decoders(1);
+  const auto outcomes = radio.process(
+      {locking_on_at(1, Seconds{0.0}), locking_on_at(2, Seconds{0.1})});
+  ASSERT_TRUE(refused(outcomes[1]));
+  EXPECT_FALSE(outcomes[1].foreign_among_occupants);
+}
+
+TEST(Dispatcher, ReleasesBeforeDispatch) {
+  auto radio = radio_with_decoders(1);
+  const RxEvent first = locking_on_at(1, Seconds{0.0}, SpreadingFactor::kSF7);
+  const RxEvent later = locking_on_at(2, first.tx.end() + Seconds{0.001},
+                                      SpreadingFactor::kSF7);
+  const auto outcomes = radio.process({first, later});
+  EXPECT_TRUE(claimed(outcomes[0]));
+  EXPECT_TRUE(claimed(outcomes[1]));
+}
+
+Channel ch(Hz center) { return Channel{center, kLoRaBandwidth125k}; }
+
+// The outcome of one strong packet on `channel` at a radio tuned to
+// `chains`.
+RxOutcome receive_on(const std::vector<Channel>& chains, Channel channel) {
+  GatewayRadio radio(default_profile(), 0, kPublicSyncWord);
+  if (!chains.empty()) radio.configure_channels(chains);
+  Transmission tx = make_tx(1, 0, SpreadingFactor::kSF9, Seconds{0.0});
+  tx.channel = channel;
+  return radio.process({RxEvent{tx, Dbm{-80.0}}})[0];
+}
+
+TEST(RxChain, PassesAlignedChannel) {
+  const RxOutcome out = receive_on({ch(Hz{917.0e6})}, ch(Hz{917.0e6}));
+  EXPECT_EQ(out.disposition, RxDisposition::kDelivered);
+  EXPECT_EQ(out.chain_channel, 0);
+}
+
+TEST(RxChain, PassesNearAlignedChannel) {
+  // 3 kHz offset keeps ~97.6% overlap — above the detect threshold.
+  const RxOutcome out = receive_on({ch(Hz{917.0e6})}, ch(Hz{917.0e6 + 3e3}));
+  EXPECT_NE(out.disposition, RxDisposition::kRejectedFrontEnd);
+  EXPECT_EQ(out.chain_channel, 0);
+}
+
+TEST(RxChain, RejectsMisalignedChannel) {
+  // Half-channel offset: well below the 95% overlap needed to correlate.
+  EXPECT_EQ(receive_on({ch(Hz{917.0e6})}, ch(Hz{917.0e6 + 62.5e3})).disposition,
+            RxDisposition::kRejectedFrontEnd);
+  // Fully disjoint grid neighbour.
+  EXPECT_EQ(receive_on({ch(Hz{917.0e6})}, ch(Hz{917.2e6})).disposition,
+            RxDisposition::kRejectedFrontEnd);
+}
+
+TEST(RxChain, BestChainFindsExactMatch) {
+  const RxOutcome out = receive_on(
+      {ch(Hz{916.9e6}), ch(Hz{917.1e6}), ch(Hz{917.3e6})}, ch(Hz{917.3e6}));
+  EXPECT_EQ(out.disposition, RxDisposition::kDelivered);
+  EXPECT_EQ(out.chain_channel, 2);
+}
+
+TEST(RxChain, BestChainPrefersClosestAlignment) {
+  // The packet sits between two chains whose filters both pass it; the
+  // better-aligned (later-listed) one takes it.
+  const RxOutcome out = receive_on(
+      {ch(Hz{917.0e6 + 4e3}), ch(Hz{917.0e6 - 1e3})}, ch(Hz{917.0e6}));
+  EXPECT_NE(out.disposition, RxDisposition::kRejectedFrontEnd);
+  EXPECT_EQ(out.chain_channel, 1);
+}
+
+TEST(RxChain, BestChainRejectsWhenNoFilterPasses) {
+  // The Strategy-8 isolation path: every chain truncates the packet.
+  const RxOutcome out =
+      receive_on({ch(Hz{916.9e6}), ch(Hz{917.1e6})}, ch(Hz{917.0e6}));
+  EXPECT_EQ(out.disposition, RxDisposition::kRejectedFrontEnd);
+  EXPECT_EQ(out.chain_channel, -1);
+}
+
+TEST(RxChain, BestChainOnEmptyChainList) {
+  // A radio with no channels configured rejects every packet.
+  EXPECT_EQ(receive_on({}, ch(Hz{917.0e6})).disposition,
+            RxDisposition::kRejectedFrontEnd);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Component micro-benchmarks (google-benchmark): throughput of the pieces
 // the system runs continuously — airtime math, the gateway radio pipeline,
-// frame encode/decode + MIC, the CP solver at the Fig. 17 scales, and the
-// kernel-versus-oracle PHY pairs (phy/batch_kernels.hpp: each batched
-// receive kernel against its scalar reference). The BM_Batch* pairs also report through PerfRecorder, so the
-// per-kernel throughputs land in the alphawan-bench-v1 JSON trajectory
-// alongside the end-to-end numbers.
+// the CP solver at the Fig. 17 scales, and the kernel-versus-oracle PHY
+// pairs (phy/batch_kernels.hpp: each batched receive kernel against its
+// scalar reference). The BM_Batch* pairs also report through PerfRecorder,
+// so the per-kernel throughputs land in the alphawan-bench-v1 JSON
+// trajectory alongside the end-to-end numbers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -13,7 +13,6 @@
 #include "baselines/standard_lorawan.hpp"
 #include "core/ga_solver.hpp"
 #include "harness.hpp"
-#include "net/frame.hpp"
 #include "net/sync_word.hpp"
 #include "phy/airtime.hpp"
 #include "phy/batch_kernels.hpp"
@@ -61,22 +60,6 @@ void BM_GatewayRadioProcess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GatewayRadioProcess)->Arg(48)->Arg(144)->Arg(1000);
-
-void BM_FrameEncodeDecode(benchmark::State& state) {
-  SessionKeys keys;
-  keys.nwk_skey.fill(0x42);
-  keys.app_skey.fill(0x24);
-  DataFrame frame;
-  frame.fhdr.dev_addr = make_dev_addr(1, 77);
-  frame.fhdr.fcnt = 9;
-  frame.fport = 1;
-  frame.frm_payload.assign(10, 0xAB);
-  for (auto _ : state) {
-    const auto raw = encode_frame(frame, keys);
-    benchmark::DoNotOptimize(decode_frame(raw, keys));
-  }
-}
-BENCHMARK(BM_FrameEncodeDecode);
 
 CpInstance solver_instance(int users, int gateways) {
   CpInstance inst;

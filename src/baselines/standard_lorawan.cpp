@@ -61,12 +61,8 @@ void StandardLorawanPolicy::configure(Deployment& deployment,
       for (const auto& gw : network.gateways()) {
         best = std::max(best, deployment.mean_snr(node, gw));
       }
-      LinkProfile profile;
-      profile.uplinks = 1;
-      profile.gateway_snr[0] = best;
       cfg.dr = DataRate::kDR0;
-      const auto adapted = standard_adr(cfg, profile, options.adr);
-      if (adapted) cfg = *adapted;
+      cfg = standard_adr(cfg, best, options.adr);
     } else {
       cfg.dr = DataRate::kDR0;  // join default: maximum range
     }

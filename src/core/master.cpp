@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace alphawan {
 
 MasterNode::MasterNode(MasterConfig config) : config_(config) {
-  config_.desired_overlap = std::clamp(config_.desired_overlap, 0.0, 0.95);
-  config_.expected_networks = std::max(1, config_.expected_networks);
+  // Written so NaN fails too: a NaN overlap would give an empty plan (one
+  // network) or an undefined int conversion in plan_offset_step (several).
+  if (!(config_.desired_overlap >= 0.0 && config_.desired_overlap <= 0.95)) {
+    throw std::invalid_argument(
+        "MasterConfig::desired_overlap must be in [0, 0.95], got " +
+        std::to_string(config_.desired_overlap));
+  }
+  if (config_.expected_networks < 1) {
+    throw std::invalid_argument(
+        "MasterConfig::expected_networks must be >= 1, got " +
+        std::to_string(config_.expected_networks));
+  }
 }
 
 Hz MasterNode::plan_offset_step() const {

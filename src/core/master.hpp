@@ -37,6 +37,8 @@ struct MasterConfig {
 
 class MasterNode {
  public:
+  // Throws std::invalid_argument when desired_overlap is not in [0, 0.95]
+  // (NaN included) or expected_networks < 1.
   explicit MasterNode(MasterConfig config);
 
   // Protocol handlers (pure logic; transport-agnostic).

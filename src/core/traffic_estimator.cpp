@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/stats.hpp"
-
 namespace alphawan {
 
 std::map<NodeId, double> TrafficEstimator::estimate(
@@ -11,12 +9,8 @@ std::map<NodeId, double> TrafficEstimator::estimate(
   std::map<NodeId, double> demand;
   for (const auto& [node, counts] : series) {
     if (counts.empty()) continue;
-    std::vector<double> samples;
-    samples.reserve(counts.size());
-    for (const auto c : counts) samples.push_back(static_cast<double>(c));
-    const double q = percentile(samples, config_.demand_quantile);
-    demand[node] =
-        std::max(config_.min_traffic, q * config_.safety_factor);
+    const auto peak = *std::max_element(counts.begin(), counts.end());
+    demand[node] = std::max(0.5, static_cast<double>(peak));
   }
   return demand;
 }

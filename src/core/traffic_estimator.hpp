@@ -11,32 +11,15 @@
 
 namespace alphawan {
 
-struct TrafficEstimatorConfig {
-  // Quantile of the per-window series used as the node's demand
-  // (1.0 = peak window, the aggressive choice the paper advocates).
-  double demand_quantile = 1.0;
-  // Multiplier headroom for growth between planning runs.
-  double safety_factor = 1.0;
-  // Floor for nodes that were heard at least once (a silent-but-known
-  // node still needs a slot).
-  double min_traffic = 0.5;
-};
-
+// Each node's demand is its peak window count, floored at 0.5 packets per
+// window so a node heard at least once (even with all-zero windows) still
+// gets a slot.
 class TrafficEstimator {
  public:
-  explicit TrafficEstimator(TrafficEstimatorConfig config = {})
-      : config_(config) {}
-
-  // Estimated demand (packets per window) per node.
+  // Estimated demand (packets per window) per node; nodes with an empty
+  // series are skipped.
   [[nodiscard]] std::map<NodeId, double> estimate(
       const std::map<NodeId, std::vector<std::size_t>>& series) const;
-
-  [[nodiscard]] const TrafficEstimatorConfig& config() const {
-    return config_;
-  }
-
- private:
-  TrafficEstimatorConfig config_;
 };
 
 }  // namespace alphawan

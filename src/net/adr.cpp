@@ -1,19 +1,15 @@
 #include "net/adr.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
 
-std::optional<NodeRadioConfig> standard_adr(const NodeRadioConfig& current,
-                                            const LinkProfile& profile,
-                                            const AdrConfig& adr) {
-  if (profile.uplinks == 0) return std::nullopt;
-  const Db snr = profile.best_snr();
+NodeRadioConfig standard_adr(const NodeRadioConfig& current, Db best_snr,
+                             const AdrConfig& adr) {
   const Db required = demod_snr_threshold(dr_to_sf(current.dr));
-  Db margin = snr - required - adr.installation_margin;
+  Db margin = best_snr - required - adr.installation_margin;
   int steps = static_cast<int>(std::floor(margin / adr.step_db));
 
   NodeRadioConfig next = current;
@@ -38,22 +34,6 @@ std::optional<NodeRadioConfig> standard_adr(const NodeRadioConfig& current,
     ++steps;
   }
   return next;
-}
-
-std::map<NodeId, NodeRadioConfig> standard_adr_all(
-    const std::map<NodeId, NodeRadioConfig>& current,
-    const NetworkServer& server, const AdrConfig& adr) {
-  std::map<NodeId, NodeRadioConfig> out;
-  for (const auto& [node, cfg] : current) {
-    const auto it = server.link_profiles().find(node);
-    if (it == server.link_profiles().end()) {
-      out.emplace(node, cfg);
-      continue;
-    }
-    const auto next = standard_adr(cfg, it->second, adr);
-    out.emplace(node, next.value_or(cfg));
-  }
-  return out;
 }
 
 }  // namespace alphawan

@@ -9,11 +9,7 @@
 // with capacity-aware joint planning.
 #pragma once
 
-#include <map>
-#include <optional>
-
 #include "net/channel_plan.hpp"
-#include "net/network_server.hpp"
 
 namespace alphawan {
 
@@ -29,14 +25,9 @@ struct AdrConfig {
 
 // Compute the standard-ADR radio settings for one node given the best SNR
 // observed across gateways at the node's *current* settings. Keeps the
-// node's channel. Returns nullopt if the profile has no uplinks.
-[[nodiscard]] std::optional<NodeRadioConfig> standard_adr(
-    const NodeRadioConfig& current, const LinkProfile& profile,
-    const AdrConfig& adr = {});
-
-// Run standard ADR over every node of a server's link profiles.
-[[nodiscard]] std::map<NodeId, NodeRadioConfig> standard_adr_all(
-    const std::map<NodeId, NodeRadioConfig>& current,
-    const NetworkServer& server, const AdrConfig& adr = {});
+// node's channel.
+[[nodiscard]] NodeRadioConfig standard_adr(const NodeRadioConfig& current,
+                                           Db best_snr,
+                                           const AdrConfig& adr = {});
 
 }  // namespace alphawan

@@ -9,16 +9,7 @@ EndNode::EndNode(NodeId id, NetworkId network, Point position,
     : id_(id),
       network_(network),
       position_(position),
-      config_(config),
-      dev_addr_(make_dev_addr(static_cast<std::uint8_t>(network & 0x7F), id)) {
-  // Derive deterministic per-device session keys (a stand-in for OTAA).
-  for (int i = 0; i < 16; ++i) {
-    keys_.nwk_skey[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(0xA0 + i + id * 7 + network * 31);
-    keys_.app_skey[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(0x5F + i + id * 13 + network * 17);
-  }
-}
+      config_(config) {}
 
 TxParams EndNode::tx_params() const {
   TxParams params;
@@ -45,18 +36,6 @@ Transmission EndNode::make_transmission(Seconds start,
   last_tx_end_ = tx.end();
   last_tx_airtime_ = time_on_air(tx.params, payload_bytes);
   return tx;
-}
-
-std::vector<std::uint8_t> EndNode::encode_uplink(
-    std::span<const std::uint8_t> app_payload) {
-  DataFrame frame;
-  frame.mtype = MType::kUnconfirmedDataUp;
-  frame.fhdr.dev_addr = dev_addr_;
-  frame.fhdr.fcnt = fcnt_;
-  frame.fport = 1;
-  frame.frm_payload.assign(app_payload.begin(), app_payload.end());
-  ++fcnt_;
-  return encode_frame(frame, keys_);
 }
 
 Seconds EndNode::next_allowed_start(double duty_cycle_limit) const {

@@ -1,13 +1,11 @@
-// A LoRaWAN end device: radio configuration, frame counter, session keys,
-// duty-cycle accounting, and uplink generation.
+// A LoRaWAN end device: radio configuration, frame counter, duty-cycle
+// accounting, and uplink generation.
 #pragma once
 
 #include <cstdint>
 
 #include "common/geometry.hpp"
 #include "net/channel_plan.hpp"
-#include "net/crypto.hpp"
-#include "net/frame.hpp"
 #include "net/sync_word.hpp"
 #include "radio/transmission.hpp"
 
@@ -21,8 +19,6 @@ class EndNode {
   [[nodiscard]] NetworkId network() const { return network_; }
   [[nodiscard]] const Point& position() const { return position_; }
   [[nodiscard]] const NodeRadioConfig& config() const { return config_; }
-  [[nodiscard]] std::uint32_t dev_addr() const { return dev_addr_; }
-  [[nodiscard]] const SessionKeys& keys() const { return keys_; }
   [[nodiscard]] std::uint16_t fcnt() const { return fcnt_; }
 
   // Apply a new radio configuration (via ADR / AlphaWAN channel planning).
@@ -33,11 +29,6 @@ class EndNode {
   [[nodiscard]] Transmission make_transmission(Seconds start,
                                                std::uint32_t payload_bytes,
                                                PacketId packet_id);
-
-  // Encode a real PHYPayload for this node's next uplink (used by codec
-  // tests and the quickstart example; the simulator tracks metadata only).
-  [[nodiscard]] std::vector<std::uint8_t> encode_uplink(
-      std::span<const std::uint8_t> app_payload);
 
   // Duty-cycle gate: earliest instant a new transmission may start, given
   // the regulatory duty-cycle limit (e.g. 0.01 for 1%).
@@ -51,8 +42,6 @@ class EndNode {
   NetworkId network_;
   Point position_;
   NodeRadioConfig config_;
-  std::uint32_t dev_addr_;
-  SessionKeys keys_{};
   std::uint16_t fcnt_ = 0;
   Seconds last_tx_end_{-1e18};
   Seconds last_tx_airtime_{0.0};

@@ -1,14 +1,8 @@
 #include "net/network_server.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace alphawan {
-
-Db LinkProfile::best_snr() const {
-  Db best{-1e9};
-  for (const auto& [gw, snr] : gateway_snr) best = std::max(best, snr);
-  return best;
-}
 
 bool NetworkServer::adopt_plan(std::uint32_t epoch, Hz frequency_offset,
                                std::vector<Channel> channels) {
@@ -23,21 +17,13 @@ bool NetworkServer::adopt_plan(std::uint32_t epoch, Hz frequency_offset,
 void NetworkServer::ingest(const std::vector<UplinkRecord>& records) {
   for (const auto& rec : records) {
     log_.push_back(rec);
-    auto& profile = link_profiles_[rec.node];
-    auto [it, inserted] = profile.gateway_snr.try_emplace(rec.gateway, rec.snr);
-    if (!inserted) it->second = std::max(it->second, rec.snr);
-    ++profile.uplinks;
-    if (delivered_.insert(rec.packet).second) {
-      ++per_node_delivered_[rec.node];
-    }
+    delivered_.insert(rec.packet);
   }
 }
 
 void NetworkServer::clear() {
   log_.clear();
   delivered_.clear();
-  link_profiles_.clear();
-  per_node_delivered_.clear();
 }
 
 }  // namespace alphawan

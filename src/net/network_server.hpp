@@ -1,12 +1,11 @@
 // The network server (ChirpStack counterpart): deduplicates uplinks
-// forwarded by multiple gateways, stores the operational log that
-// AlphaWAN's log parser and traffic estimator consume, and tracks
-// delivery statistics.
+// forwarded by multiple gateways and stores the operational log that
+// AlphaWAN's log parser and traffic estimator consume (per-node link
+// quality and traffic are read from that log by core/log_parser.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -14,20 +13,6 @@
 #include "net/gateway.hpp"
 
 namespace alphawan {
-
-// Per-node link profile maintained by the server from uplink metadata:
-// which gateways hear the node and how well. This is the ADR input and a
-// core piece of the CP problem's coverage relation r_ijl.
-struct LinkProfile {
-  // Best SNR seen per gateway.
-  std::map<GatewayId, Db> gateway_snr;
-  std::size_t uplinks = 0;
-
-  [[nodiscard]] Db best_snr() const;
-  [[nodiscard]] std::size_t gateway_count() const {
-    return gateway_snr.size();
-  }
-};
 
 // The channel plan this server last adopted from the Master, tagged with
 // the plan epoch it was computed at (see core/master.hpp). Kept as
@@ -67,23 +52,9 @@ class NetworkServer {
   [[nodiscard]] std::size_t delivered_packets() const {
     return delivered_.size();
   }
-  [[nodiscard]] bool was_delivered(PacketId packet) const {
-    return delivered_.contains(packet);
-  }
 
   // The raw operational log (every reception, including duplicates).
   [[nodiscard]] const std::vector<UplinkRecord>& log() const { return log_; }
-
-  // Link profiles per node.
-  [[nodiscard]] const std::map<NodeId, LinkProfile>& link_profiles() const {
-    return link_profiles_;
-  }
-
-  // Number of unique packets delivered per node (traffic evidence).
-  [[nodiscard]] const std::map<NodeId, std::size_t>& per_node_delivered()
-      const {
-    return per_node_delivered_;
-  }
 
   void clear();
 
@@ -93,8 +64,6 @@ class NetworkServer {
   std::size_t stale_plans_ignored_ = 0;
   std::vector<UplinkRecord> log_;
   std::set<PacketId> delivered_;
-  std::map<NodeId, LinkProfile> link_profiles_;
-  std::map<NodeId, std::size_t> per_node_delivered_;
 };
 
 }  // namespace alphawan

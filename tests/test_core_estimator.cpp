@@ -13,24 +13,6 @@ TEST(TrafficEstimator, PeakWindowByDefault) {
   EXPECT_DOUBLE_EQ(demand.at(1), 5.0);  // the aggressive high-demand sample
 }
 
-TEST(TrafficEstimator, QuantileConfigurable) {
-  TrafficEstimatorConfig cfg;
-  cfg.demand_quantile = 0.5;
-  TrafficEstimator estimator(cfg);
-  std::map<NodeId, std::vector<std::size_t>> series;
-  series[1] = {0, 2, 10};
-  EXPECT_DOUBLE_EQ(estimator.estimate(series).at(1), 2.0);
-}
-
-TEST(TrafficEstimator, SafetyFactorApplies) {
-  TrafficEstimatorConfig cfg;
-  cfg.safety_factor = 1.5;
-  TrafficEstimator estimator(cfg);
-  std::map<NodeId, std::vector<std::size_t>> series;
-  series[1] = {4};
-  EXPECT_DOUBLE_EQ(estimator.estimate(series).at(1), 6.0);
-}
-
 TEST(TrafficEstimator, SilentNodeGetsFloor) {
   TrafficEstimator estimator;
   std::map<NodeId, std::vector<std::size_t>> series;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "backhaul/faults.hpp"
 #include "phy/overlap.hpp"
 
@@ -112,6 +116,38 @@ TEST(Master, BaseOffsetShiftsAllPlans) {
     const int idx = spec.nearest_grid_index(ch.center);
     EXPECT_GT(abs(ch.center - spec.grid_center(idx)), Hz{30e3});
   }
+}
+
+// A bad config fails at construction, naming the field. Clamping would let
+// NaN through: one network then gets a 0-channel plan, and several hit an
+// undefined int conversion in plan_offset_step.
+void expect_master_rejects(const MasterConfig& cfg, const std::string& field) {
+  try {
+    MasterNode master(cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Master, RejectsOutOfRangeOrNonFiniteDesiredOverlap) {
+  for (const double overlap :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -0.1, 0.96}) {
+    for (const int networks : {1, 3}) {
+      expect_master_rejects(config_for(networks, overlap), "desired_overlap");
+    }
+  }
+  EXPECT_NO_THROW(MasterNode{config_for(2, 0.0)});
+  EXPECT_NO_THROW(MasterNode{config_for(2, 0.95)});
+}
+
+TEST(Master, RejectsExpectedNetworksBelowOne) {
+  for (const int networks : {0, -3}) {
+    expect_master_rejects(config_for(networks), "expected_networks");
+  }
+  EXPECT_NO_THROW(MasterNode{config_for(1)});
 }
 
 TEST(MasterServiceTest, RoundTripOverBus) {

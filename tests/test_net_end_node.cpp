@@ -69,24 +69,5 @@ TEST(EndNode, DutyCycleGate) {
   EXPECT_DOUBLE_EQ(node.next_allowed_start(1.0).value(), 0.0);
 }
 
-TEST(EndNode, DistinctSessionKeysPerDevice) {
-  EndNode a(1, 0, {}, test_config());
-  EndNode b(2, 0, {}, test_config());
-  EXPECT_NE(a.keys().nwk_skey, b.keys().nwk_skey);
-  EXPECT_NE(a.keys().app_skey, b.keys().app_skey);
-  EXPECT_NE(a.dev_addr(), b.dev_addr());
-}
-
-TEST(EndNode, EncodeUplinkDecodable) {
-  EndNode node(1, 3, {}, test_config());
-  const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
-  const auto raw = node.encode_uplink(payload);
-  const auto decoded = decode_frame(raw, node.keys());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.frame->frm_payload, payload);
-  EXPECT_EQ(decoded.frame->fhdr.dev_addr, node.dev_addr());
-  EXPECT_EQ(nwk_id(node.dev_addr()), 3);
-}
-
 }  // namespace
 }  // namespace alphawan

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/log_parser.hpp"
 #include "phy/band_plan.hpp"
 
 namespace alphawan {
@@ -19,10 +20,8 @@ TEST(NetworkServerTest, IngestDeduplicatesAcrossGateways) {
   b.snr = Db{2.0};
   server.ingest({a, b});
   EXPECT_EQ(server.delivered_packets(), 1u);
-  EXPECT_TRUE(server.was_delivered(1));
-  EXPECT_FALSE(server.was_delivered(2));
   EXPECT_EQ(server.log().size(), 2u);  // raw log keeps both receptions
-  EXPECT_EQ(server.per_node_delivered().at(5), 1u);
+  EXPECT_EQ(parse_links(server.log()).nodes.at(5).packets, 1u);
 }
 
 TEST(NetworkServerTest, LinkProfileTracksBestSnr) {
@@ -36,10 +35,11 @@ TEST(NetworkServerTest, LinkProfileTracksBestSnr) {
   rec.packet = 2;
   rec.snr = Db{-4.0};
   server.ingest({rec});
-  const auto& profile = server.link_profiles().at(5);
-  EXPECT_DOUBLE_EQ(profile.gateway_snr.at(1).value(), -4.0);
-  EXPECT_DOUBLE_EQ(profile.best_snr().value(), -4.0);
-  EXPECT_EQ(profile.uplinks, 2u);
+  const LinkEstimates links = parse_links(server.log());
+  const auto& node = links.nodes.at(5);
+  EXPECT_EQ(node.gateway_snr.size(), 1u);
+  EXPECT_DOUBLE_EQ(node.gateway_snr.at(1).value(), -4.0);
+  EXPECT_EQ(node.packets, 2u);
 }
 
 TEST(NetworkTest, SyncWordsDistinctPerNetwork) {

@@ -883,6 +883,15 @@ TEST(RxChain, BestChainPrefersClosestAlignment) {
   EXPECT_EQ(out.chain_channel, 1);
 }
 
+TEST(RxChain, BestChainTieGoesToLowerIndex) {
+  // Two chains tuned to the same channel overlap the packet equally; the
+  // first-listed one takes it.
+  const RxOutcome out = receive_on({ch(Hz{917.0e6}), ch(Hz{917.0e6})},
+                                   ch(Hz{917.0e6}));
+  EXPECT_EQ(out.disposition, RxDisposition::kDelivered);
+  EXPECT_EQ(out.chain_channel, 0);
+}
+
 TEST(RxChain, BestChainRejectsWhenNoFilterPasses) {
   // The Strategy-8 isolation path: every chain truncates the packet.
   const RxOutcome out =

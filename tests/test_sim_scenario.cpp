@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/log_parser.hpp"
 #include "sim/traffic.hpp"
 
 namespace alphawan {
@@ -135,8 +136,10 @@ TEST(Scenario, RepeatedWindowsAccumulateServerState) {
   ScenarioRunner runner(f.deployment);
   (void)runner.run_window({node.make_transmission(Seconds{0.0}, 10, f.ids.next())});
   (void)runner.run_window({node.make_transmission(Seconds{100.0}, 10, f.ids.next())});
-  EXPECT_EQ(f.network->server().delivered_packets(), 2u);
-  EXPECT_EQ(f.network->server().link_profiles().at(node.id()).uplinks, 2u);
+  const NetworkServer& server = f.network->server();
+  EXPECT_EQ(server.delivered_packets(), 2u);
+  EXPECT_EQ(server.log().size(), 2u);
+  EXPECT_EQ(parse_links(server.log()).nodes.at(node.id()).packets, 2u);
 }
 
 TEST(Scenario, DeterministicUnderSameSeed) {

@@ -1,14 +1,13 @@
 // Coexistence: two operators share 1.6 MHz through the AlphaWAN Master.
 //
-// Walks the full inter-network channel-planning exchange — registration
-// and plan assignment as real protocol messages over the simulated
-// backhaul — then shows the capacity effect of frequency-misaligned plans.
+// Walks the inter-network channel-planning exchange — each operator
+// registers with the Master, then requests its plan — and shows the
+// capacity effect of frequency-misaligned plans.
 //
 //   ./example_coexistence
 #include <cmath>
 #include <cstdio>
 
-#include "backhaul/bus.hpp"
 #include "core/controller.hpp"
 #include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
@@ -65,43 +64,24 @@ int main() {
 
   std::printf("Two operators, one 1.6 MHz band, 24 users each.\n\n");
 
-  // --- the Master protocol over the simulated backhaul ------------------
-  Engine engine;
-  LatencyModel latency{LatencyModelConfig{}, 11};
-  MessageBus bus(engine, latency);
+  // --- the Master exchange, per operator in deployment order ----------
   MasterNode master(MasterConfig{deployment.spectrum(), 0.4, 2});
-  MasterService service(master, bus);
-
   for (const Network* op : {&op1, &op2}) {
-    const EndpointId endpoint = "server-" + op->name();
-    bus.attach(endpoint, [&, name = op->name()](const EndpointId&,
-                                                std::vector<std::uint8_t> p) {
-      const auto msg = decode_message(p);
-      if (!msg) return;
-      if (const auto* ack = std::get_if<RegisterAckMsg>(&*msg)) {
-        std::printf("  [%s] registered with Master (epoch %u)\n",
-                    name.c_str(), ack->master_epoch);
-      } else if (const auto* assign = std::get_if<PlanAssignMsg>(&*msg)) {
-        std::printf(
-            "  [%s] plan assigned: %zu channels, offset %+.1f kHz, "
-            "overlap %.0f%%\n",
-            name.c_str(), assign->channels.size(),
-            assign->frequency_offset.value() / 1e3, 100.0 * assign->overlap_ratio);
-      }
-    });
-    bus.send(endpoint, MasterService::endpoint(),
-             encode_message(RegisterMsg{op->id(), op->name()}), /*wan=*/true);
-    bus.send(endpoint, MasterService::endpoint(),
-             encode_message(PlanRequestMsg{op->id(),
-                                           deployment.spectrum().base,
-                                           deployment.spectrum().width, 8}),
-             /*wan=*/true);
+    const RegisterAckMsg ack = master.handle_register(RegisterMsg{op->id()});
+    std::printf("  [%s] registered with Master (epoch %u)\n",
+                op->name().c_str(), ack.master_epoch);
+    const PlanAssignMsg assign =
+        master.handle_plan_request(PlanRequestMsg{op->id(), 8});
+    std::printf(
+        "  [%s] plan assigned: %zu channels, offset %+.1f kHz, "
+        "overlap %.0f%%\n",
+        op->name().c_str(), assign.channels.size(),
+        assign.frequency_offset.value() / 1e3, 100.0 * assign.overlap_ratio);
   }
-  engine.run();
-  std::printf("  backhaul: %zu messages, %zu bytes, %.0f ms elapsed\n\n",
-              bus.stats().messages, bus.stats().bytes, engine.now().value() * 1e3);
+  std::printf("\n");
 
   // --- apply AlphaWAN on both operators ---------------------------------
+  LatencyModel latency{LatencyModelConfig{}, 11};
   for (Network* op : {&op1, &op2}) {
     AlphaWanConfig config;
     config.strategy8_spectrum_sharing = true;

@@ -30,8 +30,8 @@ class NetworkServer {
   [[nodiscard]] NetworkId network() const { return network_; }
 
   // Adopt a Master-assigned plan. Stale epochs (older than the plan in
-  // force) are ignored so a delayed or duplicated backhaul delivery can
-  // never overwrite a newer assignment; returns whether it was applied.
+  // force) are ignored so a plan computed before a newer one can never
+  // overwrite it; returns whether it was applied.
   bool adopt_plan(std::uint32_t epoch, Hz frequency_offset,
                   std::vector<Channel> channels);
   [[nodiscard]] bool has_plan() const { return plan_.has_value(); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stats.hpp"
+
 namespace alphawan {
 namespace {
 
@@ -67,6 +69,30 @@ TEST(LatencyModel, SameSeedReproducesSequence) {
     EXPECT_DOUBLE_EQ(a.wan_one_way().value(), b.wan_one_way().value());
     EXPECT_DOUBLE_EQ(a.gateway_reboot().value(), b.gateway_reboot().value());
   }
+}
+
+TEST(LatencyModelTest, RebootNearPaperMean) {
+  LatencyModel latency{LatencyModelConfig{}, 11};
+  RunningStats stats;
+  for (int i = 0; i < 500; ++i) stats.add(latency.gateway_reboot().value());
+  EXPECT_NEAR(stats.mean(), 4.62, 0.15);  // paper: 4.62 s average
+  EXPECT_GT(stats.min(), 0.4);
+}
+
+TEST(LatencyModelTest, MasterRoundTripInPaperRange) {
+  // Paper Fig. 17: the two operator-to-Master exchanges of an upgrade add
+  // 0.17-0.28 s, i.e. ~0.1 s per round trip.
+  LatencyModel latency{LatencyModelConfig{}, 13};
+  for (int i = 0; i < 200; ++i) {
+    const Seconds rtt = latency.master_round_trip();
+    EXPECT_GT(rtt, Seconds{0.05});
+    EXPECT_LT(rtt, Seconds{0.25});
+  }
+}
+
+TEST(LatencyModelTest, LanTransferScalesWithBytes) {
+  LatencyModel latency{LatencyModelConfig{}, 15};
+  EXPECT_LT(latency.lan_transfer(100), latency.lan_transfer(100'000'000));
 }
 
 }  // namespace

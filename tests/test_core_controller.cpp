@@ -61,7 +61,7 @@ TEST(Controller, SharingUsesMasterOffset) {
   MasterNode master(
       MasterConfig{f.deployment.spectrum(), 0.4, /*expected=*/2});
   // A first operator takes slot 0.
-  (void)master.handle_register({99, "first"});
+  (void)master.handle_register({99});
   AlphaWanController controller(f.fast_config(true), f.latency);
   const auto links = oracle_link_estimates(f.deployment, *f.network);
   const auto report =

@@ -2,7 +2,7 @@
 """alphawan-lint: project-convention static analysis for the AlphaWAN tree.
 
 Every guarantee this reproduction makes -- bit-identical digests across
-thread and shard counts, exact chaos replay, golden-scenario stability --
+thread and shard counts, exact packet replay, golden-scenario stability --
 rests on conventions (keyed Rng substreams, no wall clock in sim paths, no
 digest-affecting iteration over unordered containers, Quantity<Tag> instead
 of raw doubles) that used to be enforced only by review and by the property

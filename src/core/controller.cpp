@@ -36,6 +36,7 @@ UpgradeReport AlphaWanController::upgrade(
   PlanOutcome outcome = planner.plan(network, spectrum, links, traffic, offset);
   report.cp_solve = outcome.solve_seconds;
   report.eval = outcome.eval;
+  report.ga_gain = outcome.ga_gain;
 
   // ---- config distribution + reboot ------------------------------------
   const NetworkChannelConfig current = network.current_config();

@@ -30,6 +30,7 @@ struct UpgradeReport {
            gateway_reboot;
   }
   CpEvaluation eval{};
+  double ga_gain = 0.0;  // PlanOutcome::ga_gain
   ConfigDelta delta{};
   Hz frequency_offset{0.0};
   double overlap_ratio = 0.0;

@@ -113,15 +113,27 @@ struct CpEvaluation {
 // reaches at that level, as a bitset of ceil(gateways / 64) words. Scoring
 // a solution then ANDs that reach set with the set of gateways listening
 // on the node's channel, so the per-node work is a few word operations
-// plus one step per serving gateway.
+// plus one step per serving gateway. One scoring body serves every word
+// count; instances of at most 63 gateways (one word with a spare bit) get
+// their own instantiation, without word loops.
 //
 // Every sum runs in node order and every minimum in gateway order, so
 // the result is independent of how the sets are stored. The scorer is
-// read-only after construction and keeps its scratch local to each call:
-// one scorer may score many solutions concurrently. It refers to the
-// instance, which must outlive it.
+// read-only after construction and keeps its scratch with the caller:
+// one scorer may score many solutions concurrently, each call with its
+// own Scratch. It refers to the instance, which must outlive it.
 class CpScorer {
  public:
+  // Buffers score() rebuilds on every call; keeping one per caller lets
+  // repeated calls reuse their memory. Never share one between concurrent
+  // calls.
+  struct Scratch {
+    std::vector<std::uint64_t> listening;  // [channel * words + word]
+    std::vector<double> pair_load;         // [channel * kNumDataRates + dr]
+    std::vector<double> phi;               // [gateway], then -1
+    std::vector<double> min_phi;           // [one-word serving set]
+  };
+
   explicit CpScorer(const CpInstance& instance);
 
   // Infeasible gateway channel sets (too many channels or span too wide)
@@ -130,8 +142,17 @@ class CpScorer {
   [[nodiscard]] CpEvaluation score(
       const CpSolution& solution,
       const CpWeights& weights = CpWeights{}) const;
+  // The same evaluation, written over `out` (reusing its gateway_load)
+  // with `scratch` for the per-call buffers.
+  void score(const CpSolution& solution, const CpWeights& weights,
+             Scratch& scratch, CpEvaluation& out) const;
 
  private:
+  // Words = 0: the runtime words_.
+  template <std::size_t Words>
+  void score_words(const CpSolution& solution, const CpWeights& weights,
+                   Scratch& scratch, CpEvaluation& eval) const;
+
   const CpInstance& instance_;
   std::size_t words_;                 // bitset words per gateway set
   std::vector<std::uint64_t> reach_;  // [(node * kNumLevels + level) * words_]

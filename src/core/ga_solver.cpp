@@ -32,19 +32,32 @@ void enforce_forced_width(const CpInstance& instance, int width,
 struct Individual {
   CpSolution solution;
   CpEvaluation eval;
+  CpScorer::Scratch scratch;  // this individual's scoring buffers
   bool evaluated = false;
 };
 
-// Reachable gateway list per node (any level).
-std::vector<std::vector<std::int32_t>> reachable_gateways(
-    const CpInstance& instance) {
-  std::vector<std::vector<std::int32_t>> reach(instance.nodes.size());
-  for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
+// The gateways each node reaches at any level, with the level each needs:
+// node i's entries are [first[i], first[i + 1]), in gateway order. One
+// flat table, so a mutation reads two arrays rather than two vectors per
+// node.
+struct ReachLists {
+  std::vector<std::size_t> first;
+  std::vector<std::int32_t> gateway;
+  std::vector<std::uint8_t> min_level;
+};
+
+ReachLists reachable_gateways(const CpInstance& instance) {
+  ReachLists reach;
+  reach.first.reserve(instance.nodes.size() + 1);
+  reach.first.push_back(0);
+  for (const auto& node : instance.nodes) {
     for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
-      if (instance.nodes[i].min_level[j] != kUnreachable) {
-        reach[i].push_back(static_cast<std::int32_t>(j));
+      if (node.min_level[j] != kUnreachable) {
+        reach.gateway.push_back(static_cast<std::int32_t>(j));
+        reach.min_level.push_back(node.min_level[j]);
       }
     }
+    reach.first.push_back(reach.gateway.size());
   }
   return reach;
 }
@@ -64,9 +77,23 @@ void randomize_gateway(const CpInstance& instance, const GaConfig& config,
   for (int c = start; c < start + width; ++c) chans.push_back(c);
 }
 
+// Index of the first node gene at or after `i` that mutates, or `n` when
+// none does: one chance(rate) draw per gene, as the node loop always drew.
+// The draws run on a local copy of the generator, written back at the end,
+// so the loop keeps the xoshiro state in registers. The copy is exact:
+// copying an Rng keeps its state and drops only a cached normal() sample,
+// and the GA never draws normal().
+std::size_t next_mutation(Rng& rng, double rate, std::size_t i,
+                          std::size_t n) {
+  Rng local = rng;
+  while (i < n && !local.chance(rate)) ++i;
+  rng = local;
+  return i;
+}
+
 void mutate(const CpInstance& instance, const GaConfig& config,
-            const std::vector<std::vector<std::int32_t>>& reach,
-            bool nodes_frozen, CpSolution& s, Rng& rng) {
+            const ReachLists& reach, bool nodes_frozen, CpSolution& s,
+            Rng& rng) {
   // Gateway genes.
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
     if (!rng.chance(config.mutation_rate * 10.0)) continue;
@@ -93,42 +120,70 @@ void mutate(const CpInstance& instance, const GaConfig& config,
     }
   }
   // Node genes.
-  if (!nodes_frozen) {
-    for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
-      if (!rng.chance(config.mutation_rate)) continue;
-      if (reach[i].empty()) continue;
-      const auto j = static_cast<std::size_t>(reach[i][static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(reach[i].size()) - 1))]);
-      const auto& gw_chans = s.gateway_channels[j];
-      if (!gw_chans.empty() && rng.chance(0.7)) {
-        s.node_channel[i] = gw_chans[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(gw_chans.size()) - 1))];
-      } else {
-        s.node_channel[i] = static_cast<std::int32_t>(
-            rng.uniform_int(0, instance.num_channels - 1));
-      }
-      const int min_l = instance.nodes[i].min_level[j];
-      s.node_level[i] =
-          static_cast<std::int32_t>(rng.uniform_int(min_l, kNumLevels - 1));
+  if (nodes_frozen) return;
+  const std::size_t n = instance.nodes.size();
+  for (std::size_t i = next_mutation(rng, config.mutation_rate, 0, n); i < n;
+       i = next_mutation(rng, config.mutation_rate, i + 1, n)) {
+    const std::size_t first = reach.first[i];
+    const std::size_t count = reach.first[i + 1] - first;
+    if (count == 0) continue;
+    const std::size_t k =
+        first + static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(count) - 1));
+    const auto j = static_cast<std::size_t>(reach.gateway[k]);
+    const auto& gw_chans = s.gateway_channels[j];
+    if (!gw_chans.empty() && rng.chance(0.7)) {
+      s.node_channel[i] = gw_chans[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(gw_chans.size()) - 1))];
+    } else {
+      s.node_channel[i] = static_cast<std::int32_t>(
+          rng.uniform_int(0, instance.num_channels - 1));
     }
+    const int min_l = reach.min_level[k];
+    s.node_level[i] =
+        static_cast<std::int32_t>(rng.uniform_int(min_l, kNumLevels - 1));
   }
 }
 
-CpSolution crossover(const CpInstance& instance, bool nodes_frozen,
-                     const CpSolution& a, const CpSolution& b, Rng& rng) {
-  CpSolution child = a;
+// Uniform crossover written over `child`, reusing its buffers: each
+// gateway's channel set, then each node's (channel, level) pair, comes
+// from `b` with probability 0.5 and from `a` otherwise, one draw per gene
+// in that order (frozen node genes take `a`'s, without draws). A gene
+// comes from `b` when bit 63 of its draw is clear: chance(0.5) tests
+// (next() >> 11) * 2^-53 < 0.5, which holds exactly then. The node loop
+// indexes its source by that bit instead of branching on it, and runs on
+// a local copy of the generator (exact, see next_mutation).
+void crossover(const CpInstance& instance, bool nodes_frozen,
+               const CpSolution& a, const CpSolution& b, Rng& rng,
+               CpSolution& child) {
+  child.gateway_channels.resize(instance.gateways.size());
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
-    if (rng.chance(0.5)) child.gateway_channels[j] = b.gateway_channels[j];
+    child.gateway_channels[j] = (rng.next() >> 63) == 0
+                                    ? b.gateway_channels[j]
+                                    : a.gateway_channels[j];
   }
-  if (!nodes_frozen) {
-    for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
-      if (rng.chance(0.5)) {
-        child.node_channel[i] = b.node_channel[i];
-        child.node_level[i] = b.node_level[i];
-      }
-    }
+  if (nodes_frozen) {
+    child.node_channel = a.node_channel;
+    child.node_level = a.node_level;
+    return;
   }
-  return child;
+  const std::size_t n = instance.nodes.size();
+  child.node_channel.resize(n);
+  child.node_level.resize(n);
+  // Indexed by bit 63 of the draw: 0 selects b, 1 selects a.
+  const std::int32_t* const channel[2] = {b.node_channel.data(),
+                                          a.node_channel.data()};
+  const std::int32_t* const level[2] = {b.node_level.data(),
+                                        a.node_level.data()};
+  std::int32_t* const out_channel = child.node_channel.data();
+  std::int32_t* const out_level = child.node_level.data();
+  Rng local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t from = local.next() >> 63;
+    out_channel[i] = channel[from][i];
+    out_level[i] = level[from][i];
+  }
+  rng = local;
 }
 
 }  // namespace
@@ -184,15 +239,15 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       ind.solution.node_channel = frozen->node_channel;
       ind.solution.node_level = frozen->node_level;
     }
-    ind.eval = scorer.score(ind.solution, config.weights);
+    scorer.score(ind.solution, config.weights, ind.scratch, ind.eval);
     ind.evaluated = true;
   };
   // Evaluate every not-yet-scored individual concurrently. Results land in
   // each individual's own slot and the count is exact, so GaResult is
   // identical at any thread count.
+  std::vector<Individual*> pending;
   auto evaluate_pending = [&](std::vector<Individual>& group) {
-    std::vector<Individual*> pending;
-    pending.reserve(group.size());
+    pending.clear();
     for (auto& ind : group) {
       if (!ind.evaluated) pending.push_back(&ind);
     }
@@ -253,6 +308,9 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   auto better = [](const Individual& a, const Individual& b) {
     return a.eval.objective < b.eval.objective;
   };
+  result.seed_objective =
+      std::min_element(population.begin(), population.end(), better)
+          ->eval.objective;
   auto tournament_pick = [&]() -> const Individual& {
     const Individual* best = nullptr;
     for (int t = 0; t < config.tournament; ++t) {
@@ -266,6 +324,10 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   // ---- generations ----------------------------------------------------
   // Offspring are constructed serially (every rng draw happens here, in a
   // fixed order), then the batch of new individuals is scored in parallel.
+  // The population is double-buffered: each generation is written over the
+  // individuals of the one before last, reusing their vectors, so making a
+  // child allocates nothing once every buffer has grown to size.
+  std::vector<Individual> next(population.size());
   for (int gen = 0; gen < config.generations; ++gen) {
     std::sort(population.begin(), population.end(), better);
     if (config.early_stop &&
@@ -273,28 +335,27 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       break;
     }
 
-    std::vector<Individual> next;
-    next.reserve(population.size());
-    for (int e = 0; e < config.elites &&
-                    e < static_cast<int>(population.size());
-         ++e) {
-      next.push_back(population[static_cast<std::size_t>(e)]);
+    std::size_t k = 0;
+    for (; static_cast<int>(k) < config.elites && k < next.size(); ++k) {
+      next[k].solution = population[k].solution;
+      next[k].eval = population[k].eval;
+      next[k].evaluated = true;
     }
-    while (next.size() < population.size()) {
+    for (; k < next.size(); ++k) {
+      Individual& child = next[k];
       const Individual& p1 = tournament_pick();
-      Individual child;
       if (rng.chance(config.crossover_rate)) {
         const Individual& p2 = tournament_pick();
-        child.solution =
-            crossover(instance, nodes_frozen, p1.solution, p2.solution, rng);
+        crossover(instance, nodes_frozen, p1.solution, p2.solution, rng,
+                  child.solution);
       } else {
         child.solution = p1.solution;
       }
       mutate(instance, config, reach, nodes_frozen, child.solution, rng);
-      next.push_back(std::move(child));
+      child.evaluated = false;
     }
     evaluate_pending(next);
-    population = std::move(next);
+    population.swap(next);
     ++result.generations_run;
   }
 
@@ -302,6 +363,11 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   result.best = population.front().solution;
   result.best_eval = population.front().eval;
   return result;
+}
+
+double GaResult::ga_gain() const {
+  if (seed_objective == 0.0) return 0.0;
+  return (seed_objective - best_eval.objective) / seed_objective;
 }
 
 }  // namespace alphawan

@@ -49,8 +49,16 @@ struct GaConfig {
 struct GaResult {
   CpSolution best;
   CpEvaluation best_eval;
+  // Best objective of the initial population (the seeds and their random
+  // perturbations), scored before generation 1.
+  double seed_objective = 0.0;
   int generations_run = 0;
   std::size_t evaluations = 0;
+
+  // What the generations earned: (seed_objective - best) / seed_objective,
+  // 0 when the seeds already score 0. Exactly 0 when no generation ran, and
+  // never negative while at least one elite survives each generation.
+  [[nodiscard]] double ga_gain() const;
 };
 
 // Throws std::invalid_argument naming the offending field when `config`

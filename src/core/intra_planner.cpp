@@ -111,6 +111,7 @@ PlanOutcome IntraPlanner::plan(const Network& network, const Spectrum& spectrum,
   outcome.solve_seconds = clock.now() - start;
   outcome.eval = result.best_eval;
   outcome.ga_generations = result.generations_run;
+  outcome.ga_gain = result.ga_gain();
   outcome.config =
       to_network_config(outcome.instance, result.best, frequency_offset);
 

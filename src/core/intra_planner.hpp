@@ -39,6 +39,7 @@ struct PlanOutcome {
   CpEvaluation eval;
   CpInstance instance;
   int ga_generations = 0;
+  double ga_gain = 0.0;        // GaResult::ga_gain of the solve
   Seconds solve_seconds{0.0};  // measured wall-clock of the CP solve
 };
 

@@ -118,6 +118,28 @@ TEST(Rng, ChanceFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+// The GA's crossover draws its fair coins as (next() >> 63) == 0: with
+// uniform() = (next() >> 11) * 2^-53, uniform() < 0.5 holds exactly when
+// bit 63 of the draw is clear. Two generators on one seed must agree on
+// every draw, including the draws on either side of the 0.5 boundary.
+TEST(Rng, TopBitClearIsChanceOneHalf) {
+  Rng bits(29);
+  Rng coins(29);
+  int heads = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const bool clear = (bits.next() >> 63) == 0;
+    ASSERT_EQ(clear, coins.chance(0.5)) << "draw " << i;
+    heads += clear ? 1 : 0;
+  }
+  EXPECT_NEAR(heads / 100000.0, 0.5, 0.01);
+  // The boundary: the largest draw with bit 63 clear maps below 0.5, the
+  // smallest with it set maps to exactly 0.5.
+  EXPECT_LT(static_cast<double>(0x7fffffffffffffffULL >> 11) * 0x1.0p-53,
+            0.5);
+  EXPECT_EQ(static_cast<double>(0x8000000000000000ULL >> 11) * 0x1.0p-53,
+            0.5);
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.fork();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace alphawan {
@@ -336,12 +340,44 @@ CpSolution random_solution(const CpInstance& inst, Rng& rng) {
   return s;
 }
 
-// One scorer per instance scores several plans; every field, including the
-// whole gateway_load vector, must equal the reference loop exactly.
+// The bit pattern of a double: unlike ==, it tells -0.0 from +0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every field, including each gateway_load entry, compared bit for bit.
+void expect_same_bits(const CpEvaluation& got, const CpEvaluation& want) {
+  EXPECT_EQ(bits(got.objective), bits(want.objective));
+  EXPECT_EQ(bits(got.overload_risk), bits(want.overload_risk));
+  EXPECT_EQ(bits(got.pair_overload), bits(want.pair_overload));
+  EXPECT_EQ(bits(got.disconnected), bits(want.disconnected));
+  EXPECT_EQ(bits(got.level_bias), bits(want.level_bias));
+  ASSERT_EQ(got.gateway_load.size(), want.gateway_load.size());
+  for (std::size_t j = 0; j < want.gateway_load.size(); ++j) {
+    EXPECT_EQ(bits(got.gateway_load[j]), bits(want.gateway_load[j]))
+        << "gateway " << j;
+  }
+}
+
+// One scorer per instance scores several plans; every field must carry the
+// reference loop's exact bits. Trials 240-269 make every node unreachable
+// (all traffic disconnected, no load anywhere) and trials 270-299 zero all
+// traffic, so a rewrite that adds where the reference skips, or flips the
+// sign of a zero, fails here.
+// Each plan is also scored through one Scratch and one CpEvaluation
+// reused across every plan and instance, so no buffer may leak state
+// from one call into the next.
 TEST(CpScorer, MatchesReferenceLoopBitForBit) {
   Rng rng(2024);
-  for (int trial = 0; trial < 240; ++trial) {
-    const CpInstance inst = random_instance(rng, trial);
+  CpScorer::Scratch scratch;
+  CpEvaluation reused;
+  for (int trial = 0; trial < 300; ++trial) {
+    CpInstance inst = random_instance(rng, trial);
+    if (trial >= 240 && trial < 270) {
+      for (auto& node : inst.nodes) {
+        std::fill(node.min_level.begin(), node.min_level.end(), kUnreachable);
+      }
+    } else if (trial >= 270) {
+      for (auto& node : inst.nodes) node.traffic = 0.0;
+    }
     CpWeights weights;
     if (trial % 3 != 0) {
       weights.disconnect_penalty = rng.uniform(0.0, 3.0);
@@ -353,19 +389,13 @@ TEST(CpScorer, MatchesReferenceLoopBitForBit) {
       const CpSolution s = random_solution(inst, rng);
       ASSERT_TRUE(feasible(inst, s));
       const CpEvaluation want = reference_evaluate(inst, s, weights);
-      const CpEvaluation got = scorer.score(s, weights);
       SCOPED_TRACE(::testing::Message()
                    << "trial " << trial << " plan " << plan << ", "
                    << inst.gateways.size() << " gateways");
-      EXPECT_TRUE(got.objective == want.objective);
-      EXPECT_TRUE(got.overload_risk == want.overload_risk);
-      EXPECT_TRUE(got.pair_overload == want.pair_overload);
-      EXPECT_TRUE(got.disconnected == want.disconnected);
-      EXPECT_TRUE(got.level_bias == want.level_bias);
-      EXPECT_TRUE(got.gateway_load == want.gateway_load);
-      const CpEvaluation wrapped = evaluate(inst, s, weights);
-      EXPECT_TRUE(wrapped.objective == want.objective);
-      EXPECT_TRUE(wrapped.gateway_load == want.gateway_load);
+      expect_same_bits(scorer.score(s, weights), want);
+      expect_same_bits(evaluate(inst, s, weights), want);
+      scorer.score(s, weights, scratch, reused);
+      expect_same_bits(reused, want);
     }
   }
 }

@@ -69,10 +69,8 @@ bool feasible(const CpInstance& instance, const CpSolution& solution) {
   return true;
 }
 
-void repair(const CpInstance& instance, CpSolution& solution) {
+void repair_gateways(const CpInstance& instance, CpSolution& solution) {
   solution.gateway_channels.resize(instance.gateways.size());
-  solution.node_channel.resize(instance.nodes.size(), 0);
-  solution.node_level.resize(instance.nodes.size(), 0);
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
     auto& chans = solution.gateway_channels[j];
     const auto& gw = instance.gateways[j];
@@ -105,6 +103,12 @@ void repair(const CpInstance& instance, CpSolution& solution) {
       chans.resize(static_cast<std::size_t>(gw.max_channels));
     }
   }
+}
+
+void repair(const CpInstance& instance, CpSolution& solution) {
+  repair_gateways(instance, solution);
+  solution.node_channel.resize(instance.nodes.size(), 0);
+  solution.node_level.resize(instance.nodes.size(), 0);
   for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
     solution.node_channel[i] =
         std::clamp(solution.node_channel[i], 0, instance.num_channels - 1);

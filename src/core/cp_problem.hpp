@@ -172,4 +172,7 @@ class CpScorer {
 // Clamp/repair a solution in place to satisfy structural constraints.
 void repair(const CpInstance& instance, CpSolution& solution);
 
+// The gateway half of repair: only the channel sets, node genes untouched.
+void repair_gateways(const CpInstance& instance, CpSolution& solution);
+
 }  // namespace alphawan

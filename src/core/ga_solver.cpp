@@ -229,8 +229,12 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
 
   // Prepare + score one individual. Pure in the individual given the
   // instance and config — the precondition that lets a batch fan out.
+  // Seeds are repaired in full before they join the population; every
+  // later individual takes its node genes from repaired ones, and mutate
+  // draws node channels and levels inside their ranges, so only the
+  // gateway channel sets can need repair.
   auto evaluate_individual = [&](Individual& ind) {
-    repair(instance, ind.solution);
+    repair_gateways(instance, ind.solution);
     if (config.forced_channel_count) {
       enforce_forced_width(instance, *config.forced_channel_count,
                            ind.solution);
@@ -261,18 +265,40 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   std::vector<Individual> population;
   population.reserve(static_cast<std::size_t>(config.population));
   {
-    Individual seed;
-    GreedyOptions greedy_opts;
-    greedy_opts.forced_channel_count = config.forced_channel_count;
-    seed.solution = seed_solution != nullptr ? *seed_solution
-                                             : greedy_seed(instance, greedy_opts);
-    population.push_back(seed);
+    // Each greedy seed's per-gateway widths, with its population index: a
+    // greedy seed with the widths of an earlier one is a copy of it.
+    std::vector<std::pair<std::vector<int>, std::size_t>> greedy_built;
+    auto add_greedy = [&](std::optional<int> forced_channel_count) {
+      GreedyOptions opts;
+      opts.forced_channel_count = forced_channel_count;
+      std::vector<int> widths;
+      widths.reserve(instance.gateways.size());
+      for (const auto& gw : instance.gateways) {
+        widths.push_back(greedy_width(gw, instance.num_channels, opts));
+      }
+      Individual ind;
+      const auto same =
+          std::find_if(greedy_built.begin(), greedy_built.end(),
+                       [&](const auto& built) { return built.first == widths; });
+      if (same != greedy_built.end()) {
+        ind.solution = population[same->second].solution;
+      } else {
+        ind.solution = greedy_seed(instance, opts);
+        greedy_built.emplace_back(std::move(widths), population.size());
+      }
+      population.push_back(std::move(ind));
+    };
+    if (seed_solution != nullptr) {
+      Individual seed;
+      seed.solution = *seed_solution;
+      population.push_back(std::move(seed));
+    } else {
+      add_greedy(config.forced_channel_count);
+    }
     // If both an explicit initial and a greedy seed make sense, add the
     // greedy one too.
     if (config.initial && !nodes_frozen) {
-      Individual greedy;
-      greedy.solution = greedy_seed(instance, greedy_opts);
-      population.push_back(greedy);
+      add_greedy(config.forced_channel_count);
     }
     // Seed a few structurally different greedy plans (channel widths 1-4):
     // multi-gateway coverage overlap makes the ideal width instance-specific.
@@ -281,13 +307,10 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
            width <= 4 &&
            population.size() + 1 < static_cast<std::size_t>(config.population);
            ++width) {
-        Individual ind;
-        GreedyOptions opts;
-        opts.forced_channel_count = width;
-        ind.solution = greedy_seed(instance, opts);
-        population.push_back(std::move(ind));
+        add_greedy(width);
       }
     }
+    for (auto& ind : population) repair(instance, ind.solution);
   }
   // Score the seeds first: the random fill below perturbs the REPAIRED
   // front-of-population solution, as the serial algorithm always has.

@@ -5,6 +5,16 @@
 
 namespace alphawan {
 
+int greedy_width(const CpGateway& gw, int num_channels,
+                 const GreedyOptions& options) {
+  const int width = options.forced_channel_count.value_or(
+      std::max(1, static_cast<int>(std::lround(
+                      static_cast<double>(gw.decoders) / kNumDataRates))));
+  return std::clamp(width, 1,
+                    std::min({gw.max_channels, gw.max_span_channels,
+                              num_channels}));
+}
+
 CpSolution greedy_seed(const CpInstance& instance,
                        const GreedyOptions& options) {
   CpSolution solution = CpSolution::empty_for(instance);
@@ -17,12 +27,7 @@ CpSolution greedy_seed(const CpInstance& instance,
   std::vector<double> channel_capacity(static_cast<std::size_t>(num_ch), 0.0);
   for (std::size_t j = 0; j < num_gw; ++j) {
     const auto& gw = instance.gateways[j];
-    int width = options.forced_channel_count.value_or(
-        std::max(1, static_cast<int>(std::lround(
-                        static_cast<double>(gw.decoders) / kNumDataRates))));
-    width = std::clamp(width, 1,
-                       std::min({gw.max_channels, gw.max_span_channels,
-                                 num_ch}));
+    const int width = greedy_width(gw, num_ch, options);
     int best_start = 0;
     double best_score = 1e300;
     for (int start = 0; start + width <= num_ch; ++start) {

@@ -16,6 +16,13 @@ struct GreedyOptions {
   std::optional<int> forced_channel_count;
 };
 
+// The channel count greedy_seed gives `gw`, clamped to what the gateway
+// and the grid allow. The options reach the seed only through these
+// widths: two options with the same width for every gateway give the same
+// seed.
+[[nodiscard]] int greedy_width(const CpGateway& gw, int num_channels,
+                               const GreedyOptions& options);
+
 [[nodiscard]] CpSolution greedy_seed(const CpInstance& instance,
                                      const GreedyOptions& options = {});
 

@@ -32,7 +32,10 @@ struct LinkEstimates {
     const std::map<NodeId, Dbm>& tx_power_of = {});
 
 // Per-window delivered-packet counts per node: series[node][w] = packets
-// in window w. Window w covers [w*window_len, (w+1)*window_len).
+// in window w. Window w covers [w*window_len, (w+1)*window_len). A packet
+// counts once, at its first record; records before 0, past the horizon or
+// with a NaN timestamp count nowhere. Throws std::invalid_argument unless
+// window_len is positive and finite.
 [[nodiscard]] std::map<NodeId, std::vector<std::size_t>> per_window_counts(
     std::span<const UplinkRecord> log, Seconds window_len,
     std::size_t num_windows);

@@ -10,7 +10,8 @@ std::map<NodeId, double> TrafficEstimator::estimate(
   for (const auto& [node, counts] : series) {
     if (counts.empty()) continue;
     const auto peak = *std::max_element(counts.begin(), counts.end());
-    demand[node] = std::max(0.5, static_cast<double>(peak));
+    demand.emplace_hint(demand.end(), node,
+                        std::max(0.5, static_cast<double>(peak)));
   }
   return demand;
 }

@@ -267,6 +267,60 @@ TEST(GaSolver, FrozenNodesSolveDigest) {
   expect_digest(result, "0x1.f12b22cc22fdp+8", 0x1bfcf6ddfb53ae0aULL, 464);
 }
 
+// The two pins below were recorded before the GA reused greedy seeds it
+// had already built and stopped clamping the node genes of its children.
+//
+// Two gateway profiles: a RAK7246G (8 decoders, greedy width
+// lround(8/6) = 1) next to each RAK7289CV2 (32 decoders, 16 chains,
+// 3.2 MHz: greedy width 5). No fixed width 1-4 gives every gateway its
+// default width, so each of the five greedy seeds is its own plan. The
+// generations improve on the seeds here, so a seed copied where it should
+// have been built moves the pin.
+TEST(GaSolver, MixedProfileSolveDigest) {
+  CpInstance inst = digest_instance(4, 400);
+  for (std::size_t j = 0; j < inst.gateways.size(); ++j) {
+    auto& gw = inst.gateways[j];
+    if (j % 2 == 0) {
+      gw.decoders = 8;
+    } else {
+      gw.decoders = 32;
+      gw.max_channels = 16;
+      gw.max_span_channels = 16;
+    }
+  }
+  const auto result = solve_cp(inst, digest_config(20));
+  expect_digest(result, "0x1.221a6e547c245p+9", 0x1aeaa67810a0fcafULL, 464);
+}
+
+// An explicit population seed that breaks every structural constraint:
+// node channels and levels outside their ranges, gateway channel sets
+// unsorted, duplicated, too wide and too many. The seed is repaired in
+// full before it is scored and before the random fill perturbs it.
+TEST(GaSolver, UnrepairedInitialSolveDigest) {
+  const CpInstance inst = digest_instance(12, 400);
+  Rng rng(7);
+  CpSolution initial;
+  initial.gateway_channels.resize(inst.gateways.size());
+  for (auto& chans : initial.gateway_channels) {
+    const auto count = rng.uniform_int(1, 12);
+    for (std::int64_t k = 0; k < count; ++k) {
+      chans.push_back(static_cast<std::int32_t>(rng.uniform_int(-4, 20)));
+    }
+    chans.push_back(chans.front());
+  }
+  for (std::size_t i = 0; i < inst.nodes.size(); ++i) {
+    initial.node_channel.push_back(
+        static_cast<std::int32_t>(rng.uniform_int(-5, 25)));
+    initial.node_level.push_back(
+        static_cast<std::int32_t>(rng.uniform_int(-3, 9)));
+  }
+  ASSERT_FALSE(feasible(inst, initial));
+  GaConfig cfg = digest_config(20);
+  cfg.initial = initial;
+  const auto result = solve_cp(inst, cfg);
+  expect_digest(result, "0x1.e9c7bc32cafc3p+8", 0xf047a9f7c78d9da6ULL, 464);
+}
+
 // ga_gain is what the generations earned over the initial population:
 // never negative while elites survive, and exactly 0 when none ran.
 TEST(GaSolver, GaGainNonNegativeAndZeroWithoutGenerations) {

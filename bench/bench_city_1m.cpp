@@ -10,9 +10,14 @@
 // Smoke mode (ALPHAWAN_BENCH_SMOKE=1) shrinks the world and additionally
 // self-checks shard equivalence: the same seed must produce bit-identical
 // fate digests at shards 1, 2 and 8, else the process exits non-zero.
+// Each window's wall time is printed with the link rows it added, the
+// first one (every user it hears is a first contact) apart from the rest.
 #include "harness.hpp"
 
 #include <sys/resource.h>
+
+#include <chrono>
+#include <vector>
 
 #include "check/digest.hpp"
 #include "sim/shard.hpp"
@@ -48,6 +53,12 @@ struct RunStats {
   std::size_t resident_rows = 0;
   std::size_t boundary_rows = 0;
   std::size_t boundary_events = 0;
+  // Wall time and resident link rows after each window. Every user the
+  // first window hears is a first contact (one link evaluation per gateway
+  // column in reach); a later window evaluates only the users it hears for
+  // the first time.
+  std::vector<double> window_s;
+  std::vector<std::size_t> window_rows;
 };
 
 RunStats run_city(const CityConfig& cfg, int shards, std::uint64_t seed,
@@ -84,12 +95,17 @@ RunStats run_city(const CityConfig& cfg, int shards, std::uint64_t seed,
       txs.insert(txs.end(), node_txs.begin(), node_txs.end());
     }
     sort_by_start(txs);
+    const auto begin = std::chrono::steady_clock::now();
     const auto result =
         timed ? window_perf.time(
                     txs.size(), [&] { return runner.run_window(txs, metrics); })
               : runner.run_window(txs, metrics);
+    stats.window_s.push_back(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - begin)
+                                 .count());
     stats.digest = stats.digest * 0x100000001B3ULL ^ fate_digest(result.fates);
     const ShardWindowStats& window_stats = runner.shard_stats();
+    stats.window_rows.push_back(window_stats.resident_rows);
     stats.resident_rows = std::max(stats.resident_rows,
                                    window_stats.resident_rows);
     stats.boundary_rows = std::max(stats.boundary_rows,
@@ -124,6 +140,13 @@ void print_stats(const RunStats& stats, int shards) {
               stats.resident_rows, stats.boundary_rows,
               stats.boundary_events);
   std::printf("  peak RSS=%zu MiB\n", peak_rss_mib());
+  if (stats.window_s.empty()) return;
+  std::printf("  first window (all first contacts)=%.3f s, %zu link rows\n",
+              stats.window_s.front(), stats.window_rows.front());
+  for (std::size_t w = 1; w < stats.window_s.size(); ++w) {
+    std::printf("  window %zu=%.3f s, +%zu link rows\n", w, stats.window_s[w],
+                stats.window_rows[w] - stats.window_rows[w - 1]);
+  }
 }
 
 }  // namespace

@@ -140,7 +140,8 @@ class Rng {
   // sample pending): bit-identical value and state advance to
   // normal(mean, stddev) on a fresh generator, but skips computing and
   // caching the companion sample the caller will never consume. The
-  // per-(gateway, packet) fading draw in run_window is the intended user.
+  // per-(gateway, packet) fading draw in run_window and the per-link
+  // shadowing draw (ChannelModel::shadowing) are the intended users.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (mean, sigma) convention)
   // NOLINTNEXTLINE(bugprone-easily-swappable-parameters)
   double normal_once(double mean, double stddev) {

@@ -23,8 +23,7 @@ void Gateway::set_antenna(std::unique_ptr<Antenna> antenna,
 }
 
 Db Gateway::antenna_gain_towards(const Point& target) const {
-  const double azimuth = bearing(position_, target);
-  return antenna_->gain(azimuth - boresight_rad_);
+  return antenna_->gain_towards(position_, target, boresight_rad_);
 }
 
 void Gateway::receive_window(const RxEventView& view,

@@ -6,6 +6,11 @@
 
 namespace alphawan {
 
+Db Antenna::gain_towards(const Point& from, const Point& to,
+                         double boresight_rad) const {
+  return gain(bearing(from, to) - boresight_rad);
+}
+
 Db DirectionalAntenna::gain(double angle) const {
   // Wrap to [-pi, pi] and use the absolute off-boresight angle.
   double a = std::remainder(angle, 2.0 * std::numbers::pi);

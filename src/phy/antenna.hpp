@@ -5,6 +5,7 @@
 // contention.
 #pragma once
 
+#include "common/geometry.hpp"
 #include "common/types.hpp"
 
 namespace alphawan {
@@ -14,12 +15,21 @@ class Antenna {
   virtual ~Antenna() = default;
   // Gain (dBi) toward azimuth `angle` (radians) relative to boresight.
   [[nodiscard]] virtual Db gain(double angle) const = 0;
+  // Gain of an antenna at `from` whose boresight points at azimuth
+  // `boresight_rad`, toward `to`: gain(bearing(from, to) - boresight_rad).
+  // A pattern that ignores the angle overrides it to skip the bearing.
+  [[nodiscard]] virtual Db gain_towards(const Point& from, const Point& to,
+                                        double boresight_rad) const;
 };
 
 class OmniAntenna final : public Antenna {
  public:
   explicit OmniAntenna(Db gain_dbi = Db{2.0}) : gain_dbi_(gain_dbi) {}
   [[nodiscard]] Db gain(double /*angle*/) const override { return gain_dbi_; }
+  [[nodiscard]] Db gain_towards(const Point& /*from*/, const Point& /*to*/,
+                                double /*boresight_rad*/) const override {
+    return gain_dbi_;
+  }
 
  private:
   Db gain_dbi_;

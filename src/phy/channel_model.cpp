@@ -34,11 +34,11 @@ Db ChannelModel::mean_path_loss(Meters dist) const {
 
 Db ChannelModel::shadowing(std::uint64_t tx_id, std::uint64_t rx_id) const {
   // Pure in the key alone: any caller, on any thread, recomputes the
-  // identical draw, so there is nothing worth memoizing here — the
-  // LinkCache holds the composite static terms for hot links.
+  // identical draw. The generator is thrown away after one draw, so
+  // normal_once skips the companion sample normal() would cache.
   const std::uint64_t key = link_key(tx_id, rx_id);
   Rng link_rng(shadow_seed_ ^ (key * 0x9E3779B97F4A7C15ULL));
-  return Db{link_rng.normal(0.0, config_.shadowing_sigma_db.value())};
+  return Db{link_rng.normal_once(0.0, config_.shadowing_sigma_db.value())};
 }
 
 Db ChannelModel::link_path_loss(std::uint64_t tx_id, std::uint64_t rx_id,

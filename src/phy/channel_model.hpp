@@ -3,13 +3,15 @@
 // (outdoor/indoor/blockage mix) — see DESIGN.md section 2.
 //
 // Shadowing is frozen per (transmitter, receiver) pair: the draw is a pure
-// function of (config seed, tx id, rx id), recomputed on demand rather than
-// memoized. That keeps a given deployment's link qualities stable across a
-// run — matching the paper's static testbed — while the model itself holds
-// no per-link state, so its memory stays O(1) no matter how many links a
+// function of (config seed, tx id, rx id), and the model itself memoizes
+// nothing. That keeps a given deployment's link qualities stable across a
+// run — matching the paper's static testbed — while the model holds no
+// per-link state, so its memory stays O(1) no matter how many links a
 // city-scale world probes (docs/sharding.md). Fast fading is drawn per
-// packet. Hot paths that revisit links cache the composite static terms in
-// the LinkCache instead (phy/link_cache.hpp).
+// packet. The LinkCache (phy/link_cache.hpp) keeps what hot paths revisit:
+// the composite static terms of every resident link, and per slice the
+// geometry (mean path loss, antenna gain) of the origin probed last, so
+// co-located emulated users cost one shadowing draw per link.
 #pragma once
 
 #include "common/geometry.hpp"
@@ -39,8 +41,13 @@ class ChannelModel {
   // Deterministic mean path loss at a distance.
   [[nodiscard]] Db mean_path_loss(Meters dist) const;
 
-  // Path loss including this link's frozen shadowing term. Links are keyed
-  // by (tx_id, rx_id) chosen by the caller (node id, gateway id).
+  // This link's frozen shadowing term. Links are keyed by (tx_id, rx_id)
+  // chosen by the caller (node id, gateway id).
+  [[nodiscard]] Db shadowing(std::uint64_t tx_id, std::uint64_t rx_id) const;
+
+  // Path loss including the link's frozen shadowing term:
+  // mean_path_loss(dist) + shadowing(tx_id, rx_id). A caller that already
+  // holds mean_path_loss(dist) may add shadowing itself, bit for bit.
   [[nodiscard]] Db link_path_loss(std::uint64_t tx_id, std::uint64_t rx_id,
                                   Meters dist) const;
 
@@ -64,8 +71,6 @@ class ChannelModel {
   [[nodiscard]] const ChannelModelConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] Db shadowing(std::uint64_t tx_id, std::uint64_t rx_id) const;
-
   ChannelModelConfig config_;
   std::uint64_t shadow_seed_;
 };

@@ -22,13 +22,28 @@ std::uint32_t LinkCache::row_of(NodeId node) const {
   return slot < memos_.size() ? memos_[slot].row : kInvalidRow;
 }
 
-LinkGain LinkCache::compute_gain(const Column& column, NodeId node,
-                                 const Point& origin) {
-  // Argument order matches the uncached runner path exactly:
-  // distance(tx.origin, gw.position()) feeding link_path_loss.
-  const Meters dist = distance(origin, column.position);
-  return LinkGain{model_->link_path_loss(node, column.rx_key, dist),
-                  column.antenna_gain(origin)};
+void LinkCache::probe(NodeId node, const Point& origin) {
+  // An empty memo is a dropped one (or a cache without columns).
+  if (geometry_.empty() || geometry_origin_ != origin) {
+    geometry_.clear();
+    for (const auto& column : columns_) {
+      // Argument order matches the uncached runner path exactly:
+      // distance(tx.origin, gw.position()).
+      geometry_.push_back(
+          {model_->mean_path_loss(distance(origin, column.position)),
+           column.antenna_gain(origin)});
+    }
+    geometry_origin_ = origin;
+  }
+  // mean_path_loss(dist) + shadowing(tx, rx): the very sum link_path_loss
+  // evaluates, so a probe equals the uncached terms bit for bit.
+  probe_gains_.clear();
+  for (std::size_t col = 0; col < columns_.size(); ++col) {
+    probe_gains_.push_back(
+        {geometry_[col].mean_loss +
+             model_->shadowing(node, columns_[col].rx_key),
+         geometry_[col].antenna_gain});
+  }
 }
 
 std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
@@ -47,6 +62,7 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
         column.gains[row].antenna_gain = column.antenna_gain(row_origin_[row]);
       }
       candidates_valid_ = false;
+      geometry_.clear();
       ++audibility_epoch_;  // a new antenna can make rejected nodes audible
     }
     return it->second;
@@ -60,13 +76,17 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
   column.antenna_gain = std::move(antenna_gain);
   column.gains.reserve(row_origin_.size());
   for (std::uint32_t row = 0; row < row_origin_.size(); ++row) {
+    const Point& origin = row_origin_[row];
     column.gains.push_back(
-        compute_gain(column, row_node_[row], row_origin_[row]));
+        {model_->link_path_loss(row_node_[row], rx_key,
+                                distance(origin, position)),
+         column.antenna_gain(origin)});
   }
   const auto index = columns_.size();
   columns_.push_back(std::move(column));
   column_of_.emplace(id, static_cast<std::uint32_t>(index));
   candidates_valid_ = false;
+  geometry_.clear();
   ++audibility_epoch_;  // a new column can make rejected nodes audible
   return index;
 }
@@ -86,22 +106,22 @@ std::uint32_t LinkCache::resolve(std::uint32_t slot, NodeId node,
     if (m.origin == origin) return m.row;
     m.origin = origin;
     row_origin_[m.row] = origin;
-    for (auto& column : columns_) {
-      column.gains[m.row] = compute_gain(column, node, origin);
+    probe(node, origin);
+    for (std::size_t col = 0; col < columns_.size(); ++col) {
+      columns_[col].gains[m.row] = probe_gains_[col];
     }
     if (candidates_valid_) write_candidates_for_row(m.row);
     return m.row;
   }
   // Probe every column into scratch, materializing only on an audible hit
   // (so the probe's work is not thrown away when the node joins).
-  probe_gains_.clear();
-  bool audible = false;
-  for (const auto& column : columns_) {
-    const LinkGain g = compute_gain(column, node, origin);
-    audible = audible ||
-              g.antenna_gain.value() - g.path_loss.value() >= threshold;
-    probe_gains_.push_back(g);
-  }
+  probe(node, origin);
+  const bool audible =
+      std::any_of(probe_gains_.begin(), probe_gains_.end(),
+                  [threshold](const LinkGain& g) {
+                    return g.antenna_gain.value() - g.path_loss.value() >=
+                           threshold;
+                  });
   if (!audible) {
     m = Memo{origin, kInvalidRow, audibility_epoch_};
     return kInvalidRow;

@@ -29,10 +29,16 @@
 //
 // Each slice memoizes, per node slot (NodeSlots, shared by the slices), the
 // node's row or its rejection, so a steady-state lookup is one vector load
-// plus a compare. Concurrency: the slot-keyed calls (*_at, candidate_mask)
-// touch only their own slice, so distinct slices may run them concurrently
-// once every slot in use is assigned; all other mutation — node-id-keyed
-// ensure_* (may assign slots), upsert_gateway, reset — is serial.
+// plus a compare. A first contact (a probe of every column) reuses the
+// geometry of the origin the slice probed last — per column the mean path
+// loss over the distance and the antenna gain toward the origin — so users
+// emulated at one node's position cost one shadowing draw per link; the
+// memo is dropped whenever a column is added or its antenna epoch changes.
+// Concurrency: the slot-keyed calls (*_at, candidate_mask) touch only their
+// own slice, geometry memo included, so distinct slices may run them
+// concurrently once every slot in use is assigned; all other mutation —
+// node-id-keyed ensure_* (may assign slots), upsert_gateway, reset — is
+// serial.
 #pragma once
 
 #include <cstdint>
@@ -185,8 +191,15 @@ class LinkCache {
     std::uint32_t epoch = 0;  // audibility epoch of a rejection
   };
 
-  [[nodiscard]] LinkGain compute_gain(const Column& column, NodeId node,
-                                      const Point& origin);
+  // Per-column terms that depend on the origin alone.
+  struct Geometry {
+    Db mean_loss{0.0};     // mean path loss over the distance
+    Db antenna_gain{0.0};  // receive antenna gain toward the origin
+  };
+
+  // Fill probe_gains_ with `node`'s static terms toward every column from
+  // `origin`, reusing the geometry memo when `origin` was probed last.
+  void probe(NodeId node, const Point& origin);
   Memo& memo(std::uint32_t slot);
   // The memo-miss path: refresh the slot's row, or probe the node and
   // materialize it if some column's static gain clears `threshold`.
@@ -216,7 +229,11 @@ class LinkCache {
   Dbm floor_{std::numeric_limits<double>::quiet_NaN()};
   Dbm power_bound_{0.0};
   double threshold_ = 0.0;
-  std::vector<LinkGain> probe_gains_;  // scratch for the audibility probe
+  std::vector<LinkGain> probe_gains_;  // scratch filled by probe()
+  // Geometry of the origin probed last, one entry per column; empty when
+  // dropped.
+  Point geometry_origin_{};
+  std::vector<Geometry> geometry_;
 
   // Flat candidate storage: mask_words() words per row.
   bool candidates_valid_ = false;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <numbers>
+
+#include "check/digest.hpp"
 #include "core/log_parser.hpp"
 #include "phy/band_plan.hpp"
 
@@ -147,6 +152,48 @@ TEST(NetworkTest, GatewayAntennaSwap) {
   const Db behind = gw.antenna_gain_towards(Point{Meters{-100}, Meters{0}});
   EXPECT_GT(steered, omni);
   EXPECT_LT(behind, steered - Db{30.0});
+}
+
+// A gateway's antenna answers from the two points and the boresight. For an
+// omni antenna that must be the value the bearing path gives, bit for bit —
+// a target on the gateway itself (atan2(0, 0)) and a nonzero boresight
+// included — and a directional antenna's gains must not move by one bit
+// across a sweep of angles (Fig. 7): they equal the bearing path and a
+// digest pinned before the omni shortcut existed.
+TEST(Gateway, OmniGainMatchesBearingPath) {
+  Network net(0, "t");
+  const Point pos{Meters{120.0}, Meters{-40.0}};
+  auto& gw = net.add_gateway(1, pos, default_profile());
+  std::vector<Point> targets{pos};
+  for (int k = 0; k < 96; ++k) {
+    const double angle = 0.01 + k * (2.0 * std::numbers::pi / 96.0);
+    const double radius = 10.0 + 45.0 * k;
+    targets.push_back(Point{pos.x + Meters{radius * std::cos(angle)},
+                            pos.y + Meters{radius * std::sin(angle)}});
+  }
+  const auto bits = [](Db g) { return std::bit_cast<std::uint64_t>(g.value()); };
+
+  const OmniAntenna stock;  // what a gateway starts with
+  for (const Point& p : targets) {
+    EXPECT_EQ(bits(gw.antenna_gain_towards(p)),
+              bits(stock.gain(bearing(pos, p) - 0.0)));
+  }
+  gw.set_antenna(std::make_unique<OmniAntenna>(Db{3.5}), 1.3);
+  const OmniAntenna omni(Db{3.5});
+  for (const Point& p : targets) {
+    EXPECT_EQ(bits(gw.antenna_gain_towards(p)),
+              bits(omni.gain(bearing(pos, p) - 1.3)));
+  }
+
+  gw.set_antenna(std::make_unique<DirectionalAntenna>(), 0.7);
+  const DirectionalAntenna dir;
+  std::uint64_t digest = kFnv1aOffset;
+  for (const Point& p : targets) {
+    const std::uint64_t got = bits(gw.antenna_gain_towards(p));
+    EXPECT_EQ(got, bits(dir.gain(bearing(pos, p) - 0.7)));
+    digest = fnv1a(&got, sizeof got, digest);
+  }
+  EXPECT_EQ(digest, 0x0e1a7efae1e3a400ULL) << digest_hex(digest);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "check/digest.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
@@ -106,6 +109,40 @@ TEST(ChannelModel, HigherPowerHigherSnr) {
   ChannelModel model;
   EXPECT_GT(model.mean_link_snr(1, 2, Meters{500.0}, Dbm{20.0}),
             model.mean_link_snr(1, 2, Meters{500.0}, Dbm{8.0}));
+}
+
+// Bit pin of the static link terms every cache and planner reads: one
+// FNV-1a digest over the bit patterns of link_path_loss and mean_link_snr
+// for 2,000 (tx, rx, distance) triples. The triples cover small and
+// 64-bit tx ids, rx keys on both sides of kGatewayKeyBase (2^32),
+// distances below the reference distance (clamped) and several shadowing
+// sigmas, so any change to the shadowing draw or the path-loss arithmetic
+// moves the digest, however small.
+TEST(ChannelModel, LinkPathLossBitsPinned) {
+  std::uint64_t digest = kFnv1aOffset;
+  const auto fold = [&digest](double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    digest = fnv1a(&bits, sizeof bits, digest);
+  };
+  for (const double sigma : {0.0, 3.0, 4.0, 9.5}) {
+    ChannelModelConfig cfg;
+    cfg.shadowing_sigma_db = Db{sigma};
+    cfg.seed = 5 + static_cast<std::uint64_t>(sigma * 2.0);
+    const ChannelModel model(cfg);
+    for (std::uint64_t k = 0; k < 500; ++k) {
+      const std::uint64_t tx =
+          k % 4 == 3 ? k * 0x9E3779B97F4A7C15ULL : 1'000'000 + k;
+      const std::uint64_t rx = k % 3 == 0   ? kGatewayKeyBase + k % 64
+                               : k % 3 == 1 ? k % 7
+                                            : (kGatewayKeyBase << 8) + k;
+      // Every fifth distance sits below the 1 m reference distance.
+      const Meters dist{k % 5 == 0 ? 0.002 * static_cast<double>(k)
+                                   : 1.0 + 37.3 * static_cast<double>(k)};
+      fold(model.link_path_loss(tx, rx, dist).value());
+      fold(model.mean_link_snr(tx, rx, dist, Dbm{14.0}).value());
+    }
+  }
+  EXPECT_EQ(digest, 0x918b1e2ffc3a730eULL) << digest_hex(digest);
 }
 
 }  // namespace

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/network.hpp"
+#include "phy/sensitivity.hpp"
+#include "radio/profiles.hpp"
 
 namespace alphawan {
 namespace {
@@ -235,6 +240,107 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
     ASSERT_EQ(a.size(), b.size()) << "row " << row;
     for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
   }
+}
+
+// First contact of co-located users (emulated users share their physical
+// node's position): every gain a slice computes must equal the uncached
+// expressions bit for bit — link_path_loss over the same distance, and the
+// gateway's own antenna_gain_towards. Two slices share one NodeSlots; the
+// setup covers a directional gateway, an antenna swap between
+// registrations (epoch bump) at the origin probed last, and a row
+// re-registered at a new origin.
+TEST(LinkCache, CoLocatedFirstContactMatchesUncached) {
+  ChannelModelConfig cfg;
+  cfg.seed = 21;
+  ChannelModel model(cfg);
+  Network net(0, "t");
+  std::vector<Gateway*> gws;
+  for (const auto& site : test_sites()) {
+    gws.push_back(&net.add_gateway(site.id, site.position, default_profile()));
+  }
+  gws[2]->set_antenna(std::make_unique<DirectionalAntenna>(), 0.4);
+  ShardedLinkCache caches(model);
+  caches.reset(2);
+  // Gateways 1 and 2 live in slice 0, gateway 7 in slice 1.
+  const auto slice_of = [](std::size_t g) -> std::size_t { return g < 2 ? 0 : 1; };
+  const auto upsert_all = [&] {
+    for (std::size_t g = 0; g < gws.size(); ++g) {
+      const Gateway* gw = gws[g];
+      caches.slice(slice_of(g))
+          .upsert_gateway(gw->id(), kGatewayKeyBase + gw->id(), gw->position(),
+                          gw->antenna_epoch(), [gw](const Point& origin) {
+                            return gw->antenna_gain_towards(origin);
+                          });
+    }
+  };
+
+  const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k) - Db{10.0};
+  std::vector<Tx> users;
+  // Slice 0 materializes every row; slice 1 gates on audibility.
+  const auto add_users = [&](NodeId first, int count, const Point& origin) {
+    for (int u = 0; u < count; ++u) {
+      const NodeId node = first + static_cast<NodeId>(u);
+      caches.slice(0).ensure_row(node, origin);
+      (void)caches.slice(1).ensure_row_if_audible(node, origin, floor,
+                                                  kMaxTxPower);
+      users.push_back({node, origin});
+    }
+  };
+  const auto bits = [](Db v) { return std::bit_cast<std::uint64_t>(v.value()); };
+  const auto check = [&](const char* stage) {
+    std::size_t checked[2] = {0, 0};
+    for (std::size_t g = 0; g < gws.size(); ++g) {
+      const Gateway& gw = *gws[g];
+      const LinkCache& slice = caches.slice(slice_of(g));
+      const auto gains = slice.gains(slice.column_of(gw.id()));
+      for (const Tx& user : users) {
+        const std::uint32_t row = slice.row_of(user.node);
+        if (row == LinkCache::kInvalidRow) continue;
+        ++checked[slice_of(g)];
+        const Db want_loss = model.link_path_loss(
+            user.node, kGatewayKeyBase + gw.id(),
+            distance(user.origin, gw.position()));
+        EXPECT_EQ(bits(gains[row].path_loss), bits(want_loss))
+            << stage << ": node " << user.node << ", gateway " << gw.id();
+        EXPECT_EQ(bits(gains[row].antenna_gain),
+                  bits(gw.antenna_gain_towards(user.origin)))
+            << stage << ": node " << user.node << ", gateway " << gw.id();
+      }
+    }
+    // Every user is resident in slice 0 (two columns); slice 1 (one
+    // column, a directional antenna) hears only some of them.
+    EXPECT_EQ(checked[0], 2 * users.size()) << stage;
+    EXPECT_GT(checked[1], 0u) << stage;
+    EXPECT_LT(checked[1], users.size()) << stage;
+  };
+
+  const Point a{Meters{50.0}, Meters{80.0}};
+  const Point b{Meters{700.0}, Meters{-200.0}};
+  const Point on_gateway = test_sites()[1].position;  // below 1 m
+  upsert_all();
+  add_users(1000, 5, a);
+  add_users(2000, 5, b);
+  add_users(1005, 3, a);
+  add_users(3000, 4, on_gateway);
+  add_users(2005, 5, b);
+  check("first contact");
+
+  // Swap gateway 1's antenna for one facing away from `b`, the origin both
+  // slices probed last: users first heard afterwards at `b` must see the
+  // new antenna, not a geometry remembered from before the swap.
+  gws[0]->set_antenna(std::make_unique<DirectionalAntenna>(),
+                      std::numbers::pi);
+  upsert_all();
+  add_users(4000, 5, b);
+  check("after antenna swap");
+
+  // A registered id moves: its row is recomputed in place, and the users
+  // first heard at the new origin afterwards match too.
+  const Point moved{Meters{300.0}, Meters{400.0}};
+  for (std::size_t s = 0; s < 2; ++s) caches.slice(s).ensure_row(1000, moved);
+  users[0].origin = moved;
+  add_users(5000, 3, moved);
+  check("after move");
 }
 
 }  // namespace

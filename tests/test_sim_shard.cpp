@@ -429,5 +429,44 @@ TEST(ShardMemo, TwoRunnersShareVirtualIdsAtDifferentOrigins) {
   EXPECT_EQ(fate_digest(b_second.fates), fresh_digest(b_txs, xs, {}));
 }
 
+// Emulated users share their physical node's origin (10 per node here), so
+// consecutive first contacts in a slice often come from one position: the
+// path where a slice reuses the origin's geometry. The window grows every
+// slice inside the parallel prepass; its fates must not depend on the
+// thread or shard count, and equal a digest pinned before that reuse
+// existed.
+TEST(ShardRunner, CoLocatedUsersDigestIsShardAndThreadInvariant) {
+  const auto xs = {49800.0, 50300.0, 99500.0, 100000.0,
+                   100600.0, 149700.0, 150400.0, 199000.0};
+  auto run_digest = [&xs](int threads, int shards) {
+    WideFixture f;
+    std::vector<EndNode*> nodes;
+    for (const double x : xs) nodes.push_back(&f.add_node(at_x(x)));
+    Rng rng(29);
+    const auto txs = emulated_user_traffic(nodes, /*users_per_node=*/10,
+                                           Seconds{120.0}, 0.05, rng, f.ids);
+    // The hit path is exercised: some first contacts follow a sibling's.
+    std::size_t sibling_pairs = 0;
+    for (std::size_t i = 1; i < txs.size(); ++i) {
+      sibling_pairs += txs[i].origin == txs[i - 1].origin &&
+                       txs[i].node != txs[i - 1].node;
+    }
+    EXPECT_GT(sibling_pairs, 0u);
+    ScenarioRunner runner(f.deployment, /*seed=*/7,
+                          RunOptions{.threads = threads, .shards = shards});
+    const WindowResult result = runner.run_window(txs);
+    EXPECT_GT(result.total_delivered(), 0u);
+    return fate_digest(result.fates);
+  };
+  for (const int threads : {1, 4}) {
+    for (const int shards : {1, 2, 8}) {
+      const std::uint64_t digest = run_digest(threads, shards);
+      EXPECT_EQ(digest, 0x0e331327bf080abaULL)
+          << "threads " << threads << ", shards " << shards << ": "
+          << digest_hex(digest);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace alphawan

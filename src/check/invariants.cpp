@@ -38,7 +38,7 @@ void SimInvariants::clear() {
 }
 
 void SimInvariants::check_gateway_window(
-    const WindowTxTable& table, std::span<const std::size_t> tx_index,
+    const WindowTxTable& table, std::span<const std::uint32_t> tx_index,
     std::span<const RxOutcome> outcomes, std::size_t decoders) {
   if (tx_index.size() != outcomes.size()) {
     std::ostringstream msg;
@@ -56,7 +56,7 @@ void SimInvariants::check_gateway_window(
   std::vector<Dispatched> dispatched;
   ids.reserve(outcomes.size());
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const std::size_t t = tx_index[k];
+    const std::uint32_t t = tx_index[k];
     const RxDisposition d = outcomes[k].disposition;
     ids.push_back(table.packet[t]);
     if (consumed_decoder(d) || d == RxDisposition::kDroppedDecoderBusy) {
@@ -82,7 +82,7 @@ void SimInvariants::check_gateway_window(
   };
   std::vector<Holder> held;
   for (const auto& d : dispatched) {
-    const std::size_t t = tx_index[d.event];
+    const std::uint32_t t = tx_index[d.event];
     const RxOutcome& out = outcomes[d.event];
     std::erase_if(held, [&](const Holder& h) { return h.end <= d.lock_on; });
     if (out.disposition != RxDisposition::kDroppedDecoderBusy) {

@@ -52,7 +52,7 @@ class SimInvariants {
   //     belongs to another network;
   //   * packet ids are unique within the window.
   void check_gateway_window(const WindowTxTable& table,
-                            std::span<const std::size_t> tx_index,
+                            std::span<const std::uint32_t> tx_index,
                             std::span<const RxOutcome> outcomes,
                             std::size_t decoders);
   // Verify a window result: per-network offered/delivered maps agree with

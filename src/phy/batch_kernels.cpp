@@ -11,6 +11,25 @@ void batch_fading_draws(const SubstreamBatch& stream, const PacketId* packets,
   }
 }
 
+std::size_t batch_prune_candidates(std::span<const LinkGain> gains,
+                                   const std::uint32_t* row_of_tx,
+                                   const Dbm* tx_power, Dbm floor,
+                                   Db fading_sigma, std::uint32_t* tx_index,
+                                   std::size_t count) {
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t i = tx_index[k];
+    const LinkGain g = gains[row_of_tx[i]];
+    // Written unconditionally and kept only by the increment; kept <= k, so
+    // the slot overwritten was already read.
+    tx_index[kept] = i;
+    kept += static_cast<std::size_t>(
+        g.antenna_gain.value() - g.path_loss.value() >=
+        min_audible_gain(floor, tx_power[i], fading_sigma));
+  }
+  return kept;
+}
+
 std::size_t batch_rx_power_filter(std::span<const LinkGain> gains,
                                   const std::uint32_t* row_of_tx,
                                   const Dbm* tx_power, const double* fading,

@@ -297,6 +297,24 @@ void batch_fading_draws(const SubstreamBatch& stream, const PacketId* packets,
                         const std::uint32_t* tx_index, std::size_t count,
                         double sigma, double* out);
 
+// Own-power candidate prune, run before the fading draw: compacts tx_index
+// in place to the candidates whose static gain reaches
+// min_audible_gain(floor, tx_power[i], fading_sigma) — the candidate-mask
+// bound at the transmission's real tx power instead of kMaxTxPower (so it
+// holds for out-of-spec powers too). A dropped candidate stays below
+// `floor` for every fading draw the Rng can produce, so
+// batch_rx_power_filter keeps the same events from the pruned list as from
+// the full one; fading is keyed per (gateway, packet), so skipping a draw
+// moves no other. A separate branch-free pass: where most candidates fail
+// the test, a branch on it predicts badly, and fused into the draw loop it
+// would stall the draws behind it (docs/performance.md). Returns the number
+// kept, in ascending order.
+std::size_t batch_prune_candidates(std::span<const LinkGain> gains,
+                                   const std::uint32_t* row_of_tx,
+                                   const Dbm* tx_power, Dbm floor,
+                                   Db fading_sigma, std::uint32_t* tx_index,
+                                   std::size_t count);
+
 // Batched candidate filter: computes each candidate transmission's received
 // power through the cached static link terms —
 //   ((tx_power - path_loss) + fading) + antenna_gain

@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
-
 namespace alphawan {
-namespace {
-// Absorbs any floating-point reassociation between the pruning inequality
-// (one subtraction) and the full received-power expression it stands in
-// for; dwarfs the few-ulp error either side can accumulate.
-constexpr double kPruneSlackDb = 1.0;
-}  // namespace
 
 std::uint32_t LinkCache::column_of(GatewayId id) const {
   const auto it = column_of_.find(id);
@@ -154,9 +146,8 @@ void LinkCache::use_bound(Dbm floor, Dbm power_bound) {
   if (floor == floor_ && power_bound == power_bound_) return;
   floor_ = floor;
   power_bound_ = power_bound;
-  const double fade_bound =
-      kNormalTailSigmas * model_->config().fast_fading_sigma_db.value();
-  threshold_ = floor.value() - power_bound.value() - fade_bound - kPruneSlackDb;
+  threshold_ = min_audible_gain(floor, power_bound,
+                                model_->config().fast_fading_sigma_db);
   candidates_valid_ = false;
   ++audibility_epoch_;  // a new bound can make rejected nodes audible
 }

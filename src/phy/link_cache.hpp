@@ -50,9 +50,30 @@
 #include <vector>
 
 #include "common/geometry.hpp"
+#include "common/rng.hpp"
 #include "phy/channel_model.hpp"
 
 namespace alphawan {
+
+// Absorbs any floating-point reassociation between the one-sided bound
+// min_audible_gain tests and the full received-power expression it stands
+// in for; dwarfs the few-ulp error either side can accumulate.
+inline constexpr double kPruneSlackDb = 1.0;
+
+// The lowest static gain (antenna_gain - path_loss, in dB) at which a
+// transmission at `tx_power` can still clear `floor`: a fading draw never
+// exceeds kNormalTailSigmas * fading_sigma, and the slack covers the
+// reassociation against ((tx_power - path_loss) + fading) + antenna_gain.
+// The one derivation of the bound: the candidate masks and the audibility
+// gate test it at a power bound, the runner's own-power prune
+// (batch_prune_candidates) at each transmission's real tx power.
+// ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, tx_power) is
+// floor-first at every audibility call site)
+[[nodiscard]] inline double min_audible_gain(Dbm floor, Dbm tx_power,
+                                             Db fading_sigma) {
+  return floor.value() - tx_power.value() -
+         kNormalTailSigmas * fading_sigma.value() - kPruneSlackDb;
+}
 
 // The frozen static terms of one (node, gateway) link.
 struct LinkGain {
@@ -139,6 +160,14 @@ class LinkCache {
   // Row index of a registered transmitter id; kInvalidRow if absent.
   [[nodiscard]] std::uint32_t row_of(NodeId node) const;
 
+  // Hint that `slot`'s memo is about to be looked up: a window resolves
+  // transmissions in an order unrelated to their slots, so a loop that
+  // prefetches a few transmissions ahead hides the memo's cache miss.
+  // Changes no state; a slot without a memo is ignored.
+  void prefetch(std::uint32_t slot) const {
+    if (slot < memos_.size()) __builtin_prefetch(memos_.data() + slot);
+  }
+
   // Bumped whenever the column set, an antenna or the audibility bound
   // changes — anything that can turn an inaudible node audible — which
   // invalidates every rejection memo.
@@ -163,9 +192,9 @@ class LinkCache {
   }
 
   // Bitmask (bit c % 64 of word c / 64 == column c) of the columns whose
-  // best-case received power — tx power <= `power_bound`, fading up to
-  // kNormalTailSigmas * fast_fading_sigma, plus a 1 dB slack absorbing
-  // floating-point reassociation — can clear `floor` from `row`. Built
+  // static gain from `row` reaches min_audible_gain(floor, power_bound,
+  // fast_fading_sigma): the best-case received power — tx power <=
+  // `power_bound`, the largest fading draw — can clear `floor`. Built
   // lazily for the (floor, power_bound) in use and kept incrementally as
   // rows are added or moved; any gateway change rebuilds from scratch.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is

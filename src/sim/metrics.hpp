@@ -11,6 +11,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -42,51 +44,69 @@ struct PacketFate {
   DataRate dr = DataRate::kDR0;  // data rate the packet used
 };
 
-// Classify a packet from its outcomes at the gateways OF ITS OWN NETWORK.
-// Delivery by any gateway wins; otherwise the "most actionable" cause is
-// chosen: decoder contention > channel contention > other. Inline: this
-// runs once per offered packet inside the window merge loop.
-[[nodiscard]] inline PacketFate classify_packet(
-    const Transmission& tx, std::span<const RxOutcome> own_gateway_outcomes) {
+// A packet's outcomes at the gateways of its own network, folded into one
+// byte: classification reads only whether some outcome was a delivery, a
+// decoder-busy drop (foreign occupant or not) or a collision (foreign
+// interferer or not), so OR-ing each outcome's bits — in any order — keeps
+// everything classify_packet needs.
+inline constexpr std::uint8_t kFoldDelivered = 1U << 0;
+inline constexpr std::uint8_t kFoldDecoderBusy = 1U << 1;
+inline constexpr std::uint8_t kFoldDecoderBusyForeign = 1U << 2;
+inline constexpr std::uint8_t kFoldCollision = 1U << 3;
+inline constexpr std::uint8_t kFoldCollisionForeign = 1U << 4;
+
+[[nodiscard]] inline std::uint8_t fold_outcome(const RxOutcome& out) {
+  switch (out.disposition) {
+    case RxDisposition::kDelivered:
+      return kFoldDelivered;
+    case RxDisposition::kDroppedDecoderBusy:
+      return out.foreign_among_occupants
+                 ? kFoldDecoderBusy | kFoldDecoderBusyForeign
+                 : kFoldDecoderBusy;
+    case RxDisposition::kDroppedCollision:
+      return out.foreign_interferer ? kFoldCollision | kFoldCollisionForeign
+                                    : kFoldCollision;
+    default:
+      return 0;
+  }
+}
+
+// Classify a packet from its folded own-network outcomes. Delivery by any
+// gateway wins; otherwise the "most actionable" cause is chosen: decoder
+// contention > channel contention > other. Inline: this runs once per
+// offered packet inside the window merge loop.
+[[nodiscard]] inline PacketFate classify_packet(const Transmission& tx,
+                                                std::uint8_t folded) {
   PacketFate fate;
   fate.packet = tx.id;
   fate.node = tx.node;
   fate.network = tx.network;
   fate.payload_bytes = tx.payload_bytes;
   fate.dr = sf_to_dr(tx.params.sf);
-
-  bool decoder_drop = false;
-  bool decoder_drop_foreign = false;
-  bool collision = false;
-  bool collision_foreign = false;
-  for (const auto& out : own_gateway_outcomes) {
-    switch (out.disposition) {
-      case RxDisposition::kDelivered:
-        fate.delivered = true;
-        fate.cause = LossCause::kDelivered;
-        return fate;
-      case RxDisposition::kDroppedDecoderBusy:
-        decoder_drop = true;
-        decoder_drop_foreign |= out.foreign_among_occupants;
-        break;
-      case RxDisposition::kDroppedCollision:
-        collision = true;
-        collision_foreign |= out.foreign_interferer;
-        break;
-      default:
-        break;
-    }
-  }
-  if (decoder_drop) {
-    fate.cause = decoder_drop_foreign ? LossCause::kDecoderContentionInter
-                                      : LossCause::kDecoderContentionIntra;
-  } else if (collision) {
-    fate.cause = collision_foreign ? LossCause::kChannelContentionInter
-                                   : LossCause::kChannelContentionIntra;
+  if ((folded & kFoldDelivered) != 0) {
+    fate.delivered = true;
+    fate.cause = LossCause::kDelivered;
+  } else if ((folded & kFoldDecoderBusy) != 0) {
+    fate.cause = (folded & kFoldDecoderBusyForeign) != 0
+                     ? LossCause::kDecoderContentionInter
+                     : LossCause::kDecoderContentionIntra;
+  } else if ((folded & kFoldCollision) != 0) {
+    fate.cause = (folded & kFoldCollisionForeign) != 0
+                     ? LossCause::kChannelContentionInter
+                     : LossCause::kChannelContentionIntra;
   } else {
     fate.cause = LossCause::kOther;
   }
   return fate;
+}
+
+// Classify a packet from its outcomes at the gateways OF ITS OWN NETWORK:
+// fold, then classify.
+[[nodiscard]] inline PacketFate classify_packet(
+    const Transmission& tx, std::span<const RxOutcome> own_gateway_outcomes) {
+  std::uint8_t folded = 0;
+  for (const auto& out : own_gateway_outcomes) folded |= fold_outcome(out);
+  return classify_packet(tx, folded);
 }
 
 [[nodiscard]] inline PacketFate classify_packet(

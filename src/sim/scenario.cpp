@@ -16,6 +16,12 @@ namespace {
 // substreams derived from the same runner seed.
 constexpr std::uint64_t kFadingDomain = 0xFAD1'F0E5'7A7EULL;
 
+// How many transmissions ahead the prepass prefetches a slot's memo: the
+// slots come in transmission order, which is random with respect to the
+// memo array, so each lookup would otherwise wait on a DRAM miss
+// (docs/performance.md has the tuning).
+constexpr std::size_t kMemoPrefetchAhead = 16;
+
 // Rejects a configuration the runner would otherwise clamp or use silently
 // inside a window, naming the offending field.
 RunOptions validated(RunOptions options) {
@@ -133,9 +139,13 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         sh.tx_mask.resize(txs.size() * words);
         sh.boundary_rows = 0;
         for (std::size_t i = 0; i < txs.size(); ++i) {
+          if (i + kMemoPrefetchAhead < txs.size()) {
+            slice.prefetch(sc.tx_slot[i + kMemoPrefetchAhead]);
+          }
           const auto& tx = txs[i];
           // Out-of-spec tx power: the candidate bound does not cover it, so
-          // register and consider the transmission at every gateway.
+          // register and consider the transmission at every gateway (the
+          // fan-out's own-power prune still tests its real power).
           const bool in_spec = tx.tx_power <= kMaxTxPower;
           const std::uint32_t row =
               in_spec ? slice.ensure_row_if_audible_at(sc.tx_slot[i], tx.node,
@@ -164,14 +174,13 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     shard_stats_.resident_rows += caches.slice(s).row_count();
     shard_stats_.boundary_rows += sc.shards[s].boundary_rows;
   }
-  const double fading_sigma = channel.config().fast_fading_sigma_db.value();
+  const Db fading_sigma = channel.config().fast_fading_sigma_db;
 
   // The window's shared transmission columns, built once; each gateway task
   // consumes them through the receive kernels (phy/batch_kernels.hpp)
   // instead of per-event struct walks.
   sc.table.build(txs);
-  if (sc.task_idx.size() < tasks.size()) {
-    sc.task_idx.resize(tasks.size());
+  if (sc.task_fade.size() < tasks.size()) {
     sc.task_fade.resize(tasks.size());
     sc.task_power.resize(tasks.size());
   }
@@ -190,16 +199,19 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         auto& yield = sc.yields[t];
         yield.uplinks.clear();
         // Gather the gateway's candidate transmission indices in ascending
-        // order, draw their fading in one keyed batch, filter by the prune
-        // floor, then run the radio off the shared columns. The rx power
-        // comes from the cached static link terms; only the fast-fading
-        // draw is per-packet, and the filter evaluates the uncached
-        // arithmetic term for term —
+        // order, prune those that cannot clear the floor at their own tx
+        // power (the masks assume kMaxTxPower; docs/performance.md), draw
+        // the survivors' fading in one keyed batch, filter by the prune
+        // floor, then run the radio off the shared columns. The list
+        // compacts in place into the yield's event list. The rx power comes
+        // from the cached static link terms; only the fast-fading draw is
+        // per-packet, and the filter evaluates the uncached arithmetic term
+        // for term —
         //   ((tx_power - link_path_loss) + fading) + antenna_gain
         // — so rx powers are bit-identical.
         const LinkCache& slice = caches.slice(sc.task_shard[t]);
         const auto gains = slice.gains(sc.task_col[t]);
-        auto& idx = sc.task_idx[t];
+        auto& idx = yield.event_tx_index;
         auto& fade = sc.task_fade[t];
         auto& power = sc.task_power[t];
         idx.clear();
@@ -212,30 +224,25 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
             idx.push_back(static_cast<std::uint32_t>(i));
           }
         }
+        idx.resize(batch_prune_candidates(
+            gains, sh.row_of_tx.data(), sc.table.tx_power.data(), floor,
+            fading_sigma, idx.data(), idx.size()));
         fade.resize(idx.size());
         power.resize(idx.size());
         const SubstreamBatch fading_stream(
             rng_, kFadingDomain ^ (static_cast<std::uint64_t>(gw->id()) << 40));
         batch_fading_draws(fading_stream, sc.table.packet.data(), idx.data(),
-                           idx.size(), fading_sigma, fade.data());
+                           idx.size(), fading_sigma.value(), fade.data());
         const std::size_t kept = batch_rx_power_filter(
             gains, sh.row_of_tx.data(), sc.table.tx_power.data(), fade.data(),
             floor, idx.data(), idx.size(), power.data());
         idx.resize(kept);
         power.resize(kept);
-        yield.event_tx_index.assign(idx.begin(), idx.end());
         const RxEventView view{&sc.table, idx.data(), power.data(), kept};
         gw->receive_window(view, yield.uplinks, yield.outcomes);
       },
       options_.threads);
 
-  // A boundary event is a reception at a gateway outside the transmitter's
-  // home stripe.
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    for (const std::size_t i : sc.yields[t].event_tx_index) {
-      if (sc.tx_home[i] != sc.task_shard[t]) ++shard_stats_.boundary_events;
-    }
-  }
   // The checker reads only the finished yields, gateway by gateway in
   // deployment order, so it never touches the parallel region.
   if (invariants_ != nullptr) {
@@ -247,46 +254,25 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     }
   }
 
-  // Merge in deployment order: per own-network outcomes of each packet
-  // (keyed by its index in txs) gather in gateway-ID order within the
-  // packet's network, and each server ingests its gateways' uplinks in that
-  // same order — exactly the serial sequence. The gather is a counted flat
-  // layout (count, prefix-sum, fill) instead of one heap vector per packet.
-  sc.own_count.assign(txs.size(), 0);
-  {
-    std::size_t t = 0;
-    for (auto& network : deployment_.networks()) {
-      for ([[maybe_unused]] auto& gw : network.gateways()) {
-        const auto& yield = sc.yields[t++];
-        for (const std::size_t i : yield.event_tx_index) {
-          if (txs[i].network == network.id()) ++sc.own_count[i];
-        }
-      }
-    }
-  }
-  sc.own_offset.resize(txs.size() + 1);
-  sc.own_offset[0] = 0;
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    sc.own_offset[i + 1] = sc.own_offset[i] + sc.own_count[i];
-  }
-  // Growth-only: every slot in [0, own_offset[n]) is written by the fill
-  // pass below before the classify pass reads it, so neither shrinking nor
-  // zero-initializing a reused prefix buys anything.
-  if (sc.own_flat.size() < sc.own_offset[txs.size()]) {
-    sc.own_flat.resize(sc.own_offset[txs.size()]);
-  }
-  // Reuse own_count as the per-packet fill cursor (relative to the offset).
-  std::fill(sc.own_count.begin(), sc.own_count.end(), 0);
+  // Merge in deployment order: each packet's outcomes at its own network's
+  // gateways fold into one byte (fold_outcome; an OR, so the order cannot
+  // matter), and each server ingests its gateways' uplinks in gateway-ID
+  // order — exactly the serial sequence. The same walk counts boundary
+  // events: receptions at a gateway outside the transmitter's home stripe.
+  sc.own_fold.assign(txs.size(), 0);
   std::size_t t = 0;
   for (auto& network : deployment_.networks()) {
     std::vector<UplinkRecord>& uplinks = sc.uplinks;
     uplinks.clear();
     for ([[maybe_unused]] auto& gw : network.gateways()) {
-      const auto& yield = sc.yields[t++];
+      const auto& yield = sc.yields[t];
+      const std::uint32_t shard = sc.task_shard[t++];
       for (std::size_t e = 0; e < yield.outcomes.size(); ++e) {
-        const std::size_t i = yield.event_tx_index[e];
-        if (txs[i].network != network.id()) continue;  // foreign at this GW
-        sc.own_flat[sc.own_offset[i] + sc.own_count[i]++] = yield.outcomes[e];
+        const std::uint32_t i = yield.event_tx_index[e];
+        shard_stats_.boundary_events += sc.tx_home[i] != shard;
+        if (sc.table.net[i] == network.id()) {
+          sc.own_fold[i] |= fold_outcome(yield.outcomes[e]);
+        }
       }
       uplinks.insert(uplinks.end(), yield.uplinks.begin(), yield.uplinks.end());
     }
@@ -322,10 +308,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   };
   result.fates.reserve(txs.size());
   for (std::size_t i = 0; i < txs.size(); ++i) {
-    PacketFate fate = classify_packet(
-        txs[i], std::span<const RxOutcome>(
-                    sc.own_flat.data() + sc.own_offset[i],
-                    sc.own_offset[i + 1] - sc.own_offset[i]));
+    PacketFate fate = classify_packet(txs[i], sc.own_fold[i]);
     const std::size_t n = index_of(fate.network);
     ++sc.offered[n];
     if (fate.delivered) {

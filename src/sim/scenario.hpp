@@ -78,7 +78,7 @@ struct ShardWindowStats {
 // capacity across windows instead of being reallocated every window.
 struct GatewayYield {
   std::vector<RxOutcome> outcomes;
-  std::vector<std::size_t> event_tx_index;
+  std::vector<std::uint32_t> event_tx_index;  // RxEventView::tx_index's type
   std::vector<UplinkRecord> uplinks;
 };
 
@@ -154,17 +154,14 @@ class ScenarioRunner {
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
     std::vector<GatewayYield> yields;       // task index -> its yield
-    // The window's shared transmission columns plus per-task candidate
-    // index / fading / power buffers consumed by the receive kernels
-    // (phy/batch_kernels.hpp).
+    // The window's shared transmission columns plus per-task fading /
+    // power buffers consumed by the receive kernels (phy/batch_kernels.hpp);
+    // each task's candidate indices compact in place in its yield.
     WindowTxTable table;
-    std::vector<std::vector<std::uint32_t>> task_idx;
     std::vector<std::vector<double>> task_fade;
     std::vector<std::vector<Dbm>> task_power;
-    // Flat per-packet own-network outcome gather (count / prefix / fill).
-    std::vector<std::uint32_t> own_count;
-    std::vector<std::uint32_t> own_offset;
-    std::vector<RxOutcome> own_flat;
+    // tx index -> its own-network outcomes, folded (fold_outcome).
+    std::vector<std::uint8_t> own_fold;
     // Per-network uplink gather handed to NetworkServer::ingest.
     std::vector<UplinkRecord> uplinks;
     // Flat per-network classification counters (dense network index).

@@ -92,7 +92,7 @@ TEST(PropertyInvariants, RunsAreBitReproducible) {
 // control injects exactly one defect and must draw exactly one violation.
 struct FabricatedWindow {
   WindowTxTable table;
-  std::vector<std::size_t> tx_index;
+  std::vector<std::uint32_t> tx_index;
   std::vector<RxOutcome> outcomes;
   std::size_t decoders = 2;
 
@@ -118,7 +118,7 @@ FabricatedWindow contended_window(PacketId last_id = 4) {
   FabricatedWindow w;
   w.table.build(txs);
   w.tx_index = {3, 0, 2, 1};
-  for (const std::size_t t : w.tx_index) {
+  for (const std::uint32_t t : w.tx_index) {
     RxOutcome out;
     out.packet = txs[t].id;
     out.network = txs[t].network;

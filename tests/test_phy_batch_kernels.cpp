@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -104,6 +107,125 @@ TEST(BatchRxPowerFilter, EmptyBatchKeepsNothing) {
   std::vector<LinkGain> gains = {LinkGain{}};
   EXPECT_EQ(batch_rx_power_filter(gains, nullptr, nullptr, nullptr,
                                   Dbm{-100.0}, nullptr, 0, nullptr),
+            0u);
+}
+
+// ---- own-power candidate prune -------------------------------------------
+
+// The events batch_rx_power_filter keeps from candidate list `idx`, with
+// fading looked up per transmission (fading is keyed per packet, so a
+// candidate's draw does not depend on which others are in the list).
+struct Filtered {
+  std::vector<std::uint32_t> idx;
+  std::vector<Dbm> power;
+};
+
+Filtered filter_list(std::span<const LinkGain> gains,
+                     const std::vector<std::uint32_t>& row_of_tx,
+                     const std::vector<Dbm>& tx_power,
+                     const std::vector<double>& fade_of_tx, Dbm floor,
+                     std::vector<std::uint32_t> idx) {
+  std::vector<double> fading;
+  for (const std::uint32_t i : idx) fading.push_back(fade_of_tx[i]);
+  Filtered out;
+  out.power.resize(idx.size());
+  const std::size_t kept = batch_rx_power_filter(
+      gains, row_of_tx.data(), tx_power.data(), fading.data(), floor,
+      idx.data(), idx.size(), out.power.data());
+  idx.resize(kept);
+  out.power.resize(kept);
+  out.idx = std::move(idx);
+  return out;
+}
+
+void expect_same_events(const Filtered& full, const Filtered& pruned) {
+  ASSERT_EQ(full.idx, pruned.idx);
+  for (std::size_t k = 0; k < full.idx.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(full.power[k].value()),
+              std::bit_cast<std::uint64_t>(pruned.power[k].value()))
+        << "event " << k;
+  }
+}
+
+// Random static gains around the audibility edge, tx powers of 2, 8, 14, 20
+// and one above kMaxTxPower, and per-packet fading both from the keyed
+// draws the runner makes and pinned at the largest draw the Rng allows: the
+// filter keeps exactly the same events, bit for bit, from the pruned list
+// as from the full one, and the prune does drop candidates at every power.
+TEST(BatchPruneCandidates, FilterOverPrunedListEqualsFullList) {
+  const Dbm floor{-142.0};
+  const double powers[] = {2.0, 8.0, 14.0, 20.0, 23.0};
+  for (const double sigma : {1.0, 3.0, 0.0}) {
+    Rng rng(0x9E3779B9ULL + static_cast<std::uint64_t>(sigma * 10.0));
+    const std::size_t n = 4000;
+    std::vector<LinkGain> gains;
+    std::vector<std::uint32_t> row_of_tx;
+    std::vector<Dbm> tx_power;
+    std::vector<PacketId> packets;
+    for (std::size_t i = 0; i < n; ++i) {
+      gains.push_back(LinkGain{Db{rng.uniform(120.0, 190.0)},
+                               Db{rng.uniform(-3.0, 3.0)}});
+      row_of_tx.push_back(static_cast<std::uint32_t>(n - 1 - i));
+      tx_power.push_back(Dbm{powers[i % 5]});
+      packets.push_back(1000 + i);
+    }
+    std::vector<std::uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0U);
+    std::vector<std::uint32_t> pruned = all;
+    pruned.resize(batch_prune_candidates(gains, row_of_tx.data(),
+                                         tx_power.data(), floor, Db{sigma},
+                                         pruned.data(), pruned.size()));
+    ASSERT_TRUE(std::is_sorted(pruned.begin(), pruned.end()));
+    for (std::size_t p = 0; p < 5; ++p) {
+      std::size_t kept_here = 0;
+      for (const std::uint32_t i : pruned) kept_here += i % 5 == p;
+      EXPECT_GT(kept_here, 0u) << "sigma " << sigma << ", power " << powers[p];
+      EXPECT_LT(kept_here, n / 5) << "sigma " << sigma << ", power "
+                                  << powers[p];
+    }
+
+    std::vector<double> drawn(n);
+    const SubstreamBatch stream(Rng(77), 0xFAD1'F0E5'7A7EULL);
+    batch_fading_draws(stream, packets.data(), all.data(), n, sigma,
+                       drawn.data());
+    std::vector<double> worst(n, kNormalTailSigmas * sigma);
+    for (const auto* fade : {&drawn, &worst}) {
+      const Filtered full =
+          filter_list(gains, row_of_tx, tx_power, *fade, floor, all);
+      EXPECT_FALSE(full.idx.empty());
+      expect_same_events(full, filter_list(gains, row_of_tx, tx_power, *fade,
+                                           floor, pruned));
+    }
+  }
+}
+
+// A candidate whose static gain equals the bound exactly is kept; one ulp
+// less is pruned.
+TEST(BatchPruneCandidates, KeepsACandidateExactlyAtTheBound) {
+  const Dbm floor{-142.0};
+  const Db sigma{1.0};
+  const Dbm power{14.0};
+  const double bound = min_audible_gain(floor, power, sigma);
+  const double at = -bound;  // antenna_gain 0: 0 - (-bound) == bound
+  std::vector<LinkGain> gains = {
+      LinkGain{Db{at}, Db{0.0}},
+      LinkGain{Db{std::nextafter(at, 1e9)}, Db{0.0}},
+  };
+  ASSERT_EQ(gains[0].antenna_gain.value() - gains[0].path_loss.value(), bound);
+  ASSERT_LT(gains[1].antenna_gain.value() - gains[1].path_loss.value(), bound);
+  const std::vector<std::uint32_t> row_of_tx = {0, 1};
+  const std::vector<Dbm> tx_power = {power, power};
+  std::vector<std::uint32_t> idx = {0, 1};
+  ASSERT_EQ(batch_prune_candidates(gains, row_of_tx.data(), tx_power.data(),
+                                   floor, sigma, idx.data(), idx.size()),
+            1u);
+  EXPECT_EQ(idx[0], 0u);
+}
+
+TEST(BatchPruneCandidates, EmptyListKeepsNothing) {
+  std::vector<LinkGain> gains = {LinkGain{}};
+  EXPECT_EQ(batch_prune_candidates(gains, nullptr, nullptr, Dbm{-142.0},
+                                   Db{1.0}, nullptr, 0),
             0u);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
@@ -76,6 +78,93 @@ TEST(Classify, LowSnrIsOther) {
                                  outcome(RxDisposition::kDroppedLowSnr)})
           .cause,
       LossCause::kOther);
+}
+
+// The classification rule as a walk over the outcomes, written out
+// independently of the fold: the first delivery wins, then decoder
+// contention, then channel contention.
+PacketFate classify_by_walk(const Transmission& tx,
+                            const std::vector<RxOutcome>& outcomes) {
+  PacketFate fate;
+  fate.packet = tx.id;
+  fate.node = tx.node;
+  fate.network = tx.network;
+  fate.payload_bytes = tx.payload_bytes;
+  fate.dr = sf_to_dr(tx.params.sf);
+  bool decoder = false, decoder_foreign = false;
+  bool collision = false, collision_foreign = false;
+  for (const auto& out : outcomes) {
+    if (out.disposition == RxDisposition::kDelivered) {
+      fate.delivered = true;
+      fate.cause = LossCause::kDelivered;
+      return fate;
+    }
+    if (out.disposition == RxDisposition::kDroppedDecoderBusy) {
+      decoder = true;
+      decoder_foreign |= out.foreign_among_occupants;
+    }
+    if (out.disposition == RxDisposition::kDroppedCollision) {
+      collision = true;
+      collision_foreign |= out.foreign_interferer;
+    }
+  }
+  if (decoder) {
+    fate.cause = decoder_foreign ? LossCause::kDecoderContentionInter
+                                 : LossCause::kDecoderContentionIntra;
+  } else if (collision) {
+    fate.cause = collision_foreign ? LossCause::kChannelContentionInter
+                                   : LossCause::kChannelContentionIntra;
+  }
+  return fate;
+}
+
+void expect_same_fate(const PacketFate& a, const PacketFate& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.packet, b.packet) << label;
+  EXPECT_EQ(a.node, b.node) << label;
+  EXPECT_EQ(a.network, b.network) << label;
+  EXPECT_EQ(a.delivered, b.delivered) << label;
+  EXPECT_EQ(a.cause, b.cause) << label;
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes) << label;
+  EXPECT_EQ(a.dr, b.dr) << label;
+}
+
+// Every outcome sequence up to length 3 (so every multiset, in every
+// order) over all dispositions and both foreign flags: classifying the
+// folded byte, the span form and the walk agree field for field.
+TEST(Classify, FoldedOutcomesClassifyLikeTheSpan) {
+  std::vector<RxOutcome> alphabet;
+  for (int d = 0; d <= static_cast<int>(RxDisposition::kRejectedFrontEnd);
+       ++d) {
+    for (const bool occ : {false, true}) {
+      for (const bool intf : {false, true}) {
+        alphabet.push_back(outcome(static_cast<RxDisposition>(d), occ, intf));
+      }
+    }
+  }
+  Transmission tx = tx_of(7, /*network=*/2);
+  tx.params.sf = SpreadingFactor::kSF9;
+  std::size_t cases = 0;
+  std::vector<RxOutcome> seq;
+  const std::function<void()> visit = [&] {
+    std::uint8_t folded = 0;
+    for (const auto& out : seq) folded |= fold_outcome(out);
+    const PacketFate expected = classify_by_walk(tx, seq);
+    const std::string label = "case " + std::to_string(cases);
+    expect_same_fate(classify_packet(tx, folded), expected, label);
+    expect_same_fate(classify_packet(tx, std::span<const RxOutcome>(seq)),
+                     expected, label);
+    ++cases;
+    if (seq.size() == 3) return;
+    for (const auto& out : alphabet) {
+      seq.push_back(out);
+      visit();
+      seq.pop_back();
+    }
+  };
+  visit();
+  const std::size_t a = alphabet.size();
+  EXPECT_EQ(cases, 1 + a + a * a + a * a * a);
 }
 
 TEST(Collector, PrrAndLossFractionsSumToOne) {

@@ -468,5 +468,82 @@ TEST(ShardRunner, CoLocatedUsersDigestIsShardAndThreadInvariant) {
   }
 }
 
+// Nodes near the audibility edge at mixed tx powers: the candidate masks
+// assume every transmitter sends at kMaxTxPower, so most (transmission,
+// gateway) candidates here cannot reach the prune floor at the power the
+// node actually uses. One node sends above kMaxTxPower (out of spec, so it
+// is a candidate everywhere). Fates must not depend on the thread or shard
+// count, and equal a digest pinned before candidates were tested at their
+// own tx power.
+TEST(ShardRunner, MixedTxPowerWindowDigestIsShardAndThreadInvariant) {
+  const double offsets[] = {300.0, 4500.0, 5000.0, 5500.0,
+                            5900.0, 6200.0, 6500.0, 6800.0};
+  const double powers[] = {2.0, 5.0, 8.0, 14.0, 20.0};
+  auto run_digest = [&](int threads, int shards) {
+    WideFixture f;
+    std::vector<EndNode*> nodes;
+    std::size_t k = 0;
+    for (const double gw_x : {50000.0, 100000.0, 150000.0}) {
+      for (const double offset : offsets) {
+        for (const double sign : {-1.0, 1.0}) {
+          NodeRadioConfig cfg;
+          cfg.channel = f.deployment.spectrum().grid_channel(0);
+          cfg.dr = static_cast<DataRate>(k % 6);
+          cfg.tx_power = Dbm{powers[k % 5]};
+          nodes.push_back(&f.network->add_node(
+              f.deployment.next_node_id(), at_x(gw_x + sign * offset), cfg));
+          ++k;
+        }
+      }
+    }
+    NodeRadioConfig loud;
+    loud.channel = f.deployment.spectrum().grid_channel(0);
+    loud.tx_power = Dbm{23.0};
+    nodes.push_back(&f.network->add_node(f.deployment.next_node_id(),
+                                         at_x(148500.0), loud));
+    Rng rng(31);
+    const auto txs = emulated_user_traffic(nodes, /*users_per_node=*/4,
+                                           Seconds{120.0}, 0.05, rng, f.ids);
+    ScenarioRunner runner(f.deployment, /*seed=*/7,
+                          RunOptions{.threads = threads, .shards = shards});
+    const WindowResult result = runner.run_window(txs);
+    EXPECT_GT(result.total_delivered(), 0u);
+    EXPECT_LT(result.total_delivered(), result.total_offered());
+    if (shards == 1) {
+      // Most (transmission, gateway) candidates fail the bound at their
+      // own power, so the window exercises the prune.
+      LinkCache& slice = f.deployment.shard_caches(1).slice(0);
+      const Db sigma =
+          f.deployment.channel_model().config().fast_fading_sigma_db;
+      std::size_t candidates = 0;
+      std::size_t audible = 0;
+      for (const Transmission& tx : txs) {
+        const std::uint32_t row = slice.row_of(tx.node);
+        if (row == LinkCache::kInvalidRow) continue;
+        const auto mask =
+            slice.candidate_mask(row, f.prune_floor(), kMaxTxPower);
+        for (std::size_t c = 0; c < slice.column_count(); ++c) {
+          if (((mask[c / 64] >> (c % 64)) & 1U) == 0) continue;
+          ++candidates;
+          const LinkGain g = slice.gains(c)[row];
+          audible += g.antenna_gain.value() - g.path_loss.value() >=
+                     min_audible_gain(f.prune_floor(), tx.tx_power, sigma);
+        }
+      }
+      EXPECT_LT(2 * audible, candidates);
+      EXPECT_GT(audible, 0u);
+    }
+    return fate_digest(result.fates);
+  };
+  for (const int threads : {1, 2}) {
+    for (const int shards : {1, 8}) {
+      const std::uint64_t digest = run_digest(threads, shards);
+      EXPECT_EQ(digest, 0xe604f997d5c65a15ULL)
+          << "threads " << threads << ", shards " << shards << ": "
+          << digest_hex(digest);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace alphawan

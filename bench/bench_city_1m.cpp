@@ -5,8 +5,9 @@
 //   - throughput: the receive pipeline sustains city-scale windows, with
 //     packets/sec telemetry recorded as "city_1m.window" (BENCH_PR6.json);
 //   - memory: collectors and link state stay O(live state), not
-//     O(history) — the streaming MetricsCollector keeps a bounded ring
-//     and the per-shard LinkCache slices materialize only audible rows.
+//     O(history) — the streaming MetricsCollector keeps no per-packet
+//     fates and the per-shard LinkCache slices materialize only audible
+//     rows.
 // Smoke mode (ALPHAWAN_BENCH_SMOKE=1) shrinks the world and additionally
 // self-checks shard equivalence: the same seed must produce bit-identical
 // fate digests at shards 1, 2 and 8, else the process exits non-zero.
@@ -48,8 +49,6 @@ struct RunStats {
   std::size_t offered = 0;
   std::size_t delivered = 0;
   std::size_t served_users = 0;
-  std::size_t history_size = 0;
-  std::size_t evicted = 0;
   std::size_t resident_rows = 0;
   std::size_t boundary_rows = 0;
   std::size_t boundary_events = 0;
@@ -78,7 +77,7 @@ RunStats run_city(const CityConfig& cfg, int shards, std::uint64_t seed,
   RunOptions options;
   options.shards = shards;
   ScenarioRunner runner(deployment, seed, options);
-  MetricsCollector metrics;  // streaming: bounded ring, exact aggregates
+  MetricsCollector metrics;  // streaming: exact aggregates, no fates kept
 
   RunStats stats;
   PacketIdSource ids;
@@ -115,8 +114,6 @@ RunStats run_city(const CityConfig& cfg, int shards, std::uint64_t seed,
   stats.offered = metrics.total_offered();
   stats.delivered = metrics.total_delivered();
   stats.served_users = metrics.total_served_nodes();
-  stats.history_size = metrics.history_size();
-  stats.evicted = metrics.evicted();
   return stats;
 }
 
@@ -133,8 +130,7 @@ void print_stats(const RunStats& stats, int shards) {
               stats.offered > 0 ? static_cast<double>(stats.delivered) /
                                       static_cast<double>(stats.offered)
                                 : 0.0);
-  std::printf("  served users=%zu  fate ring=%zu (evicted %zu)\n",
-              stats.served_users, stats.history_size, stats.evicted);
+  std::printf("  served users=%zu\n", stats.served_users);
   std::printf("  link rows resident=%zu  boundary rows=%zu  "
               "boundary events=%zu\n",
               stats.resident_rows, stats.boundary_rows,

@@ -67,11 +67,9 @@ int main() {
   // --- the Master exchange, per operator in deployment order ----------
   MasterNode master(MasterConfig{deployment.spectrum(), 0.4, 2});
   for (const Network* op : {&op1, &op2}) {
-    const RegisterAckMsg ack = master.handle_register(RegisterMsg{op->id()});
-    std::printf("  [%s] registered with Master (epoch %u)\n",
-                op->name().c_str(), ack.master_epoch);
-    const PlanAssignMsg assign =
-        master.handle_plan_request(PlanRequestMsg{op->id(), 8});
+    master.handle_register(op->id());
+    std::printf("  [%s] registered with Master\n", op->name().c_str());
+    const PlanAssignMsg assign = master.handle_plan_request(op->id(), 8);
     std::printf(
         "  [%s] plan assigned: %zu channels, offset %+.1f kHz, "
         "overlap %.0f%%\n",

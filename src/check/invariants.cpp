@@ -219,25 +219,6 @@ void SimInvariants::check_metrics(const MetricsCollector& metrics) {
         << total_losses;
     violate(msg.str());
   }
-  // The recent-fate ring is bounded; retained + evicted must account for
-  // every offered packet, and while nothing has been evicted the ring is
-  // the complete history, so its delivered count must match the aggregate.
-  const std::size_t expected_history =
-      std::min(metrics.total_offered(), metrics.history_limit());
-  if (metrics.history_size() != expected_history) {
-    std::ostringstream msg;
-    msg << "fate ring size " << metrics.history_size() << " != expected "
-        << expected_history << " (offered " << metrics.total_offered()
-        << ", limit " << metrics.history_limit() << ")";
-    violate(msg.str());
-  }
-  if (metrics.history_size() + metrics.evicted() != metrics.total_offered()) {
-    std::ostringstream msg;
-    msg << "fate ring " << metrics.history_size() << " + evicted "
-        << metrics.evicted() << " != total offered "
-        << metrics.total_offered();
-    violate(msg.str());
-  }
   std::size_t dr_delivered = 0;
   for (const DataRate dr : kAllDataRates) {
     dr_delivered += metrics.delivered_by_dr(dr);
@@ -247,18 +228,6 @@ void SimInvariants::check_metrics(const MetricsCollector& metrics) {
     msg << "per-DR delivered sum " << dr_delivered << " != total delivered "
         << metrics.total_delivered();
     violate(msg.str());
-  }
-  if (metrics.evicted() == 0) {
-    std::size_t delivered_fates = 0;
-    for (const auto& fate : metrics.recent_fates()) {
-      if (fate.delivered) ++delivered_fates;
-    }
-    if (delivered_fates != metrics.total_delivered()) {
-      std::ostringstream msg;
-      msg << "delivered fates " << delivered_fates << " != total delivered "
-          << metrics.total_delivered();
-      violate(msg.str());
-    }
   }
 }
 

@@ -5,8 +5,7 @@
 //   * offered == delivered + Σ(loss causes), per network and in total;
 //   * every gateway's outcomes obey FCFS dispatch into its finite decoder
 //     pool (paper Appendix C), replayed from the window's table columns;
-//   * MetricsCollector totals match the per-network sums and the recorded
-//     fate stream.
+//   * MetricsCollector totals match the per-network sums.
 //
 // The checker reads outputs only, after a window's parallel region, so an
 // attached checker never changes how (or how parallel) the window runs.

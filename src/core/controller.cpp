@@ -18,16 +18,13 @@ UpgradeReport AlphaWanController::upgrade(
           "AlphaWanController: spectrum sharing enabled but no Master");
     }
     // Register + plan request: two request/response WAN exchanges.
-    (void)master->handle_register(RegisterMsg{network.id()});
+    master->handle_register(network.id());
     report.master_communication += latency_.master_round_trip();
-    const PlanAssignMsg assign = master->handle_plan_request(PlanRequestMsg{
-        network.id(), static_cast<std::uint16_t>(spectrum.grid_size())});
+    const PlanAssignMsg assign =
+        master->handle_plan_request(network.id(), spectrum.grid_size());
     report.master_communication += latency_.master_round_trip();
     offset = assign.frequency_offset;
     report.overlap_ratio = assign.overlap_ratio;
-    report.master_epoch = assign.master_epoch;
-    (void)network.server().adopt_plan(assign.master_epoch, offset,
-                                      assign.channels);
   }
   report.frequency_offset = offset;
 

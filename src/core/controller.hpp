@@ -5,8 +5,6 @@
 // (4) accounts for every latency component the way Fig. 17 reports them.
 #pragma once
 
-#include <optional>
-
 #include "backhaul/latency_model.hpp"
 #include "core/intra_planner.hpp"
 #include "core/master.hpp"
@@ -34,9 +32,6 @@ struct UpgradeReport {
   ConfigDelta delta{};
   Hz frequency_offset{0.0};
   double overlap_ratio = 0.0;
-  // Epoch of the Master plan this upgrade was computed against (0 when
-  // spectrum sharing is disabled). See core/master.hpp.
-  std::uint32_t master_epoch = 0;
 };
 
 class AlphaWanController {
@@ -51,9 +46,7 @@ class AlphaWanController {
 
   // Plan and apply a capacity upgrade for `network`. When spectrum
   // sharing is enabled a `master` must be supplied; the controller
-  // registers the operator, requests its misaligned plan and adopts it on
-  // the network's server (NetworkServer::adopt_plan, which ignores stale
-  // epochs).
+  // registers the operator and plans at the offset the Master assigns.
   UpgradeReport upgrade(Network& network, const Spectrum& spectrum,
                         const LinkEstimates& links,
                         const std::map<NodeId, double>& traffic,

@@ -147,22 +147,21 @@ CpScorer::CpScorer(const CpInstance& instance)
   }
 }
 
-CpEvaluation CpScorer::score(const CpSolution& solution,
-                             const CpWeights& weights) const {
+CpEvaluation CpScorer::score(const CpSolution& solution) const {
   Scratch scratch;
   CpEvaluation eval;
-  score(solution, weights, scratch, eval);
+  score(solution, scratch, eval);
   return eval;
 }
 
-void CpScorer::score(const CpSolution& solution, const CpWeights& weights,
-                     Scratch& scratch, CpEvaluation& out) const {
+void CpScorer::score(const CpSolution& solution, Scratch& scratch,
+                     CpEvaluation& out) const {
   assert(feasible(instance_, solution));
   // Up to 63 gateways fit one word with a spare bit above them.
   if (instance_.gateways.size() < kWordBits) {
-    score_words<1>(solution, weights, scratch, out);
+    score_words<1>(solution, scratch, out);
   } else {
-    score_words<0>(solution, weights, scratch, out);
+    score_words<0>(solution, scratch, out);
   }
 }
 
@@ -176,8 +175,7 @@ double keep_if(double v, std::uint64_t mask) {
 }  // namespace
 
 template <std::size_t Words>
-void CpScorer::score_words(const CpSolution& solution,
-                           const CpWeights& weights, Scratch& scratch,
+void CpScorer::score_words(const CpSolution& solution, Scratch& scratch,
                            CpEvaluation& eval) const {
   const std::size_t words = Words != 0 ? Words : words_;
   const std::size_t num_gw = instance_.gateways.size();
@@ -287,7 +285,6 @@ void CpScorer::score_words(const CpSolution& solution,
   // exact: x + (+0.0) == x bit for bit unless x is -0.0, and each sum
   // starts at +0.0 while a round-to-nearest sum is -0.0 only when both
   // addends are, so no sum here is ever -0.0.
-  const double level_cost = weights.level_cost;
   double overload_risk = 0.0;
   double disconnected = 0.0;
   double level_bias = 0.0;
@@ -309,7 +306,7 @@ void CpScorer::score_words(const CpSolution& solution,
     const std::uint64_t off = 0 - static_cast<std::uint64_t>(best_phi < 0.0);
     disconnected += keep_if(t, off);
     overload_risk += keep_if(t * best_phi, ~off);
-    level_bias += level_cost * t * static_cast<double>(node_level[i]);
+    level_bias += kLevelCost * t * static_cast<double>(node_level[i]);
   }
   eval.overload_risk = overload_risk;
   eval.disconnected = disconnected;
@@ -327,13 +324,12 @@ void CpScorer::score_words(const CpSolution& solution,
   }
 
   eval.objective += eval.overload_risk +
-                    weights.pair_overload_weight * eval.pair_overload +
-                    weights.disconnect_penalty * eval.disconnected;
+                    kPairOverloadWeight * eval.pair_overload +
+                    kDisconnectPenalty * eval.disconnected;
 }
 
-CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
-                      const CpWeights& weights) {
-  return CpScorer(instance).score(solution, weights);
+CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution) {
+  return CpScorer(instance).score(solution);
 }
 
 }  // namespace alphawan

@@ -12,6 +12,7 @@
 // an evolutionary algorithm seeded by a greedy constructor.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -40,6 +41,15 @@ struct CpGateway {
   int max_channels = 8;    // P_j
   int max_span_channels = 8;  // B_j expressed in grid-channel units
 };
+
+// The channel count a gateway can operate: `width` clamped to at least 1
+// and at most its channel cap P_j, its span B_j and the grid size.
+[[nodiscard]] inline int clamp_width(const CpGateway& gw, int num_channels,
+                                     int width) {
+  return std::clamp(width, 1,
+                    std::min({gw.max_channels, gw.max_span_channels,
+                              num_channels}));
+}
 
 struct CpNode {
   NodeId id = kInvalidNode;
@@ -84,14 +94,12 @@ struct CpSolution {
 // directly comparable: a disconnected node loses everything (1.2 > any
 // overload fraction), and a user squeezed onto a full (channel, DR) pair
 // destroys its own packet plus a peer's (~2.5).
-struct CpWeights {
-  double disconnect_penalty = 1.2;
-  double pair_overload_weight = 2.5;
-  // Bias toward fast data rates / low power: faster DRs carry more
-  // packets per unit airtime, so the planner only slows a user down when
-  // contention demands it.
-  double level_cost = 0.05;
-};
+inline constexpr double kDisconnectPenalty = 1.2;
+inline constexpr double kPairOverloadWeight = 2.5;
+// Bias toward fast data rates / low power: faster DRs carry more packets
+// per unit airtime, so the planner only slows a user down when contention
+// demands it.
+inline constexpr double kLevelCost = 0.05;
 
 struct CpEvaluation {
   double objective = 0.0;        // total fitness (lower is better)
@@ -139,19 +147,17 @@ class CpScorer {
   // Infeasible gateway channel sets (too many channels or span too wide)
   // must be repaired before scoring; score() trusts its input (checked in
   // debug builds).
-  [[nodiscard]] CpEvaluation score(
-      const CpSolution& solution,
-      const CpWeights& weights = CpWeights{}) const;
+  [[nodiscard]] CpEvaluation score(const CpSolution& solution) const;
   // The same evaluation, written over `out` (reusing its gateway_load)
   // with `scratch` for the per-call buffers.
-  void score(const CpSolution& solution, const CpWeights& weights,
-             Scratch& scratch, CpEvaluation& out) const;
+  void score(const CpSolution& solution, Scratch& scratch,
+             CpEvaluation& out) const;
 
  private:
   // Words = 0: the runtime words_.
   template <std::size_t Words>
-  void score_words(const CpSolution& solution, const CpWeights& weights,
-                   Scratch& scratch, CpEvaluation& eval) const;
+  void score_words(const CpSolution& solution, Scratch& scratch,
+                   CpEvaluation& eval) const;
 
   const CpInstance& instance_;
   std::size_t words_;                 // bitset words per gateway set
@@ -161,8 +167,7 @@ class CpScorer {
 
 // Score one solution with a throwaway CpScorer (see CpScorer::score).
 [[nodiscard]] CpEvaluation evaluate(const CpInstance& instance,
-                                    const CpSolution& solution,
-                                    const CpWeights& weights = CpWeights{});
+                                    const CpSolution& solution);
 
 // Structural feasibility of a solution w.r.t. the instance's constraints
 // (gateway channel count/span, channel indices in range, node levels).

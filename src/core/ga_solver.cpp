@@ -10,6 +10,14 @@
 namespace alphawan {
 namespace {
 
+// The GA's operators (see GaConfig).
+constexpr int kTournament = 3;
+constexpr int kElites = 2;
+constexpr double kCrossoverRate = 0.9;
+// Per-gene mutation probability for node genes; gateway genes mutate with
+// 10x this rate per gateway.
+constexpr double kMutationRate = 0.02;
+
 // Rebuild any gateway channel set whose size drifted away from a forced
 // width (mutation clamping can collapse windows at the spectrum edges).
 void enforce_forced_width(const CpInstance& instance, int width,
@@ -17,9 +25,7 @@ void enforce_forced_width(const CpInstance& instance, int width,
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
     auto& chans = s.gateway_channels[j];
     const auto& gw = instance.gateways[j];
-    const int w = std::clamp(width, 1,
-                             std::min({gw.max_channels, gw.max_span_channels,
-                                       instance.num_channels}));
+    const int w = clamp_width(gw, instance.num_channels, width);
     if (static_cast<int>(chans.size()) == w) continue;
     const int anchor =
         chans.empty() ? 0
@@ -67,9 +73,7 @@ void randomize_gateway(const CpInstance& instance, const GaConfig& config,
   const auto& gw = instance.gateways[j];
   int width = config.forced_channel_count.value_or(static_cast<int>(
       rng.uniform_int(1, std::min(gw.max_channels, gw.max_span_channels))));
-  width = std::clamp(width, 1,
-                     std::min({gw.max_channels, gw.max_span_channels,
-                               instance.num_channels}));
+  width = clamp_width(gw, instance.num_channels, width);
   const int max_start = instance.num_channels - width;
   const int start = static_cast<int>(rng.uniform_int(0, max_start));
   auto& chans = s.gateway_channels[j];
@@ -96,7 +100,7 @@ void mutate(const CpInstance& instance, const GaConfig& config,
             Rng& rng) {
   // Gateway genes.
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
-    if (!rng.chance(config.mutation_rate * 10.0)) continue;
+    if (!rng.chance(kMutationRate * 10.0)) continue;
     const double op = rng.uniform();
     auto& chans = s.gateway_channels[j];
     if (op < 0.4) {
@@ -122,8 +126,8 @@ void mutate(const CpInstance& instance, const GaConfig& config,
   // Node genes.
   if (nodes_frozen) return;
   const std::size_t n = instance.nodes.size();
-  for (std::size_t i = next_mutation(rng, config.mutation_rate, 0, n); i < n;
-       i = next_mutation(rng, config.mutation_rate, i + 1, n)) {
+  for (std::size_t i = next_mutation(rng, kMutationRate, 0, n); i < n;
+       i = next_mutation(rng, kMutationRate, i + 1, n)) {
     const std::size_t first = reach.first[i];
     const std::size_t count = reach.first[i + 1] - first;
     if (count == 0) continue;
@@ -189,24 +193,10 @@ void crossover(const CpInstance& instance, bool nodes_frozen,
 }  // namespace
 
 void validate(const GaConfig& config) {
-  auto at_least_one = [](int value, const char* field) {
-    if (value < 1) {
-      throw std::invalid_argument(std::string("GaConfig::") + field +
-                                  " must be >= 1, got " +
-                                  std::to_string(value));
-    }
-  };
-  auto probability = [](double value, const char* field) {
-    if (!(value >= 0.0 && value <= 1.0)) {
-      throw std::invalid_argument(std::string("GaConfig::") + field +
-                                  " must be in [0, 1], got " +
-                                  std::to_string(value));
-    }
-  };
-  at_least_one(config.population, "population");
-  at_least_one(config.tournament, "tournament");
-  probability(config.crossover_rate, "crossover_rate");
-  probability(config.mutation_rate, "mutation_rate");
+  if (config.population < 1) {
+    throw std::invalid_argument("GaConfig::population must be >= 1, got " +
+                                std::to_string(config.population));
+  }
 }
 
 GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
@@ -217,10 +207,6 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   const CpSolution* frozen =
       config.frozen_nodes ? &config.frozen_nodes->solution : nullptr;
   const bool nodes_frozen = frozen != nullptr;
-  // Population seed: an explicit initial wins; a frozen solution doubles as
-  // the seed otherwise.
-  const CpSolution* seed_solution =
-      config.initial ? &*config.initial : frozen;
 
   Rng rng(config.seed);
   const auto reach = reachable_gateways(instance);
@@ -243,7 +229,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       ind.solution.node_channel = frozen->node_channel;
       ind.solution.node_level = frozen->node_level;
     }
-    scorer.score(ind.solution, config.weights, ind.scratch, ind.eval);
+    scorer.score(ind.solution, ind.scratch, ind.eval);
     ind.evaluated = true;
   };
   // Evaluate every not-yet-scored individual concurrently. Results land in
@@ -268,13 +254,12 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
     // Each greedy seed's per-gateway widths, with its population index: a
     // greedy seed with the widths of an earlier one is a copy of it.
     std::vector<std::pair<std::vector<int>, std::size_t>> greedy_built;
-    auto add_greedy = [&](std::optional<int> forced_channel_count) {
-      GreedyOptions opts;
-      opts.forced_channel_count = forced_channel_count;
+    auto add_greedy = [&](std::optional<int> forced_width) {
       std::vector<int> widths;
       widths.reserve(instance.gateways.size());
       for (const auto& gw : instance.gateways) {
-        widths.push_back(greedy_width(gw, instance.num_channels, opts));
+        widths.push_back(
+            greedy_width(gw, instance.num_channels, forced_width));
       }
       Individual ind;
       const auto same =
@@ -283,21 +268,18 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       if (same != greedy_built.end()) {
         ind.solution = population[same->second].solution;
       } else {
-        ind.solution = greedy_seed(instance, opts);
+        ind.solution = greedy_seed(instance, forced_width);
         greedy_built.emplace_back(std::move(widths), population.size());
       }
       population.push_back(std::move(ind));
     };
-    if (seed_solution != nullptr) {
+    // A frozen solution seeds the population itself; otherwise the
+    // greedy plan at the configured width does.
+    if (nodes_frozen) {
       Individual seed;
-      seed.solution = *seed_solution;
+      seed.solution = *frozen;
       population.push_back(std::move(seed));
     } else {
-      add_greedy(config.forced_channel_count);
-    }
-    // If both an explicit initial and a greedy seed make sense, add the
-    // greedy one too.
-    if (config.initial && !nodes_frozen) {
       add_greedy(config.forced_channel_count);
     }
     // Seed a few structurally different greedy plans (channel widths 1-4):
@@ -336,7 +318,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
           ->eval.objective;
   auto tournament_pick = [&]() -> const Individual& {
     const Individual* best = nullptr;
-    for (int t = 0; t < config.tournament; ++t) {
+    for (int t = 0; t < kTournament; ++t) {
       const auto& cand = population[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(population.size()) - 1))];
       if (!best || better(cand, *best)) best = &cand;
@@ -359,7 +341,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
     }
 
     std::size_t k = 0;
-    for (; static_cast<int>(k) < config.elites && k < next.size(); ++k) {
+    for (; static_cast<int>(k) < kElites && k < next.size(); ++k) {
       next[k].solution = population[k].solution;
       next[k].eval = population[k].eval;
       next[k].evaluated = true;
@@ -367,7 +349,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
     for (; k < next.size(); ++k) {
       Individual& child = next[k];
       const Individual& p1 = tournament_pick();
-      if (rng.chance(config.crossover_rate)) {
+      if (rng.chance(kCrossoverRate)) {
         const Individual& p2 = tournament_pick();
         crossover(instance, nodes_frozen, p1.solution, p2.solution, rng,
                   child.solution);

@@ -21,26 +21,19 @@ struct FrozenNodes {
   CpSolution solution;
 };
 
+// The search budget and the strategy switches. Tournament size, elite
+// count, crossover and mutation rates are constants in ga_solver.cpp.
 struct GaConfig {
   int population = 32;
   int generations = 80;
-  int tournament = 3;
-  int elites = 2;
-  double crossover_rate = 0.9;
-  // Per-gene mutation probability for node genes; gateway genes mutate
-  // with 10x this rate per gateway.
-  double mutation_rate = 0.02;
   std::uint64_t seed = 42;
   // Strategy 1 disabled: force this channel count on every gateway.
   std::optional<int> forced_channel_count;
-  // Freeze node genes to frozen_nodes->solution (see FrozenNodes).
+  // Freeze node genes to frozen_nodes->solution, which also seeds the
+  // population (see FrozenNodes).
   std::optional<FrozenNodes> frozen_nodes;
-  // Explicit population seed; node genes still evolve. When unset and
-  // frozen_nodes is set, the frozen solution seeds the population.
-  std::optional<CpSolution> initial;
   // Stop early once the objective reaches zero (perfect plan).
   bool early_stop = true;
-  CpWeights weights{};
   // Worker threads for fitness evaluation: 0 = the ALPHAWAN_THREADS
   // process default, 1 = force serial. Any value yields identical results.
   int threads = 0;
@@ -62,8 +55,7 @@ struct GaResult {
 };
 
 // Throws std::invalid_argument naming the offending field when `config`
-// cannot drive a solve: population or tournament below 1, or a crossover
-// or mutation rate outside [0, 1].
+// cannot drive a solve: a population below 1.
 void validate(const GaConfig& config);
 
 // Throws std::invalid_argument on an invalid instance or configuration.

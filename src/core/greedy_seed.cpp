@@ -6,17 +6,14 @@
 namespace alphawan {
 
 int greedy_width(const CpGateway& gw, int num_channels,
-                 const GreedyOptions& options) {
-  const int width = options.forced_channel_count.value_or(
-      std::max(1, static_cast<int>(std::lround(
-                      static_cast<double>(gw.decoders) / kNumDataRates))));
-  return std::clamp(width, 1,
-                    std::min({gw.max_channels, gw.max_span_channels,
-                              num_channels}));
+                 std::optional<int> forced_width) {
+  return clamp_width(gw, num_channels,
+                     forced_width.value_or(static_cast<int>(std::lround(
+                         static_cast<double>(gw.decoders) / kNumDataRates))));
 }
 
 CpSolution greedy_seed(const CpInstance& instance,
-                       const GreedyOptions& options) {
+                       std::optional<int> forced_width) {
   CpSolution solution = CpSolution::empty_for(instance);
   const std::size_t num_gw = instance.gateways.size();
   const int num_ch = instance.num_channels;
@@ -27,7 +24,7 @@ CpSolution greedy_seed(const CpInstance& instance,
   std::vector<double> channel_capacity(static_cast<std::size_t>(num_ch), 0.0);
   for (std::size_t j = 0; j < num_gw; ++j) {
     const auto& gw = instance.gateways[j];
-    const int width = greedy_width(gw, num_ch, options);
+    const int width = greedy_width(gw, num_ch, forced_width);
     int best_start = 0;
     double best_score = 1e300;
     for (int start = 0; start + width <= num_ch; ++start) {

@@ -10,20 +10,15 @@
 
 namespace alphawan {
 
-struct GreedyOptions {
-  // Force every gateway to operate exactly this many channels (Strategy 1
-  // disabled -> 8). nullopt: choose ~decoders/6 channels per gateway.
-  std::optional<int> forced_channel_count;
-};
-
 // The channel count greedy_seed gives `gw`, clamped to what the gateway
-// and the grid allow. The options reach the seed only through these
-// widths: two options with the same width for every gateway give the same
-// seed.
+// and the grid allow (clamp_width). `forced_width` forces a count on
+// every gateway (Strategy 1 disabled -> 8); nullopt chooses ~decoders/6
+// channels per gateway. `forced_width` reaches the seed only through these
+// counts: two that give every gateway the same count give the same seed.
 [[nodiscard]] int greedy_width(const CpGateway& gw, int num_channels,
-                               const GreedyOptions& options);
+                               std::optional<int> forced_width);
 
-[[nodiscard]] CpSolution greedy_seed(const CpInstance& instance,
-                                     const GreedyOptions& options = {});
+[[nodiscard]] CpSolution greedy_seed(
+    const CpInstance& instance, std::optional<int> forced_width = std::nullopt);
 
 }  // namespace alphawan

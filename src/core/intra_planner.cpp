@@ -5,20 +5,26 @@
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
+namespace {
 
-std::uint8_t IntraPlanner::min_reach_level(Db measured_snr,
-                                           Dbm measured_power) const {
+// SNR headroom required when declaring a (node, gateway, level)
+// combination reachable.
+constexpr Db kReachMargin{3.0};
+
+// Smallest level at which a node reaches a gateway given measured SNR.
+std::uint8_t min_reach_level(Db measured_snr, Dbm measured_power) {
   for (int level = 0; level < kNumLevels; ++level) {
     const DataRate dr = level_to_dr(level);
     const Db snr_at_level =
         measured_snr + (level_tx_power(level) - measured_power);
-    if (snr_at_level >=
-        demod_snr_threshold(dr_to_sf(dr)) + config_.reach_margin) {
+    if (snr_at_level >= demod_snr_threshold(dr_to_sf(dr)) + kReachMargin) {
       return static_cast<std::uint8_t>(level);
     }
   }
   return kUnreachable;
 }
+
+}  // namespace
 
 CpInstance IntraPlanner::build_instance(
     const Network& network, const Spectrum& spectrum,

@@ -21,9 +21,6 @@ struct IntraPlannerConfig {
   bool strategy1_adapt_channel_count = true;
   // Strategy 7: steer node channels / data rates / powers.
   bool strategy7_node_side = true;
-  // SNR headroom required when declaring a (node, gateway, level)
-  // combination reachable.
-  Db reach_margin{3.0};
   // Capacity of a (channel, DR) pair in packets per window (1.0 for pure
   // concurrency planning).
   double pair_capacity = 1.0;
@@ -65,10 +62,6 @@ class IntraPlanner {
   [[nodiscard]] const IntraPlannerConfig& config() const { return config_; }
 
  private:
-  // Smallest level at which a node reaches a gateway given measured SNR.
-  [[nodiscard]] std::uint8_t min_reach_level(Db measured_snr,
-                                             Dbm measured_power) const;
-
   // Current node assignments as a CpSolution (seed / frozen genes).
   [[nodiscard]] CpSolution snapshot_solution(const Network& network,
                                              const CpInstance& instance) const;

@@ -42,13 +42,8 @@ double MasterNode::effective_overlap() const {
   return std::max(0.0, 1.0 - step / kLoRaBandwidth125k);
 }
 
-RegisterAckMsg MasterNode::handle_register(const RegisterMsg& msg) {
-  if (!slots_.contains(msg.operator_id)) {
-    const int slot = static_cast<int>(slots_.size());
-    slots_[msg.operator_id] = slot;
-    ++epoch_;
-  }
-  return RegisterAckMsg{epoch_};
+void MasterNode::handle_register(NetworkId operator_id) {
+  slots_.try_emplace(operator_id, static_cast<int>(slots_.size()));
 }
 
 std::optional<Hz> MasterNode::offset_of(NetworkId operator_id) const {
@@ -58,21 +53,21 @@ std::optional<Hz> MasterNode::offset_of(NetworkId operator_id) const {
          plan_offset_step() * static_cast<double>(it->second);
 }
 
-PlanAssignMsg MasterNode::handle_plan_request(const PlanRequestMsg& msg) {
-  const auto offset = offset_of(msg.operator_id);
+PlanAssignMsg MasterNode::handle_plan_request(NetworkId operator_id,
+                                              int requested_channels) {
+  const auto offset = offset_of(operator_id);
   if (!offset) {
     throw std::invalid_argument(
         "MasterNode: plan request from unregistered operator " +
-        std::to_string(msg.operator_id));
+        std::to_string(operator_id));
   }
   PlanAssignMsg assign;
-  assign.master_epoch = epoch_;
   assign.frequency_offset = *offset;
   assign.overlap_ratio = effective_overlap();
   // Channels: the requested count of grid channels, shifted by the
   // operator's offset, kept inside the spectrum.
   const Spectrum& spec = config_.spectrum;
-  const int want = std::max<int>(1, msg.requested_channels);
+  const int want = std::max(1, requested_channels);
   for (int k = 0; k < spec.grid_size() && static_cast<int>(
                                               assign.channels.size()) < want;
        ++k) {

@@ -11,7 +11,6 @@
 // misalignment depends on the number of coexisting networks" tradeoff.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -25,23 +24,7 @@ namespace alphawan {
 // its channel plan. In the paper the exchange runs over TCP; here callers
 // invoke MasterNode directly and time it with
 // LatencyModel::master_round_trip.
-struct RegisterMsg {
-  NetworkId operator_id = 0;
-};
-
-struct RegisterAckMsg {
-  std::uint32_t master_epoch = 0;
-};
-
-struct PlanRequestMsg {
-  NetworkId operator_id = 0;
-  std::uint16_t requested_channels = 8;
-};
-
 struct PlanAssignMsg {
-  // Master epoch the plan was computed at. Epochs advance on every new
-  // registration; NetworkServer::adopt_plan ignores stale epochs.
-  std::uint32_t master_epoch = 0;
   double overlap_ratio = 0.0;  // with the nearest coexisting plan
   Hz frequency_offset{0.0};   // applied to the standard grid
   std::vector<Channel> channels;
@@ -66,10 +49,14 @@ class MasterNode {
   // (NaN included) or expected_networks < 1.
   explicit MasterNode(MasterConfig config);
 
-  [[nodiscard]] RegisterAckMsg handle_register(const RegisterMsg& msg);
-  // Plans in config().spectrum. Throws std::invalid_argument, naming the
-  // id, for an operator that has not registered.
-  [[nodiscard]] PlanAssignMsg handle_plan_request(const PlanRequestMsg& msg);
+  // Gives a new operator the next misalignment slot; registering again
+  // keeps the slot.
+  void handle_register(NetworkId operator_id);
+  // Plans `requested_channels` (at least 1) channels in config().spectrum.
+  // Throws std::invalid_argument, naming the id, for an operator that has
+  // not registered.
+  [[nodiscard]] PlanAssignMsg handle_plan_request(NetworkId operator_id,
+                                                  int requested_channels);
 
   // The frequency offset assigned to an operator (registered order).
   [[nodiscard]] std::optional<Hz> offset_of(NetworkId operator_id) const;
@@ -81,15 +68,10 @@ class MasterNode {
   [[nodiscard]] std::size_t registered_operators() const {
     return slots_.size();
   }
-  // The current plan epoch. Bumped on every NEW registration (duplicate
-  // registrations are idempotent); every PlanAssignMsg is stamped with the
-  // epoch it was computed at, and receivers ignore stale epochs.
-  [[nodiscard]] std::uint32_t current_epoch() const { return epoch_; }
   [[nodiscard]] const MasterConfig& config() const { return config_; }
 
  private:
   MasterConfig config_;
-  std::uint32_t epoch_ = 1;
   std::map<NetworkId, int> slots_;  // operator -> misalignment slot
 };
 

@@ -12,7 +12,6 @@ Gateway::Gateway(GatewayId id, NetworkId network, Point position,
 
 void Gateway::apply_channels(const GatewayChannelConfig& config) {
   radio_.configure_channels(config.channels);
-  ++reboot_count_;
 }
 
 void Gateway::set_antenna(std::unique_ptr<Antenna> antenna,

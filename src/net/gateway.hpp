@@ -44,8 +44,8 @@ class Gateway {
     return radio_.channels();
   }
 
-  // Apply a channel configuration (triggers a "reboot" in the latency
-  // model). Throws on configurations the hardware cannot realize.
+  // Apply a channel configuration. Throws on configurations the hardware
+  // cannot realize.
   void apply_channels(const GatewayChannelConfig& config);
 
   // Attach/detach a pluggable capture policy on the underlying radio
@@ -74,8 +74,6 @@ class Gateway {
                       std::vector<UplinkRecord>& uplinks,
                       std::vector<RxOutcome>& outcomes);
 
-  [[nodiscard]] int reboot_count() const { return reboot_count_; }
-
  private:
   GatewayId id_;
   NetworkId network_;
@@ -84,7 +82,6 @@ class Gateway {
   std::unique_ptr<Antenna> antenna_;
   double boresight_rad_ = 0.0;
   std::uint64_t antenna_epoch_ = 0;
-  int reboot_count_ = 0;
 };
 
 }  // namespace alphawan

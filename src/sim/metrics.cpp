@@ -55,17 +55,6 @@ void MetricsCollector::fold_served(const PerNetwork& net) {
 }
 
 void MetricsCollector::record(const PacketFate& fate) {
-  if (history_limit_ > 0) {
-    if (ring_.size() < history_limit_) {
-      ring_.push_back(fate);
-    } else {
-      ring_[ring_head_] = fate;
-      ring_head_ = (ring_head_ + 1) % history_limit_;
-      ++evicted_;
-    }
-  } else {
-    ++evicted_;
-  }
   auto& net = slot(fate.network);
   ++net.offered;
   ++total_offered_;
@@ -158,17 +147,6 @@ std::size_t MetricsCollector::total_served_nodes() const {
   return total;
 }
 
-std::vector<PacketFate> MetricsCollector::recent_fates() const {
-  std::vector<PacketFate> fates;
-  fates.reserve(ring_.size());
-  // Oldest first: the ring is filled linearly until the limit, after which
-  // ring_head_ marks the oldest slot.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    fates.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  return fates;
-}
-
-void MetricsCollector::clear() { *this = MetricsCollector{history_limit_}; }
+void MetricsCollector::clear() { *this = MetricsCollector{}; }
 
 }  // namespace alphawan

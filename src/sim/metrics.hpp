@@ -4,10 +4,10 @@
 //
 // The collector aggregates in a streaming fashion: totals, per-cause and
 // per-data-rate counters, and a deduplicated served-node set are updated per
-// fate, while only a bounded ring of recent fates is retained for
-// inspection. Memory is O(live state) — networks + distinct served nodes +
-// the ring — never O(packet history), which is what lets a million-user
-// city run (bench_city_1m) record every packet (docs/sharding.md).
+// fate, and the fate itself is not kept. Memory is O(live state) — networks
+// + distinct served nodes — never O(packet history), which is what lets a
+// million-user city run (bench_city_1m) record every packet
+// (docs/sharding.md).
 #pragma once
 
 #include <array>
@@ -117,13 +117,6 @@ inline constexpr std::uint8_t kFoldCollisionForeign = 1U << 4;
 
 class MetricsCollector {
  public:
-  // `history_limit` bounds the retained recent-fate ring (0 = keep none).
-  // Aggregates are exact regardless of the limit; only per-fate inspection
-  // is windowed.
-  static constexpr std::size_t kDefaultHistoryLimit = 65536;
-  explicit MetricsCollector(std::size_t history_limit = kDefaultHistoryLimit)
-      : history_limit_(history_limit) {}
-
   void record(const PacketFate& fate);
 
   [[nodiscard]] std::size_t offered(NetworkId network) const;
@@ -166,14 +159,6 @@ class MetricsCollector {
     return delivered_by_dr_[static_cast<std::size_t>(dr_value(dr))];
   }
 
-  // The rolling recent-fate window, oldest first. history_size() is
-  // min(total_offered, history_limit); evicted() counts fates that aged out
-  // of the ring — aggregates above still include them.
-  [[nodiscard]] std::vector<PacketFate> recent_fates() const;
-  [[nodiscard]] std::size_t history_size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t history_limit() const { return history_limit_; }
-  [[nodiscard]] std::size_t evicted() const { return evicted_; }
-
   void clear();
 
  private:
@@ -204,13 +189,6 @@ class MetricsCollector {
   std::size_t total_delivered_bytes_ = 0;
   Tally<LossCause> total_causes_;
   std::array<std::size_t, kNumDataRates> delivered_by_dr_{};
-
-  // Bounded recent-fate ring: once full, the oldest entry is overwritten
-  // (ring_head_ marks it) and evicted_ advances.
-  std::size_t history_limit_;
-  std::vector<PacketFate> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t evicted_ = 0;
 };
 
 }  // namespace alphawan

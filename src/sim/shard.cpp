@@ -31,8 +31,12 @@ ShardLayout::ShardLayout(const Region& region, int shards)
 
 int ShardLayout::shard_of(const Point& p) const {
   if (stripe_width_ <= 0.0) return 0;
-  const int stripe = static_cast<int>(p.x.value() / stripe_width_);
-  return std::clamp(stripe, 0, shards_ - 1);
+  // Clamped as a double: converting a NaN or out-of-range double to int is
+  // undefined. A NaN fails the >= test and lands in stripe 0.
+  const double stripe = p.x.value() / stripe_width_;
+  if (!(stripe >= 0.0)) return 0;
+  return static_cast<int>(
+      std::min(stripe, static_cast<double>(shards_ - 1)));
 }
 
 }  // namespace alphawan

@@ -1,14 +1,47 @@
 #include "sim/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
+namespace {
+
+void require_finite_positive(Meters side, const char* field) {
+  if (!(std::isfinite(side.value()) && side.value() > 0.0)) {
+    throw std::invalid_argument(std::string(field) +
+                                " must be finite and > 0 m, got " +
+                                std::to_string(side.value()));
+  }
+}
+
+Region validated(Region region) {
+  require_finite_positive(region.width, "Region::width");
+  require_finite_positive(region.height, "Region::height");
+  return region;
+}
+
+Spectrum validated(Spectrum spectrum) {
+  if (!(std::isfinite(spectrum.width.value()) &&
+        spectrum.width >= kChannelSpacing)) {
+    throw std::invalid_argument(
+        "Spectrum::width must be finite and hold at least one 200 kHz grid "
+        "channel, got " +
+        std::to_string(spectrum.width.value()) + " Hz");
+  }
+  return spectrum;
+}
+
+}  // namespace
 
 Deployment::Deployment(Region region, Spectrum spectrum,
                        ChannelModelConfig channel_config)
-    : region_(region), spectrum_(spectrum), channel_model_(channel_config) {}
+    : region_(validated(region)),
+      spectrum_(validated(spectrum)),
+      channel_model_(channel_config) {}
 
 Network& Deployment::add_network(const std::string& name) {
   networks_.emplace_back(next_network_id_++, name);

@@ -18,6 +18,9 @@ namespace alphawan {
 
 class Deployment {
  public:
+  // Throws std::invalid_argument, naming the field, for a region side that
+  // is not finite and positive, or a spectrum too narrow (or not finite)
+  // to hold one grid channel.
   Deployment(Region region, Spectrum spectrum,
              ChannelModelConfig channel_config = {});
 

@@ -102,6 +102,30 @@ inline World build_world(const CaseParams& p) {
   return world;
 }
 
+// The collector-versus-fate-stream recount: a collector that recorded one
+// window holds exactly that window's offered and delivered counts.
+inline std::optional<std::string> collector_matches_window(
+    const MetricsCollector& metrics, const WindowResult& result) {
+  const auto delivered_fates = static_cast<std::size_t>(
+      std::count_if(result.fates.begin(), result.fates.end(),
+                    [](const PacketFate& fate) { return fate.delivered; }));
+  std::ostringstream msg;
+  if (metrics.total_offered() != result.total_offered() ||
+      metrics.total_offered() != result.fates.size()) {
+    msg << "collector offered " << metrics.total_offered() << " != window "
+        << result.total_offered() << " (" << result.fates.size()
+        << " fates); ";
+  }
+  if (metrics.total_delivered() != result.total_delivered() ||
+      metrics.total_delivered() != delivered_fates) {
+    msg << "collector delivered " << metrics.total_delivered()
+        << " != window " << result.total_delivered() << " ("
+        << delivered_fates << " delivered fates)";
+  }
+  if (msg.str().empty()) return std::nullopt;
+  return msg.str();
+}
+
 // A property maps params to nullopt (pass) or a failure message.
 using Property = std::function<std::optional<std::string>(const CaseParams&)>;
 

@@ -96,6 +96,9 @@ std::optional<std::string> conservation_holds(const BaselineScheme& scheme,
   if (result.total_offered() != world.txs.size()) {
     return "offered != generated transmissions";
   }
+  if (auto recount = prop::collector_matches_window(metrics, result)) {
+    return recount;
+  }
   std::size_t losses = 0;
   for (const auto cause :
        {LossCause::kDecoderContentionIntra, LossCause::kDecoderContentionInter,

@@ -40,6 +40,9 @@ std::optional<std::string> invariants_hold(const CaseParams& p) {
   if (result.total_offered() != world.txs.size()) {
     return "offered != generated transmissions";
   }
+  if (auto recount = prop::collector_matches_window(metrics, result)) {
+    return recount;
+  }
   // Conservation down to exact counts.
   std::size_t losses = 0;
   for (const auto cause :

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/digest.hpp"
+
 namespace alphawan {
 namespace {
 
@@ -43,7 +45,7 @@ TEST(Controller, UpgradeWithoutSharing) {
 TEST(Controller, RejectsInvalidGaConfigAtConstruction) {
   ControllerFixture f;
   AlphaWanConfig cfg = f.fast_config();
-  cfg.planner.ga.tournament = 0;
+  cfg.planner.ga.population = 0;
   EXPECT_THROW(AlphaWanController(cfg, f.latency), std::invalid_argument);
 }
 
@@ -61,7 +63,7 @@ TEST(Controller, SharingUsesMasterOffset) {
   MasterNode master(
       MasterConfig{f.deployment.spectrum(), 0.4, /*expected=*/2});
   // A first operator takes slot 0.
-  (void)master.handle_register({99});
+  master.handle_register(99);
   AlphaWanController controller(f.fast_config(true), f.latency);
   const auto links = oracle_link_estimates(f.deployment, *f.network);
   const auto report =
@@ -92,17 +94,77 @@ TEST(Controller, RebootOnlyWhenGatewaysChange) {
   EXPECT_DOUBLE_EQ(second.gateway_reboot.value(), 0.0);
 }
 
-TEST(Controller, UpgradeStampsMasterEpoch) {
-  ControllerFixture f;
-  AlphaWanController controller(f.fast_config(true), f.latency);
-  MasterNode master(
-      MasterConfig{f.deployment.spectrum(), 0.4, /*expected=*/2});
-  const auto links = oracle_link_estimates(f.deployment, *f.network);
-  const auto report =
-      controller.upgrade(*f.network, f.deployment.spectrum(), links,
-                         uniform_traffic(*f.network), &master);
-  EXPECT_EQ(report.master_epoch, master.current_epoch());
-  EXPECT_EQ(f.network->server().plan_epoch(), master.current_epoch());
+// FNV-1a over every field of a network's applied channel configuration, in
+// map order: gateway ids with their channels, then node ids with channel,
+// data rate and transmit power.
+std::uint64_t config_hash(const NetworkChannelConfig& config) {
+  std::uint64_t h = kFnv1aOffset;
+  auto fold = [&h](const auto& value) { h = fnv1a(&value, sizeof value, h); };
+  auto fold_channel = [&fold](const Channel& ch) {
+    fold(ch.center.value());
+    fold(ch.bandwidth.value());
+  };
+  for (const auto& [id, gw] : config.gateways) {
+    fold(id);
+    fold(gw.channels.size());
+    for (const auto& ch : gw.channels) fold_channel(ch);
+  }
+  for (const auto& [id, node] : config.nodes) {
+    fold(id);
+    fold_channel(node.channel);
+    fold(dr_value(node.dr));
+    fold(node.tx_power.value());
+  }
+  return h;
+}
+
+// Strategy 8 end to end, as a planning round of two coexisting operators
+// runs it: both upgrade through one Master, in operator order. Pins each
+// report's objective and frequency offset and the configuration each
+// network ends up with, so any change to the Master exchange or to the
+// planner's constants that moves a plan shows here. Recorded while the
+// Master still stamped plans with epochs and the GA's operator rates and
+// the scorer's weights were still GaConfig fields.
+TEST(Controller, TwoOperatorUpgradeThroughOneMasterIsPinned) {
+  Deployment deployment{Region{Meters{2000.0}, Meters{1500.0}}, spectrum_4m8()};
+  Rng rng{2026};
+  std::vector<Network*> operators;
+  for (const char* name : {"op-a", "op-b"}) {
+    Network& net = deployment.add_network(name);
+    deployment.place_gateways(net, 3, default_profile(), rng);
+    deployment.place_nodes(net, 160, rng);
+    operators.push_back(&net);
+  }
+  MasterNode master(MasterConfig{deployment.spectrum(), 0.4, 2});
+  LatencyModel latency{LatencyModelConfig{}, 1};
+  AlphaWanConfig cfg;
+  cfg.planner.ga.population = 16;
+  cfg.planner.ga.generations = 20;
+  cfg.planner.ga.early_stop = false;
+  cfg.planner.ga.threads = 1;
+  AlphaWanController controller(cfg, latency);
+
+  struct Pin {
+    double objective;
+    double offset_hz;
+    std::uint64_t config;
+  };
+  const Pin pins[] = {
+      {0x1.3a6666666666bp+8, 0x0p+0, 0x67b96b27f04818caULL},
+      {0x1.2fcp+8, 0x1.24f8p+16, 0x945140466918eda8ULL},
+  };
+  for (std::size_t i = 0; i < operators.size(); ++i) {
+    Network& net = *operators[i];
+    const auto links = oracle_link_estimates(deployment, net);
+    const UpgradeReport report =
+        controller.upgrade(net, deployment.spectrum(), links,
+                           uniform_traffic(net), &master);
+    const std::uint64_t hash = config_hash(net.current_config());
+    EXPECT_EQ(report.eval.objective, pins[i].objective) << "operator " << i;
+    EXPECT_EQ(report.frequency_offset.value(), pins[i].offset_hz)
+        << "operator " << i;
+    EXPECT_EQ(hash, pins[i].config) << "operator " << i;
+  }
 }
 
 TEST(Controller, RebootDominatesLatency) {

@@ -203,8 +203,7 @@ TEST(CpProblem, UnreachableLevelBlocksLink) {
 // CpScorer replaced, kept verbatim (including its 64-channel mask) so the
 // differential test below pins the scorer to it bit for bit.
 CpEvaluation reference_evaluate(const CpInstance& instance,
-                                const CpSolution& solution,
-                                const CpWeights& weights) {
+                                const CpSolution& solution) {
   CpEvaluation eval;
   const std::size_t num_gw = instance.gateways.size();
   const std::size_t num_nodes = instance.nodes.size();
@@ -257,7 +256,7 @@ CpEvaluation reference_evaluate(const CpInstance& instance,
     } else {
       eval.overload_risk += node.traffic * best_phi;
     }
-    eval.level_bias += weights.level_cost * node.traffic *
+    eval.level_bias += kLevelCost * node.traffic *
                        static_cast<double>(level);
   }
   eval.objective += eval.level_bias;
@@ -272,8 +271,8 @@ CpEvaluation reference_evaluate(const CpInstance& instance,
   }
 
   eval.objective += eval.overload_risk +
-                    weights.pair_overload_weight * eval.pair_overload +
-                    weights.disconnect_penalty * eval.disconnected;
+                    kPairOverloadWeight * eval.pair_overload +
+                    kDisconnectPenalty * eval.disconnected;
   return eval;
 }
 
@@ -378,23 +377,17 @@ TEST(CpScorer, MatchesReferenceLoopBitForBit) {
     } else if (trial >= 270) {
       for (auto& node : inst.nodes) node.traffic = 0.0;
     }
-    CpWeights weights;
-    if (trial % 3 != 0) {
-      weights.disconnect_penalty = rng.uniform(0.0, 3.0);
-      weights.pair_overload_weight = rng.uniform(0.0, 5.0);
-      weights.level_cost = rng.uniform(0.0, 0.3);
-    }
     const CpScorer scorer(inst);
     for (int plan = 0; plan < 3; ++plan) {
       const CpSolution s = random_solution(inst, rng);
       ASSERT_TRUE(feasible(inst, s));
-      const CpEvaluation want = reference_evaluate(inst, s, weights);
+      const CpEvaluation want = reference_evaluate(inst, s);
       SCOPED_TRACE(::testing::Message()
                    << "trial " << trial << " plan " << plan << ", "
                    << inst.gateways.size() << " gateways");
-      expect_same_bits(scorer.score(s, weights), want);
-      expect_same_bits(evaluate(inst, s, weights), want);
-      scorer.score(s, weights, scratch, reused);
+      expect_same_bits(scorer.score(s), want);
+      expect_same_bits(evaluate(inst, s), want);
+      scorer.score(s, scratch, reused);
       expect_same_bits(reused, want);
     }
   }

@@ -45,9 +45,7 @@ TEST(GreedySeed, DefaultWidthTracksDecoderBudget) {
 
 TEST(GreedySeed, ForcedChannelCountHonored) {
   const auto inst = fig12_instance();
-  GreedyOptions options;
-  options.forced_channel_count = 8;
-  const auto seed = greedy_seed(inst, options);
+  const auto seed = greedy_seed(inst, /*forced_width=*/8);
   for (const auto& chans : seed.gateway_channels) {
     EXPECT_EQ(chans.size(), 8u);
   }
@@ -73,9 +71,7 @@ TEST(GreedySeed, LowRiskWhenCapacitySuffices) {
   EXPECT_DOUBLE_EQ(eval.disconnected, 0.0);
   EXPECT_LT(eval.overload_risk, 0.05 * 144.0 * 128.0);
   // A narrower (2-channel) greedy eliminates the double counting fully.
-  GreedyOptions narrow;
-  narrow.forced_channel_count = 2;
-  const auto eval2 = evaluate(inst, greedy_seed(inst, narrow));
+  const auto eval2 = evaluate(inst, greedy_seed(inst, /*forced_width=*/2));
   EXPECT_DOUBLE_EQ(eval2.disconnected, 0.0);
 }
 

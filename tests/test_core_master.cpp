@@ -21,9 +21,9 @@ MasterConfig config_for(int networks, double overlap = 0.4) {
 
 TEST(Master, RegistrationAssignsStableSlots) {
   MasterNode master(config_for(3));
-  (void)master.handle_register({1});
-  (void)master.handle_register({2});
-  (void)master.handle_register({1});
+  master.handle_register(1);
+  master.handle_register(2);
+  master.handle_register(1);
   EXPECT_EQ(master.registered_operators(), 2u);
   EXPECT_DOUBLE_EQ(master.offset_of(1)->value(), 0.0);
   EXPECT_GT(master.offset_of(2)->value(), 0.0);
@@ -38,7 +38,7 @@ TEST(Master, PlanRequestBeforeRegisterIsError) {
   MasterNode master(config_for(2));
   EXPECT_THROW(
       try {
-        (void)master.handle_plan_request({5, 8});
+        (void)master.handle_plan_request(5, 8);
       } catch (const std::invalid_argument& e) {
         // The message names the unregistered id.
         EXPECT_NE(std::string(e.what()).find("operator 5"), std::string::npos)
@@ -67,10 +67,10 @@ TEST(Master, CompressesStepWhenManyNetworks) {
 
 TEST(Master, AssignedPlansAreMisaligned) {
   MasterNode master(config_for(2, 0.4));
-  (void)master.handle_register({1});
-  (void)master.handle_register({2});
-  const auto p1 = master.handle_plan_request({1, 8});
-  const auto p2 = master.handle_plan_request({2, 8});
+  master.handle_register(1);
+  master.handle_register(2);
+  const auto p1 = master.handle_plan_request(1, 8);
+  const auto p2 = master.handle_plan_request(2, 8);
   ASSERT_FALSE(p1.channels.empty());
   ASSERT_FALSE(p2.channels.empty());
   // Worst-case pairwise overlap must match the advertised ratio.
@@ -89,10 +89,10 @@ TEST(Master, AssignedPlansAreMisaligned) {
 TEST(Master, ChannelsStayInsideSpectrum) {
   MasterNode master(config_for(4, 0.2));
   for (NetworkId op = 1; op <= 4; ++op) {
-    (void)master.handle_register({op});
+    master.handle_register(op);
   }
   for (NetworkId op = 1; op <= 4; ++op) {
-    const auto assign = master.handle_plan_request({op, 8});
+    const auto assign = master.handle_plan_request(op, 8);
     for (const auto& ch : assign.channels) {
       EXPECT_TRUE(master.config().spectrum.contains(ch));
     }
@@ -103,13 +103,13 @@ TEST(Master, BaseOffsetShiftsAllPlans) {
   MasterConfig cfg = config_for(2, 0.4);
   cfg.base_offset = Hz{37.5e3};
   MasterNode master(cfg);
-  (void)master.handle_register({1});
-  (void)master.handle_register({2});
+  master.handle_register(1);
+  master.handle_register(2);
   EXPECT_DOUBLE_EQ(master.offset_of(1)->value(), 37.5e3);
   EXPECT_DOUBLE_EQ(master.offset_of(2)->value(),
                    37.5e3 + master.plan_offset_step().value());
   // Assigned channels sit off the standard grid by at least base_offset.
-  const auto assign = master.handle_plan_request({1, 8});
+  const auto assign = master.handle_plan_request(1, 8);
   const Spectrum spec{Hz{923.2e6}, Hz{1.6e6}};
   for (const auto& ch : assign.channels) {
     const int idx = spec.nearest_grid_index(ch.center);
@@ -147,22 +147,6 @@ TEST(Master, RejectsExpectedNetworksBelowOne) {
     expect_master_rejects(config_for(networks), "expected_networks");
   }
   EXPECT_NO_THROW(MasterNode{config_for(1)});
-}
-
-TEST(Master, DuplicateRegistrationKeepsEpochStable) {
-  MasterNode master(config_for(3));
-  EXPECT_EQ(master.current_epoch(), 1u);
-  (void)master.handle_register({1});
-  const auto epoch_after_first = master.current_epoch();
-  EXPECT_EQ(epoch_after_first, 2u);
-  // A repeated registration is idempotent: same slot, same epoch.
-  const auto ack = master.handle_register({1});
-  EXPECT_EQ(master.current_epoch(), epoch_after_first);
-  EXPECT_EQ(ack.master_epoch, epoch_after_first);
-  EXPECT_EQ(master.registered_operators(), 1u);
-  // A NEW operator advances the epoch.
-  (void)master.handle_register({2});
-  EXPECT_EQ(master.current_epoch(), epoch_after_first + 1);
 }
 
 }  // namespace

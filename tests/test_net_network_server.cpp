@@ -72,26 +72,5 @@ TEST(NetworkServer, ClearResetsAllState) {
   EXPECT_EQ(server.network(), 3u);  // identity survives
 }
 
-TEST(NetworkServer, AdoptPlanGuardsAgainstStaleEpochs) {
-  NetworkServer server(3);
-  EXPECT_FALSE(server.has_plan());
-  EXPECT_EQ(server.plan_epoch(), 0u);
-  const std::vector<Channel> channels = {Channel{Hz{917.0e6}}};
-  EXPECT_TRUE(server.adopt_plan(5, Hz{50e3}, channels));
-  EXPECT_EQ(server.plan_epoch(), 5u);
-
-  EXPECT_FALSE(server.adopt_plan(3, Hz{99e3}, {}));
-  EXPECT_EQ(server.plan_epoch(), 5u);  // last-known-good kept
-  EXPECT_DOUBLE_EQ(server.plan().frequency_offset.value(), 50e3);
-  EXPECT_EQ(server.plan().channels, channels);
-  EXPECT_EQ(server.stale_plans_ignored(), 1u);
-
-  // Same epoch (a duplicate) and newer epochs are adopted.
-  EXPECT_TRUE(server.adopt_plan(5, Hz{50e3}, channels));
-  EXPECT_TRUE(server.adopt_plan(9, Hz{0.0}, {}));
-  EXPECT_EQ(server.plan_epoch(), 9u);
-  EXPECT_EQ(server.stale_plans_ignored(), 1u);
-}
-
 }  // namespace
 }  // namespace alphawan

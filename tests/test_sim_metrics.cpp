@@ -276,7 +276,7 @@ struct FlatTotals {
 };
 
 TEST(StreamingCollector, RollingAggregatesEqualFlatHistoryTotals) {
-  MetricsCollector rolling(/*history_limit=*/16);  // far below the stream
+  MetricsCollector rolling;
   FlatTotals flat;
   for (int i = 0; i < 1000; ++i) {
     const PacketFate f = synth_fate(i);
@@ -294,49 +294,14 @@ TEST(StreamingCollector, RollingAggregatesEqualFlatHistoryTotals) {
     EXPECT_EQ(rolling.delivered_by_dr(dr),
               it == flat.by_dr.end() ? 0u : it->second);
   }
-}
-
-TEST(StreamingCollector, EvictionNeverDropsLiveState) {
-  MetricsCollector m(/*history_limit=*/4);
-  FlatTotals flat;
-  for (int i = 0; i < 300; ++i) {
-    const PacketFate f = synth_fate(i);
-    m.record(f);
-    flat.add(f);
-  }
-  // The ring evicted nearly everything...
-  EXPECT_EQ(m.history_size(), 4u);
-  EXPECT_EQ(m.evicted(), 296u);
-  // ...yet every live aggregate is still exact, including the deduplicated
-  // served-node sets whose members were recorded long before eviction.
-  EXPECT_EQ(m.total_offered(), flat.offered);
-  EXPECT_EQ(m.total_delivered(), flat.delivered);
-  for (const auto& [net, nodes] : flat.served) {
-    EXPECT_EQ(m.served_nodes(net), nodes.size()) << "network " << net;
-  }
+  // The deduplicated served-node sets stay exact although their members
+  // were recorded hundreds of fates earlier.
   std::size_t flat_served = 0;
-  for (const auto& [net, nodes] : flat.served) flat_served += nodes.size();
-  EXPECT_EQ(m.total_served_nodes(), flat_served);
-}
-
-TEST(StreamingCollector, RecentFatesAreTheNewestOldestFirst) {
-  MetricsCollector m(/*history_limit=*/8);
-  for (int i = 0; i < 20; ++i) m.record(synth_fate(i));
-  const auto recent = m.recent_fates();
-  ASSERT_EQ(recent.size(), 8u);
-  for (std::size_t k = 0; k < recent.size(); ++k) {
-    EXPECT_EQ(recent[k].packet, static_cast<PacketId>(12 + k));
+  for (const auto& [net, nodes] : flat.served) {
+    EXPECT_EQ(rolling.served_nodes(net), nodes.size()) << "network " << net;
+    flat_served += nodes.size();
   }
-  EXPECT_EQ(m.evicted(), 12u);
-}
-
-TEST(StreamingCollector, ZeroLimitKeepsNoHistoryButExactAggregates) {
-  MetricsCollector m(/*history_limit=*/0);
-  for (int i = 0; i < 50; ++i) m.record(synth_fate(i));
-  EXPECT_EQ(m.history_size(), 0u);
-  EXPECT_TRUE(m.recent_fates().empty());
-  EXPECT_EQ(m.evicted(), 50u);
-  EXPECT_EQ(m.total_offered(), 50u);
+  EXPECT_EQ(rolling.total_served_nodes(), flat_served);
 }
 
 TEST(StreamingCollector, ServedDedupSurvivesFoldBoundaries) {
@@ -379,7 +344,7 @@ TEST(StreamingCollector, ScenarioWindowMatchesFlatRecompute) {
   }
   PacketIdSource ids;
   ScenarioRunner runner(deployment, /*seed=*/11);
-  MetricsCollector metrics(/*history_limit=*/8);
+  MetricsCollector metrics;
   const auto result =
       runner.run_window(concurrent_burst(nodes, Seconds{0.0}, ids), metrics);
   FlatTotals flat;

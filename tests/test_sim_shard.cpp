@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "check/digest.hpp"
@@ -27,6 +28,19 @@ TEST(ShardLayout, OutOfRegionPointsClampToNearestStripe) {
   const ShardLayout layout(Region{Meters{1000.0}, Meters{500.0}}, 2);
   EXPECT_EQ(layout.shard_of(Point{Meters{-50.0}, Meters{0.0}}), 0);
   EXPECT_EQ(layout.shard_of(Point{Meters{5000.0}, Meters{0.0}}), 1);
+}
+
+// Origins whose stripe index is no int at all: a NaN x lands in stripe 0,
+// and an x far beyond either edge clamps to the edge stripe.
+TEST(ShardLayout, NanAndFarAwayOriginsGetAStripe) {
+  const ShardLayout layout(Region{Meters{1000.0}, Meters{500.0}}, 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(layout.shard_of(Point{Meters{nan}, Meters{10.0}}), 0);
+  for (const double x : {4e12, 1e300, inf}) {
+    EXPECT_EQ(layout.shard_of(Point{Meters{x}, Meters{0.0}}), 3) << x;
+    EXPECT_EQ(layout.shard_of(Point{Meters{-x}, Meters{0.0}}), 0) << -x;
+  }
 }
 
 TEST(ShardLayout, SingleShardOwnsEverything) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace alphawan {
 namespace {
@@ -92,6 +95,50 @@ TEST(Topology, FeasibleDrDegradesToDr0OnWeakLinks) {
   // Adjacent to the gateway, a faster DR must be feasible.
   EXPECT_GT(dr_value(deployment.feasible_dr(near, network)),
             dr_value(DataRate::kDR0));
+}
+
+// A deployment that no placement or channel plan can use fails at
+// construction with std::invalid_argument naming `field`.
+void expect_deployment_rejects(const Region& region, const Spectrum& spectrum,
+                               const std::string& field) {
+  try {
+    Deployment deployment(region, spectrum);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Topology, RejectsNonFiniteRegion) {
+  for (const double side : {kNaN, kInf, -kInf}) {
+    expect_deployment_rejects(Region{Meters{side}, Meters{1000.0}},
+                              spectrum_1m6(), "Region::width");
+    expect_deployment_rejects(Region{Meters{1000.0}, Meters{side}},
+                              spectrum_1m6(), "Region::height");
+  }
+}
+
+TEST(Topology, RejectsNonPositiveRegion) {
+  for (const double side : {0.0, -0.0, -250.0}) {
+    expect_deployment_rejects(Region{Meters{side}, Meters{1000.0}},
+                              spectrum_1m6(), "Region::width");
+    expect_deployment_rejects(Region{Meters{1000.0}, Meters{side}},
+                              spectrum_1m6(), "Region::height");
+  }
+}
+
+// The smallest usable spectrum holds one 200 kHz grid channel.
+TEST(Topology, RejectsSpectrumWithoutGridChannel) {
+  const Region region{Meters{1000.0}, Meters{1000.0}};
+  for (const double width : {0.0, -1.6e6, 125e3, 199999.0, kNaN, kInf}) {
+    expect_deployment_rejects(region, Spectrum{Hz{916.8e6}, Hz{width}},
+                              "Spectrum::width");
+  }
+  EXPECT_NO_THROW(Deployment(region, Spectrum{Hz{916.8e6}, kChannelSpacing}));
 }
 
 }  // namespace

@@ -9,6 +9,9 @@
 // (baselines/registry.hpp); ALPHAWAN_BASELINE restricts the (f) grid.
 #include "harness.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "baselines/registry.hpp"
 
 using namespace alphawan;
@@ -142,7 +145,7 @@ void figure_12c() {
   // The alphawan scheme's configure() applies the same standard-ADR
   // provisioning first, so all three variants share node settings.
   const auto& registry = BaselineRegistry::instance();
-  RunningStats std_stats, gw_only_stats, full_stats;
+  std::vector<double> std_users, gw_only_users, full_users;  // per trial
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
     for (int variant = 0; variant < 3; ++variant) {
       Deployment deployment{Region{Meters{2100}, Meters{1600}}, spectrum_4m8(),
@@ -163,19 +166,29 @@ void figure_12c() {
       PacketIdSource ids;
       const auto delivered =
           run_burst(deployment, nodes, Seconds{0.0}, ids, trial).total_delivered();
-      (variant == 0   ? std_stats
-       : variant == 1 ? gw_only_stats
-                      : full_stats)
-          .add(static_cast<double>(delivered));
+      (variant == 0   ? std_users
+       : variant == 1 ? gw_only_users
+                      : full_users)
+          .push_back(static_cast<double>(delivered));
     }
   }
-  print_row("standard LoRaWAN (mean users)", 42.0, std_stats.mean());
-  print_row("AlphaWAN w/o node side (mean)", 57.0, gw_only_stats.mean());
-  print_row("AlphaWAN full version (mean)", 68.0, full_stats.mean());
+  const auto mean = [](const std::vector<double>& xs) {
+    return std::accumulate(xs.begin(), xs.end(), 0.0) /
+           static_cast<double>(xs.size());
+  };
+  print_row("standard LoRaWAN (mean users)", 42.0, mean(std_users));
+  print_row("AlphaWAN w/o node side (mean)", 57.0, mean(gw_only_users));
+  print_row("AlphaWAN full version (mean)", 68.0, mean(full_users));
+  const auto lo = [](const std::vector<double>& xs) {
+    return *std::min_element(xs.begin(), xs.end());
+  };
+  const auto hi = [](const std::vector<double>& xs) {
+    return *std::max_element(xs.begin(), xs.end());
+  };
   std::printf(
       "  ranges: std [%.0f, %.0f]  gw-only [%.0f, %.0f]  full [%.0f, %.0f]\n",
-      std_stats.min(), std_stats.max(), gw_only_stats.min(),
-      gw_only_stats.max(), full_stats.min(), full_stats.max());
+      lo(std_users), hi(std_users), lo(gw_only_users), hi(gw_only_users),
+      lo(full_users), hi(full_users));
 }
 
 void figure_12de() {

@@ -1,19 +1,22 @@
 #include "baselines/curvinglora.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "baselines/policy.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
+namespace {
 
-CurvingLoraCapturePolicy::CurvingLoraCapturePolicy(CurvingLoraOptions options)
-    : options_(options) {
-  require_option(options_.curvature_count >= 1,
-                 "CurvingLoraOptions: curvature_count must be >= 1");
-  require_option(std::isfinite(options_.snr_headroom.value()),
-                 "CurvingLoraOptions: snr_headroom must be finite");
+// Number of curvature-orthogonal chirp families the deployment assigns.
+constexpr std::uint64_t kCurvatureCount = 4;
+// SNR headroom above the demod threshold needed to despread through the
+// residual cross-curvature energy.
+constexpr Db kSnrHeadroom{1.0};
+
+}  // namespace
+
+int CurvingLoraCapturePolicy::curvature_of(NodeId node) {
+  return static_cast<int>(static_cast<std::uint64_t>(node) % kCurvatureCount);
 }
 
 bool CurvingLoraCapturePolicy::recovers(
@@ -30,7 +33,7 @@ bool CurvingLoraCapturePolicy::recovers(
                curvature_of(other.node) == wanted_curvature;
       });
   return orthogonal &&
-         wanted.snr >= demod_snr_threshold(wanted.sf) + options_.snr_headroom;
+         wanted.snr >= demod_snr_threshold(wanted.sf) + kSnrHeadroom;
 }
 
 }  // namespace alphawan

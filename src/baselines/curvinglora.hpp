@@ -14,25 +14,11 @@
 
 namespace alphawan {
 
-struct CurvingLoraOptions {
-  // Number of curvature-orthogonal chirp families the deployment assigns.
-  // A node's curvature is a static hash of its id (curvature is baked into
-  // the radio configuration, not negotiated per packet).
-  int curvature_count = 4;
-  // SNR headroom above the demod threshold needed to despread through the
-  // residual cross-curvature energy.
-  Db snr_headroom{1.0};
-};
-
 // Registry scheme "curvinglora" (capture side): rescues collision drops
 // whose same-SF interferers all use a different curvature than the wanted
 // packet.
 class CurvingLoraCapturePolicy final : public CapturePolicy {
  public:
-  // Throws std::invalid_argument naming the field on curvature_count < 1
-  // or a non-finite snr_headroom.
-  explicit CurvingLoraCapturePolicy(CurvingLoraOptions options = {});
-
   [[nodiscard]] std::string_view name() const override {
     return "curvinglora";
   }
@@ -40,17 +26,10 @@ class CurvingLoraCapturePolicy final : public CapturePolicy {
       const CaptureEvent& wanted,
       std::span<const CaptureEvent> overlappers) const override;
 
-  // The curvature family a node's radio is configured with.
-  [[nodiscard]] int curvature_of(NodeId node) const {
-    return static_cast<int>(static_cast<std::uint64_t>(node) %
-                            static_cast<std::uint64_t>(
-                                options_.curvature_count));
-  }
-
-  [[nodiscard]] const CurvingLoraOptions& options() const { return options_; }
-
- private:
-  CurvingLoraOptions options_;
+  // The curvature family a node's radio is configured with: a static hash
+  // of its id (curvature is baked into the radio configuration, not
+  // negotiated per packet).
+  [[nodiscard]] static int curvature_of(NodeId node);
 };
 
 }  // namespace alphawan

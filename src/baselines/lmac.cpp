@@ -11,6 +11,16 @@
 namespace alphawan {
 namespace {
 
+// Maximum total deferral before a node gives up waiting and transmits
+// anyway (regulatory/application latency bound).
+constexpr Seconds kMaxDefer{5.0};
+// Random inter-frame gap inserted after a busy channel clears.
+constexpr Seconds kMinGap{5e-3};
+constexpr Seconds kMaxGap{30e-3};
+// Carrier sensing range: transmitters farther apart than this cannot hear
+// each other (hidden terminals persist, as in real LMAC).
+constexpr Meters kSenseRange{1500.0};
+
 // Channels are bucketed by a coarse frequency key so partially-overlapping
 // channels land in neighbouring buckets and are both checked.
 std::int64_t freq_bucket(Hz center) {
@@ -19,21 +29,8 @@ std::int64_t freq_bucket(Hz center) {
 
 }  // namespace
 
-LmacPolicy::LmacPolicy(LmacOptions options, StandardLorawanOptions node_side)
-    : options_(options), node_side_(node_side) {
-  require_option(options_.max_defer >= Seconds{0.0},
-                 "LmacOptions: max_defer must be >= 0");
-  require_option(options_.min_gap >= Seconds{0.0},
-                 "LmacOptions: min_gap must be >= 0");
-  require_option(options_.min_gap <= options_.max_gap,
-                 "LmacOptions: min_gap must not exceed max_gap");
-  require_option(options_.sense_range >= Meters{0.0},
-                 "LmacOptions: sense_range must be >= 0");
-}
-
 std::vector<Transmission> LmacPolicy::shape_window(
     std::vector<Transmission> txs, Rng& rng) const {
-  const LmacOptions& options = options_;
   sort_by_start(txs);
   // Per frequency bucket: transmissions still on the air (pruned lazily).
   std::map<std::int64_t, std::vector<Transmission>> active;
@@ -42,7 +39,7 @@ std::vector<Transmission> LmacPolicy::shape_window(
   scheduled.reserve(txs.size());
   for (auto& tx : txs) {
     const Seconds duration = tx.end() - tx.start;
-    const Seconds deadline = tx.start + options.max_defer;
+    const Seconds deadline = tx.start + kMaxDefer;
     const std::int64_t bucket = freq_bucket(tx.channel.center);
 
     Seconds start = tx.start;
@@ -64,12 +61,12 @@ std::vector<Transmission> LmacPolicy::shape_window(
             continue;
           }
           if (overlap_ratio(other.channel, tx.channel) <= 0.0) continue;
-          if (distance(other.origin, tx.origin) > options.sense_range) {
+          if (distance(other.origin, tx.origin) > kSenseRange) {
             continue;  // hidden terminal: cannot be sensed
           }
           const Seconds candidate =
               other.end() +
-              Seconds{rng.uniform(options.min_gap.value(), options.max_gap.value())};
+              Seconds{rng.uniform(kMinGap.value(), kMaxGap.value())};
           if (candidate > start) {
             start = candidate;
             moved = true;

@@ -5,7 +5,8 @@
 // Together with radio/capture_policy.hpp this is the whole surface a new
 // baseline needs: a NodeMacPolicy for when/where nodes transmit, a
 // CapturePolicy for how overlapping receptions resolve at the gateway, and
-// a registry entry (baselines/registry.hpp) binding the pair to a name.
+// a row in the scheme table (baselines/registry.cpp) binding the pair to a
+// name.
 // See docs/baselines.md for the add-a-scheme walkthrough.
 //
 // Determinism contract: policies hold no mutable state, and every random
@@ -50,7 +51,7 @@ class NodeMacPolicy {
   NodeMacPolicy& operator=(const NodeMacPolicy&) = default;
 };
 
-// Scheme constructors validate their options with this: throws
+// Schemes that take options validate them with this: throws
 // std::invalid_argument(message), which names the field, unless `ok`.
 void require_option(bool ok, const char* message);
 

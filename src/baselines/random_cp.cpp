@@ -3,21 +3,16 @@
 #include <algorithm>
 
 namespace alphawan {
+namespace {
 
-RandomCpPolicy::RandomCpPolicy(RandomCpOptions options,
-                               StandardLorawanOptions node_side)
-    : options_(options), node_side_(node_side) {
-  require_option(options_.min_channels_per_gateway >= 1,
-                 "RandomCpOptions: min_channels_per_gateway must be >= 1");
-  require_option(
-      options_.min_channels_per_gateway <= options_.max_channels_per_gateway,
-      "RandomCpOptions: min_channels_per_gateway must not exceed "
-      "max_channels_per_gateway");
-}
+// Range of the random channel count each gateway operates.
+constexpr int kMinChannelsPerGateway = 2;
+constexpr int kMaxChannelsPerGateway = 4;
+
+}  // namespace
 
 void RandomCpPolicy::configure(Deployment& deployment, Network& network,
                                Rng& rng) const {
-  const RandomCpOptions& options = options_;
   // Node side behaves like a standard ADR network (skipped entirely when
   // the caller pre-assigned node configs — fig12's orthogonalized users).
   const bool touch_nodes = node_side_.configure_nodes;
@@ -33,8 +28,8 @@ void RandomCpPolicy::configure(Deployment& deployment, Network& network,
   for (const auto& gw : network.gateways()) {
     const int max_span = std::max(
         1, static_cast<int>(gw.profile().rx_spectrum / kChannelSpacing));
-    int width = static_cast<int>(rng.uniform_int(
-        options.min_channels_per_gateway, options.max_channels_per_gateway));
+    int width = static_cast<int>(
+        rng.uniform_int(kMinChannelsPerGateway, kMaxChannelsPerGateway));
     width = std::clamp(width, 1,
                        std::min({gw.profile().data_rx_chains, max_span,
                                  spectrum.grid_size()}));

@@ -1,9 +1,17 @@
 #include "baselines/registry.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
+
+#include "baselines/cic.hpp"
+#include "baselines/curvinglora.hpp"
+#include "baselines/lmac.hpp"
+#include "baselines/random_cp.hpp"
+#include "baselines/saloha.hpp"
+#include "baselines/ss5g.hpp"
 
 namespace alphawan {
 namespace {
@@ -15,104 +23,109 @@ std::shared_ptr<const NodeMacPolicy> standard_mac(
   return std::make_shared<StandardLorawanPolicy>(options);
 }
 
-std::string known_names(const BaselineRegistry& registry) {
+// One row per scheme; make() fills in BaselineScheme::name from the row.
+struct SchemeRow {
+  std::string_view name;
+  BaselineScheme (*build)(const BaselineTuning&);
+};
+
+constexpr std::array<SchemeRow, 9> kSchemes = {{
+    {"alphawan",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{
+           {}, std::make_shared<AlphaWanPolicy>(t.alphawan, t.node_side), {}};
+     }},
+    {"cic",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, standard_mac(t, true),
+                             std::make_shared<CicCapturePolicy>()};
+     }},
+    {"curvinglora",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, standard_mac(t, true),
+                             std::make_shared<CurvingLoraCapturePolicy>()};
+     }},
+    {"lmac",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, std::make_shared<LmacPolicy>(t.node_side), {}};
+     }},
+    {"random-cp",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{
+           {}, std::make_shared<RandomCpPolicy>(t.node_side), {}};
+     }},
+    {"saloha",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{
+           {}, std::make_shared<SlottedAlohaPolicy>(t.node_side), {}};
+     }},
+    {"ss5g",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, standard_mac(t, true),
+                             std::make_shared<Ss5gCapturePolicy>()};
+     }},
+    {"standard",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, standard_mac(t, true), {}};
+     }},
+    {"standard-no-adr",
+     [](const BaselineTuning& t) {
+       return BaselineScheme{{}, standard_mac(t, false), {}};
+     }},
+}};
+static_assert(std::is_sorted(kSchemes.begin(), kSchemes.end(),
+                             [](const SchemeRow& a, const SchemeRow& b) {
+                               return a.name < b.name;
+                             }),
+              "names() enumerates the table in order");
+
+const SchemeRow* find_scheme(std::string_view name) {
+  const auto* it =
+      std::find_if(kSchemes.begin(), kSchemes.end(),
+                   [&](const SchemeRow& row) { return row.name == name; });
+  return it == kSchemes.end() ? nullptr : it;
+}
+
+std::string known_names() {
   std::ostringstream out;
-  bool first = true;
-  for (const auto& name : registry.names()) {
-    out << (first ? "" : ", ") << name;
-    first = false;
+  for (const SchemeRow& row : kSchemes) {
+    out << (&row == kSchemes.data() ? "" : ", ") << row.name;
   }
   return out.str();
 }
 
 }  // namespace
 
-BaselineRegistry::BaselineRegistry() {
-  register_scheme("standard", [](const BaselineTuning& t) {
-    return BaselineScheme{"standard", standard_mac(t, true), nullptr};
-  });
-  register_scheme("standard-no-adr", [](const BaselineTuning& t) {
-    return BaselineScheme{"standard-no-adr", standard_mac(t, false), nullptr};
-  });
-  register_scheme("random-cp", [](const BaselineTuning& t) {
-    return BaselineScheme{
-        "random-cp",
-        std::make_shared<RandomCpPolicy>(t.random_cp, t.node_side), nullptr};
-  });
-  register_scheme("lmac", [](const BaselineTuning& t) {
-    return BaselineScheme{
-        "lmac", std::make_shared<LmacPolicy>(t.lmac, t.node_side), nullptr};
-  });
-  register_scheme("cic", [](const BaselineTuning& t) {
-    return BaselineScheme{"cic", standard_mac(t, true),
-                          std::make_shared<CicCapturePolicy>(t.cic)};
-  });
-  register_scheme("saloha", [](const BaselineTuning& t) {
-    return BaselineScheme{
-        "saloha", std::make_shared<SlottedAlohaPolicy>(t.saloha, t.node_side),
-        nullptr};
-  });
-  register_scheme("ss5g", [](const BaselineTuning& t) {
-    return BaselineScheme{"ss5g", standard_mac(t, true),
-                          std::make_shared<Ss5gCapturePolicy>(t.ss5g)};
-  });
-  register_scheme("curvinglora", [](const BaselineTuning& t) {
-    return BaselineScheme{
-        "curvinglora", standard_mac(t, true),
-        std::make_shared<CurvingLoraCapturePolicy>(t.curvinglora)};
-  });
-  register_scheme("alphawan", [](const BaselineTuning& t) {
-    return BaselineScheme{
-        "alphawan", std::make_shared<AlphaWanPolicy>(t.alphawan, t.node_side),
-        nullptr};
-  });
-}
-
-BaselineRegistry& BaselineRegistry::instance() {
-  static BaselineRegistry registry;
+const BaselineRegistry& BaselineRegistry::instance() {
+  static const BaselineRegistry registry;
   return registry;
-}
-
-void BaselineRegistry::register_scheme(std::string name, Factory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("BaselineRegistry: empty scheme name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("BaselineRegistry: null factory for '" +
-                                name + "'");
-  }
-  const auto [it, inserted] =
-      factories_.emplace(std::move(name), std::move(factory));
-  if (!inserted) {
-    throw std::invalid_argument("BaselineRegistry: scheme '" + it->first +
-                                "' is already registered");
-  }
 }
 
 BaselineScheme BaselineRegistry::make(std::string_view name,
                                       const BaselineTuning& tuning) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
+  const SchemeRow* row = find_scheme(name);
+  if (row == nullptr) {
     throw std::invalid_argument("BaselineRegistry: unknown scheme '" +
-                                std::string(name) + "' (registered: " +
-                                known_names(*this) + ")");
+                                std::string(name) +
+                                "' (registered: " + known_names() + ")");
   }
-  return it->second(tuning);
+  BaselineScheme scheme = row->build(tuning);
+  scheme.name = row->name;
+  return scheme;
 }
 
 bool BaselineRegistry::contains(std::string_view name) const {
-  return factories_.find(name) != factories_.end();
+  return find_scheme(name) != nullptr;
 }
 
 std::vector<std::string> BaselineRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
+  out.reserve(kSchemes.size());
+  for (const SchemeRow& row : kSchemes) out.emplace_back(row.name);
   return out;
 }
 
-std::vector<std::string> parse_baseline_list(std::string_view text,
-                                             const BaselineRegistry& registry) {
+std::vector<std::string> parse_baseline_list(std::string_view text) {
   std::vector<std::string> out;
   std::size_t begin = 0;
   while (begin <= text.size()) {
@@ -126,10 +139,10 @@ std::vector<std::string> parse_baseline_list(std::string_view text,
       entry.remove_suffix(1);
     }
     if (!entry.empty()) {
-      if (!registry.contains(entry)) {
+      if (find_scheme(entry) == nullptr) {
         throw std::invalid_argument(
             "ALPHAWAN_BASELINE: unknown scheme '" + std::string(entry) +
-            "' (registered: " + known_names(registry) + ")");
+            "' (registered: " + known_names() + ")");
       }
       out.emplace_back(entry);
     }

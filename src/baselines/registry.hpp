@@ -1,33 +1,27 @@
-// Name-keyed registry of coexistence schemes: every baseline is a
+// The fixed table of coexistence schemes: every baseline is a
 // (NodeMacPolicy, CapturePolicy) pair bound to a stable name, so benches,
 // examples, and tests select schemes by string — via RunOptions, a CLI
 // flag, or the ALPHAWAN_BASELINE environment variable — instead of
 // hard-wiring per-baseline includes and calls.
 //
-// Built-in schemes (docs/baselines.md):
-//   standard, standard-no-adr, random-cp, lmac, cic, saloha, ss5g,
-//   curvinglora, alphawan
+// Schemes (docs/baselines.md), in the table's name order:
+//   alphawan, cic, curvinglora, lmac, random-cp, saloha, ss5g, standard,
+//   standard-no-adr
 //
-// Factories are deterministic: make(name, tuning) builds a fresh policy
-// pair from the tuning value alone, and names() iterates an ordered map,
-// so every enumeration of the registry is reproducible.
+// Each scheme runs at its published parameters, which live as constants in
+// its own .cpp. A new scheme is one row in registry.cpp plus its policy
+// class. make(name, tuning) builds a fresh policy pair from the tuning
+// value alone, and names() walks the name-sorted table, so every
+// enumeration is reproducible.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "baselines/alphawan_policy.hpp"
-#include "baselines/cic.hpp"
-#include "baselines/curvinglora.hpp"
-#include "baselines/lmac.hpp"
 #include "baselines/policy.hpp"
-#include "baselines/random_cp.hpp"
-#include "baselines/saloha.hpp"
-#include "baselines/ss5g.hpp"
 
 namespace alphawan {
 
@@ -49,58 +43,40 @@ struct BaselineScheme {
   }
 };
 
-// Cross-scheme knobs a factory may consume. One tuning value configures a
-// whole eval grid: the shared node side plus each scheme's own options.
+// What a caller may tune across the whole eval grid: the node side every
+// ADR-provisioned scheme shares, and the AlphaWAN pipeline's options.
 struct BaselineTuning {
   StandardLorawanOptions node_side{};
-  RandomCpOptions random_cp{};
-  LmacOptions lmac{};
-  CicOptions cic{};
-  SlottedAlohaOptions saloha{};
-  Ss5gOptions ss5g{};
-  CurvingLoraOptions curvinglora{};
   AlphaWanBaselineOptions alphawan{};
 };
 
 class BaselineRegistry {
  public:
-  using Factory = std::function<BaselineScheme(const BaselineTuning&)>;
-
-  // The process-wide registry, with the built-in schemes pre-registered.
-  [[nodiscard]] static BaselineRegistry& instance();
-
-  // Register a scheme factory. Throws std::invalid_argument if `name` is
-  // already taken or empty.
-  void register_scheme(std::string name, Factory factory);
+  [[nodiscard]] static const BaselineRegistry& instance();
 
   // Instantiate a scheme. Throws std::invalid_argument naming the unknown
-  // scheme (and listing the registered ones) on a bad name.
+  // scheme (and listing the known ones) on a bad name.
   [[nodiscard]] BaselineScheme make(
       std::string_view name, const BaselineTuning& tuning = {}) const;
 
   [[nodiscard]] bool contains(std::string_view name) const;
-  // Registered names in lexicographic order (deterministic enumeration).
+  // Scheme names in lexicographic order (deterministic enumeration).
   [[nodiscard]] std::vector<std::string> names() const;
 
-  // A fresh registry with only the built-ins (for tests that register
-  // schemes without polluting the process-wide instance).
-  BaselineRegistry();
-
  private:
-  std::map<std::string, Factory, std::less<>> factories_;
+  BaselineRegistry() = default;
 };
 
 // Parse a comma-separated scheme list ("lmac,cic,saloha"). Whitespace
 // around entries is ignored; an empty string yields an empty list. Throws
-// std::invalid_argument on a name the registry does not contain.
+// std::invalid_argument on a name that is not in the table.
 [[nodiscard]] std::vector<std::string> parse_baseline_list(
-    std::string_view text, const BaselineRegistry& registry =
-                               BaselineRegistry::instance());
+    std::string_view text);
 
 // The ALPHAWAN_BASELINE selection (mirrors ALPHAWAN_SHARDS): a
 // comma-separated scheme list restricts benches/examples to those schemes;
-// unset or empty keeps `fallback`. Unknown names throw, listing the
-// registered schemes.
+// unset or empty keeps `fallback`. Unknown names throw, listing the known
+// schemes.
 [[nodiscard]] std::vector<std::string> baselines_from_env(
     std::vector<std::string> fallback);
 

@@ -17,24 +17,12 @@
 
 namespace alphawan {
 
-struct SlottedAlohaOptions {
-  // Guard interval appended to the airtime to form the slot length.
-  Seconds guard{2e-3};
-  // Distributed-sync clock error: per-node offset ~ N(0, sync_jitter),
-  // clamped to ±max_offset (beacon loss bounds are enforced in the real
-  // protocol by re-synchronizing).
-  Seconds sync_jitter{1e-3};
-  Seconds max_offset{4e-3};
-};
-
 // Registry scheme "saloha": standard-LoRaWAN provisioning (node_side) plus
 // per-DR slot alignment of every window's schedule.
 class SlottedAlohaPolicy final : public NodeMacPolicy {
  public:
-  // Throws std::invalid_argument naming the field on a negative guard,
-  // sync_jitter or max_offset.
-  explicit SlottedAlohaPolicy(SlottedAlohaOptions options = {},
-                              StandardLorawanOptions node_side = {});
+  explicit SlottedAlohaPolicy(StandardLorawanOptions node_side = {})
+      : node_side_(node_side) {}
 
   [[nodiscard]] std::string_view name() const override { return "saloha"; }
   void configure(Deployment& deployment, Network& network,
@@ -44,12 +32,7 @@ class SlottedAlohaPolicy final : public NodeMacPolicy {
   [[nodiscard]] std::vector<Transmission> shape_window(
       std::vector<Transmission> txs, Rng& rng) const override;
 
-  [[nodiscard]] const SlottedAlohaOptions& options() const {
-    return options_;
-  }
-
  private:
-  SlottedAlohaOptions options_;
   StandardLorawanOptions node_side_;
 };
 

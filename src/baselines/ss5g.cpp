@@ -3,21 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/policy.hpp"
 #include "phy/airtime.hpp"
 #include "phy/sensitivity.hpp"
 
 namespace alphawan {
+namespace {
 
-Ss5gCapturePolicy::Ss5gCapturePolicy(Ss5gOptions options)
-    : options_(options) {
-  require_option(options_.max_superposed >= 1,
-                 "Ss5gOptions: max_superposed must be >= 1");
-  require_option(options_.min_offset_symbols >= 0.0,
-                 "Ss5gOptions: min_offset_symbols must be >= 0");
-  require_option(std::isfinite(options_.snr_headroom.value()),
-                 "Ss5gOptions: snr_headroom must be finite");
-}
+// Maximum superposed same-SF signals the decoder can disentangle (wanted
+// packet included). The published algorithm handles 2.
+constexpr int kMaxSuperposed = 2;
+// Minimum timing offset between any colliding pair, in symbols: the
+// de-superposition needs whole mis-aligned symbols to slice at.
+constexpr double kMinOffsetSymbols = 3.0;
+// SNR headroom above the demod threshold needed for reliable slicing.
+constexpr Db kSnrHeadroom{1.0};
+
+}  // namespace
 
 bool Ss5gCapturePolicy::recovers(
     const CaptureEvent& wanted,
@@ -26,11 +27,11 @@ bool Ss5gCapturePolicy::recovers(
   // algorithm can disentangle; every overlapper must be same-SF (cross-SF
   // energy defeats the symbol slicer) and offset by whole symbols
   // (near-aligned symbols cannot be sliced apart).
-  if (static_cast<int>(overlappers.size()) + 1 > options_.max_superposed) {
+  if (static_cast<int>(overlappers.size()) + 1 > kMaxSuperposed) {
     return false;
   }
   const Seconds symbol = symbol_duration(wanted.sf, wanted.bandwidth);
-  const Seconds min_offset{options_.min_offset_symbols * symbol.value()};
+  const Seconds min_offset{kMinOffsetSymbols * symbol.value()};
   const bool sliceable = std::all_of(
       overlappers.begin(), overlappers.end(), [&](const CaptureEvent& other) {
         const Seconds offset{
@@ -38,7 +39,7 @@ bool Ss5gCapturePolicy::recovers(
         return other.sf == wanted.sf && offset >= min_offset;
       });
   return sliceable &&
-         wanted.snr >= demod_snr_threshold(wanted.sf) + options_.snr_headroom;
+         wanted.snr >= demod_snr_threshold(wanted.sf) + kSnrHeadroom;
 }
 
 }  // namespace alphawan

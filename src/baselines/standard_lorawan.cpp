@@ -10,11 +10,9 @@ namespace alphawan {
 StandardLorawanPolicy::StandardLorawanPolicy(StandardLorawanOptions options)
     : options_(options) {
   const AdrConfig& adr = options_.adr;
-  require_option(std::isfinite(adr.step_db.value()) && adr.step_db > Db{0.0},
-                 "StandardLorawanOptions: adr.step_db must be finite and > 0");
-  require_option(adr.min_tx_power <= adr.max_tx_power,
+  require_option(adr.min_tx_power <= kDefaultTxPower,
                  "StandardLorawanOptions: adr.min_tx_power must be <= "
-                 "adr.max_tx_power");
+                 "kDefaultTxPower, the ADR power ceiling");
   require_option(std::isfinite(adr.installation_margin.value()),
                  "StandardLorawanOptions: adr.installation_margin must be "
                  "finite");

@@ -29,9 +29,9 @@ struct StandardLorawanOptions {
 // ADR would converge to).
 class StandardLorawanPolicy final : public NodeMacPolicy {
  public:
-  // Throws std::invalid_argument naming the field on an adr.step_db that
-  // is not finite and > 0, adr.min_tx_power > adr.max_tx_power, or a
-  // non-finite adr.installation_margin.
+  // Throws std::invalid_argument naming the field on an adr.min_tx_power
+  // above kDefaultTxPower (the ADR power ceiling) or a non-finite
+  // adr.installation_margin.
   explicit StandardLorawanPolicy(StandardLorawanOptions options = {});
 
   [[nodiscard]] std::string_view name() const override {

@@ -49,7 +49,7 @@ std::string ReplayReport::to_string() const {
 
 ReplayReport replay_packet(Deployment& deployment, std::uint64_t seed,
                            const std::vector<Transmission>& txs,
-                           PacketId packet, Db prune_margin) {
+                           PacketId packet) {
   ReplayReport report;
   report.fate.packet = packet;
   const Transmission* target = nullptr;
@@ -65,7 +65,8 @@ ReplayReport replay_packet(Deployment& deployment, std::uint64_t seed,
 
   const Rng root(seed);
   auto& channel = deployment.channel_model();
-  const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k) - prune_margin;
+  const Dbm floor =
+      noise_floor_dbm(kLoRaBandwidth125k) - ScenarioRunner::prune_margin();
   std::vector<RxOutcome> own_outcomes;
 
   for (auto& network : deployment.networks()) {

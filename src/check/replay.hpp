@@ -42,13 +42,12 @@ struct ReplayReport {
 };
 
 // Re-run `packet`'s event chain through every gateway of `deployment`,
-// reproducing the draws a ScenarioRunner with the same `seed` and
-// `prune_margin` made. Radios are copied before processing, so decoder
-// pools, servers, and metrics are untouched.
+// reproducing the draws a ScenarioRunner with the same `seed` made.
+// Radios are copied before processing, so decoder pools, servers, and
+// metrics are untouched.
 [[nodiscard]] ReplayReport replay_packet(Deployment& deployment,
                                          std::uint64_t seed,
                                          const std::vector<Transmission>& txs,
-                                         PacketId packet,
-                                         Db prune_margin = Db{25.0});
+                                         PacketId packet);
 
 }  // namespace alphawan

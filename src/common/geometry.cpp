@@ -62,21 +62,4 @@ std::vector<Point> uniform_placement(const Region& region, std::size_t count,
   return points;
 }
 
-std::vector<Point> clustered_placement(const Region& region, std::size_t count,
-                                       std::size_t clusters,
-                                       Meters cluster_sigma, Rng& rng) {
-  std::vector<Point> centers = uniform_placement(region, std::max<std::size_t>(clusters, 1), rng);
-  std::vector<Point> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& c = centers[i % centers.size()];
-    Point p{Meters{c.x.value() + rng.normal(0.0, cluster_sigma.value())},
-            Meters{c.y.value() + rng.normal(0.0, cluster_sigma.value())}};
-    p.x = std::clamp(p.x, Meters{0.0}, region.width);
-    p.y = std::clamp(p.y, Meters{0.0}, region.height);
-    points.push_back(p);
-  }
-  return points;
-}
-
 }  // namespace alphawan

@@ -44,12 +44,4 @@ struct Region {
                                                    std::size_t count,
                                                    Rng& rng);
 
-// Clustered placement: `clusters` hot spots, each holding a Gaussian blob of
-// nodes — a closer match to real deployments (buildings, metering clusters).
-[[nodiscard]] std::vector<Point> clustered_placement(const Region& region,
-                                                     std::size_t count,
-                                                     std::size_t clusters,
-                                                     Meters cluster_sigma,
-                                                     Rng& rng);
-
 }  // namespace alphawan

@@ -1,34 +1,8 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace alphawan {
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::reset() { *this = RunningStats{}; }
 
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
@@ -41,20 +15,6 @@ double percentile(std::vector<double> samples, double q) {
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
 
-std::vector<double> empirical_cdf(std::vector<double> samples,
-                                  const std::vector<double>& thresholds) {
-  std::sort(samples.begin(), samples.end());
-  std::vector<double> out;
-  out.reserve(thresholds.size());
-  for (double t : thresholds) {
-    const auto it = std::upper_bound(samples.begin(), samples.end(), t);
-    const auto below = static_cast<double>(it - samples.begin());
-    out.push_back(samples.empty() ? 0.0
-                                  : below / static_cast<double>(samples.size()));
-  }
-  return out;
-}
-
 double jain_fairness(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;
   double sum = 0.0;
@@ -65,38 +25,6 @@ double jain_fairness(const std::vector<double>& xs) {
   }
   if (sum_sq == 0.0) return 1.0;
   return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++bins_.front();
-    return;
-  }
-  if (x >= hi_) {
-    ++bins_.back();
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  idx = std::min(idx, bins_.size() - 1);
-  ++bins_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return bin_lo(i + 1);
 }
 
 }  // namespace alphawan

@@ -7,57 +7,12 @@
 
 namespace alphawan {
 
-// Online mean / variance (Welford). Cheap enough to keep per metric.
-class RunningStats {
- public:
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  // sample variance
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  void reset();
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // Percentile of a sample set (linear interpolation between order
 // statistics). `q` in [0, 1]. Returns 0 for an empty sample.
 [[nodiscard]] double percentile(std::vector<double> samples, double q);
 
-// Empirical CDF evaluated on a sorted copy of `samples` at the given
-// thresholds: fraction of samples <= threshold.
-[[nodiscard]] std::vector<double> empirical_cdf(
-    std::vector<double> samples, const std::vector<double>& thresholds);
-
 // Jain's fairness index: (sum x)^2 / (n * sum x^2). 1.0 = perfectly fair.
 [[nodiscard]] double jain_fairness(const std::vector<double>& xs);
-
-// Simple fixed-bin histogram over [lo, hi).
-class Histogram {
- public:
-  // (lo, hi) interval order, as in Rng::uniform.
-  // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (lo, hi) interval order)
-  // NOLINTNEXTLINE(bugprone-easily-swappable-parameters)
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  [[nodiscard]] const std::vector<std::size_t>& bins() const { return bins_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> bins_;
-  std::size_t total_ = 0;
-};
 
 // Counter keyed by an enum/int, convenient for loss-cause tallies.
 template <typename Key>

@@ -15,18 +15,6 @@ bool CpInstance::valid() const {
   return pair_capacity.size() == static_cast<std::size_t>(kNumDataRates);
 }
 
-double CpInstance::total_decoders() const {
-  double total = 0.0;
-  for (const auto& gw : gateways) total += gw.decoders;
-  return total;
-}
-
-double CpInstance::total_traffic() const {
-  double total = 0.0;
-  for (const auto& node : nodes) total += node.traffic;
-  return total;
-}
-
 CpSolution CpSolution::empty_for(const CpInstance& instance) {
   CpSolution s;
   s.gateway_channels.resize(instance.gateways.size());

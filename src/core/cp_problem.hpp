@@ -73,10 +73,6 @@ struct CpInstance {
   std::vector<double> pair_capacity = std::vector<double>(kNumDataRates, 1.0);
 
   [[nodiscard]] bool valid() const;
-
-  // Total decoder resources vs. total traffic (quick feasibility signal).
-  [[nodiscard]] double total_decoders() const;
-  [[nodiscard]] double total_traffic() const;
 };
 
 // A candidate plan. Gateways hold sorted unique grid-channel indices;

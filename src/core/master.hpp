@@ -65,9 +65,6 @@ class MasterNode {
   // Worst-case overlap ratio between any two assigned plans.
   [[nodiscard]] double effective_overlap() const;
 
-  [[nodiscard]] std::size_t registered_operators() const {
-    return slots_.size();
-  }
   [[nodiscard]] const MasterConfig& config() const { return config_; }
 
  private:

@@ -18,9 +18,9 @@ struct AdrConfig {
   // (device margin / fading allowance). TTN default: 10 dB... the paper's
   // local deployment behaves closer to 7.
   Db installation_margin{8.0};
-  Db step_db{3.0};  // one DR step is worth ~2.5-3 dB of threshold
+  // Lowest power the margin may step a node down to. Backing off never
+  // raises power above kDefaultTxPower.
   Dbm min_tx_power{2.0};
-  Dbm max_tx_power = kDefaultTxPower;
 };
 
 // Compute the standard-ADR radio settings for one node given the best SNR

@@ -42,10 +42,4 @@ Seconds time_on_air(const TxParams& params, std::size_t payload_bytes) {
   return preamble_duration(params) + payload_duration(params, payload_bytes);
 }
 
-double effective_bitrate(const TxParams& params, std::size_t payload_bytes) {
-  const Seconds toa = time_on_air(params, payload_bytes);
-  if (toa <= Seconds{0.0}) return 0.0;
-  return 8.0 * static_cast<double>(payload_bytes) / toa.value();
-}
-
 }  // namespace alphawan

@@ -31,11 +31,6 @@ namespace alphawan {
 [[nodiscard]] Seconds time_on_air(const TxParams& params,
                                   std::size_t payload_bytes);
 
-// Effective PHY bitrate (payload bytes / time on air), for throughput
-// accounting in the Fig. 13 bench.
-[[nodiscard]] double effective_bitrate(const TxParams& params,
-                                       std::size_t payload_bytes);
-
 // Whether the low-data-rate optimization is mandated (symbol time > 16 ms).
 [[nodiscard]] bool low_data_rate_optimize(SpreadingFactor sf, Hz bandwidth);
 

@@ -62,6 +62,5 @@ int oracle_capacity(const Spectrum& spectrum) {
 
 Spectrum spectrum_1m6() { return Spectrum{Hz{923.2e6}, Hz{1.6e6}}; }
 Spectrum spectrum_4m8() { return Spectrum{Hz{916.8e6}, Hz{4.8e6}}; }
-Spectrum spectrum_6m4() { return Spectrum{Hz{916.0e6}, Hz{6.4e6}}; }
 
 }  // namespace alphawan

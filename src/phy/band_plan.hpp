@@ -78,6 +78,5 @@ struct ChannelPlan {
 // Regional presets used by tests/examples.
 [[nodiscard]] Spectrum spectrum_1m6();  // 1.6 MHz / 8 channels (Figs. 2, 5, 12d)
 [[nodiscard]] Spectrum spectrum_4m8();  // 4.8 MHz / 24 channels (Figs. 12a, 13)
-[[nodiscard]] Spectrum spectrum_6m4();  // 6.4 MHz / 32 channels (Fig. 12b)
 
 }  // namespace alphawan

@@ -21,14 +21,6 @@
 namespace alphawan {
 
 struct ChannelModelConfig {
-  // Log-distance parameters typical of dense urban 900 MHz measurements
-  // (e.g. Rademacher et al., VTC'21 LoRa path loss study). With these
-  // values and 14 dBm + 2 dBi, SF7 reaches ~600 m and SF12 ~1.4 km —
-  // consistent with the paper's 2.1 km x 1.6 km urban testbed where all
-  // six data rates are exercised (Fig. 11).
-  double path_loss_exponent = 3.5;
-  Db reference_loss_db{38.0};  // at 1 m
-  Meters reference_distance{1.0};
   Db shadowing_sigma_db{4.0};  // per-link, frozen
   Db fast_fading_sigma_db{1.0};  // per-packet
   std::uint64_t seed = 1;
@@ -38,7 +30,8 @@ class ChannelModel {
  public:
   explicit ChannelModel(ChannelModelConfig config = {});
 
-  // Deterministic mean path loss at a distance.
+  // Deterministic mean path loss at a distance: log-distance with the
+  // dense-urban 900 MHz parameters in channel_model.cpp.
   [[nodiscard]] Db mean_path_loss(Meters dist) const;
 
   // This link's frozen shadowing term. Links are keyed by (tx_id, rx_id)
@@ -61,12 +54,6 @@ class ChannelModel {
   [[nodiscard]] Db mean_link_snr(std::uint64_t tx_id, std::uint64_t rx_id,
                                  Meters dist, Dbm tx_power,
                                  Hz bandwidth = kLoRaBandwidth125k) const;
-
-  // Distance at which mean SNR equals `snr` for the given tx power (inverse
-  // of the deterministic model; ignores shadowing). Used to build the
-  // discrete range table.
-  [[nodiscard]] Meters range_for_snr(Db snr, Dbm tx_power,
-                                     Hz bandwidth = kLoRaBandwidth125k) const;
 
   [[nodiscard]] const ChannelModelConfig& config() const { return config_; }
 

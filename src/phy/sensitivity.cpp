@@ -13,20 +13,4 @@ std::optional<DataRate> best_data_rate_for_snr(Db snr, Db margin) {
   return std::nullopt;
 }
 
-const std::array<RangeLevel, kNumDataRates>& range_levels() {
-  // Ranges derived from the urban log-distance model in channel_model.cpp
-  // at 14 dBm: the distance where mean SNR ~= demod threshold + 5 dB fade
-  // margin. These anchor the CP problem's discrete DR set; they are not
-  // used for reception decisions.
-  static const std::array<RangeLevel, kNumDataRates> kLevels = {{
-      {DataRate::kDR5, Meters{610.0}, Dbm{14.0}},   // SF7
-      {DataRate::kDR4, Meters{720.0}, Dbm{14.0}},   // SF8
-      {DataRate::kDR3, Meters{850.0}, Dbm{14.0}},   // SF9
-      {DataRate::kDR2, Meters{1000.0}, Dbm{14.0}},  // SF10
-      {DataRate::kDR1, Meters{1180.0}, Dbm{14.0}},  // SF11
-      {DataRate::kDR0, Meters{1390.0}, Dbm{14.0}},  // SF12
-  }};
-  return kLevels;
-}
-
 }  // namespace alphawan

@@ -41,19 +41,6 @@ inline constexpr Db kDetectionMargin{0.0};
 [[nodiscard]] std::optional<DataRate> best_data_rate_for_snr(
     Db snr, Db margin = Db{0.0});
 
-// The CP formulation discretizes node communication ranges into |DR|
-// levels: level l corresponds to using DataRate l at some transmit power.
-// This table maps a discrete level to the approximate reliable range in a
-// typical urban channel (used by planners; the simulator itself always
-// works from actual path loss).
-struct RangeLevel {
-  DataRate dr;
-  Meters typical_range;
-  Dbm tx_power;
-};
-
-[[nodiscard]] const std::array<RangeLevel, kNumDataRates>& range_levels();
-
 // Transmit power ladder available to end nodes (LoRaWAN TXPower steps).
 inline constexpr std::array<Dbm, 6> kTxPowerLadder = {
     Dbm{2.0}, Dbm{5.0}, Dbm{8.0}, Dbm{11.0}, Dbm{14.0}, Dbm{20.0}};

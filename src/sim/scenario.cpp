@@ -1,7 +1,6 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +21,10 @@ constexpr std::uint64_t kFadingDomain = 0xFAD1'F0E5'7A7EULL;
 // (docs/performance.md has the tuning).
 constexpr std::size_t kMemoPrefetchAhead = 16;
 
+// Transmissions this far below the 125 kHz noise floor at a gateway are
+// dropped from its event list.
+constexpr Db kPruneMargin{25.0};
+
 // Rejects a configuration the runner would otherwise clamp or use silently
 // inside a window, naming the offending field.
 RunOptions validated(RunOptions options) {
@@ -33,12 +36,6 @@ RunOptions validated(RunOptions options) {
     throw std::invalid_argument("RunOptions::shards must be in [0, " +
                                 std::to_string(kMaxShards) + "], got " +
                                 std::to_string(options.shards));
-  }
-  const double margin = options.prune_margin.value();
-  if (!std::isfinite(margin) || margin < 0.0) {
-    throw std::invalid_argument(
-        "RunOptions::prune_margin must be finite and >= 0 dB, got " +
-        std::to_string(margin));
   }
   return options;
 }
@@ -73,6 +70,8 @@ void ScenarioRunner::set_options(RunOptions options) {
   options_ = validated(std::move(options));
 }
 
+Db ScenarioRunner::prune_margin() { return kPruneMargin; }
+
 WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   WindowResult result;
   auto& channel = deployment_.channel_model();
@@ -98,7 +97,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
 
   auto& sc = scratch_;
   const Dbm floor =
-      noise_floor_dbm(kLoRaBandwidth125k) - options_.prune_margin;
+      noise_floor_dbm(kLoRaBandwidth125k) - kPruneMargin;
   const auto shards = static_cast<std::size_t>(shard_count);
   sc.shards.resize(shards);
   sc.task_col.resize(tasks.size());

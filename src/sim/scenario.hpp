@@ -41,10 +41,6 @@ class SimInvariants;
 // Per-runner knobs, consolidated in one value so a runner is configured in
 // a single statement instead of a pile of setters.
 struct RunOptions {
-  // Transmissions weaker than noise_floor - prune_margin at a gateway are
-  // dropped from that gateway's event list (they can neither be received
-  // nor meaningfully interfere).
-  Db prune_margin{25.0};
   // Pluggable gateway-side capture policy (radio/capture_policy.hpp):
   // installed on every gateway each window; GatewayRadio::process_into
   // asks it about each collision drop, so recovered packets flow through
@@ -101,11 +97,14 @@ class ScenarioRunner {
                           RunOptions options = {});
 
   // The constructor and set_options throw std::invalid_argument, naming the
-  // field, for a negative threads count, a shards count outside
-  // [0, kMaxShards], or a negative or non-finite prune_margin.
+  // field, for a negative threads count or a shards count outside
+  // [0, kMaxShards].
   void set_options(RunOptions options);
   [[nodiscard]] const RunOptions& options() const { return options_; }
-  [[nodiscard]] Db prune_margin() const { return options_.prune_margin; }
+  // Transmissions weaker than noise_floor - prune_margin() at a gateway are
+  // dropped from that gateway's event list (they can neither be received
+  // nor meaningfully interfere). A fixed 25 dB.
+  [[nodiscard]] static Db prune_margin();
   [[nodiscard]] std::uint64_t seed() const { return rng_.root_seed(); }
 
   // Attach the correctness harness: after each window's parallel region,

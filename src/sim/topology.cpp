@@ -48,13 +48,6 @@ Network& Deployment::add_network(const std::string& name) {
   return networks_.back();
 }
 
-Network* Deployment::find_network(NetworkId id) {
-  const auto it =
-      std::find_if(networks_.begin(), networks_.end(),
-                   [&](const Network& n) { return n.id() == id; });
-  return it == networks_.end() ? nullptr : &*it;
-}
-
 std::vector<GatewayId> Deployment::place_gateways(
     Network& network, std::size_t count, const GatewayProfile& profile,
     Rng& rng) {

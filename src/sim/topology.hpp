@@ -35,7 +35,6 @@ class Deployment {
   [[nodiscard]] const std::deque<Network>& networks() const {
     return networks_;
   }
-  [[nodiscard]] Network* find_network(NetworkId id);
 
   // Globally unique id allocation across networks.
   [[nodiscard]] NodeId next_node_id() { return next_node_id_++; }

@@ -17,19 +17,6 @@ std::vector<Transmission> concurrent_burst(std::vector<EndNode*> nodes,
   return txs;
 }
 
-std::vector<Transmission> staggered_by_start(std::vector<EndNode*> nodes,
-                                             Seconds start, Seconds slot,
-                                             PacketIdSource& ids,
-                                             std::uint32_t payload_bytes) {
-  std::vector<Transmission> txs;
-  txs.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    txs.push_back(nodes[i]->make_transmission(
-        start + slot * static_cast<double>(i), payload_bytes, ids.next()));
-  }
-  return txs;
-}
-
 std::vector<Transmission> staggered_by_lock_on(std::vector<EndNode*> nodes,
                                                Seconds start, Seconds slot,
                                                PacketIdSource& ids,

@@ -31,20 +31,12 @@ class PacketIdSource {
     std::vector<EndNode*> nodes, Seconds start, PacketIdSource& ids,
     std::uint32_t payload_bytes = kDefaultPayloadBytes);
 
-// Fig. 3 Scheme (a): the *first* preamble symbol of node i arrives in slot
-// i (lock-on order then depends on each node's preamble length).
+// Fig. 3 Scheme (b): the *final* preamble symbol (= lock-on instant) of
+// node i lands in slot i, so dispatch order equals node order.
 // ALPHAWAN-LINT-ALLOW(units-swappable-pair: start is an absolute
 // instant, slot a duration — same unit, distinct documented roles)
 // NOLINTNEXTLINE(bugprone-easily-swappable-parameters): start is an
 // absolute instant, slot a duration — same unit, distinct roles.
-[[nodiscard]] std::vector<Transmission> staggered_by_start(
-    std::vector<EndNode*> nodes, Seconds start, Seconds slot,
-    PacketIdSource& ids, std::uint32_t payload_bytes = kDefaultPayloadBytes);
-
-// Fig. 3 Scheme (b): the *final* preamble symbol (= lock-on instant) of
-// node i lands in slot i, so dispatch order equals node order.
-// ALPHAWAN-LINT-ALLOW(units-swappable-pair: as staggered_by_start)
-// NOLINTNEXTLINE(bugprone-easily-swappable-parameters): as above.
 [[nodiscard]] std::vector<Transmission> staggered_by_lock_on(
     std::vector<EndNode*> nodes, Seconds start, Seconds slot,
     PacketIdSource& ids, std::uint32_t payload_bytes = kDefaultPayloadBytes);

@@ -59,7 +59,7 @@ TEST(GoldenDigest, ReplayReproducesEveryPacketFate) {
     for (const auto& fate : result.fates) {
       const ReplayReport report =
           replay_packet(*scenario.deployment, scenario.seed, scenario.txs,
-                        fate.packet, runner.prune_margin());
+                        fate.packet);
       ASSERT_TRUE(report.found) << name << " packet " << fate.packet;
       EXPECT_EQ(report.fate.delivered, fate.delivered)
           << name << " packet " << fate.packet;

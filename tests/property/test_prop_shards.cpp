@@ -135,7 +135,7 @@ TEST(ShardDeterminism, BoundaryAudibilityCoversEveryCandidateShard) {
       /*cases=*/25, /*seed=*/20260810, lo, hi,
       [](const CaseParams& params) -> std::optional<std::string> {
         const Dbm floor =
-            noise_floor_dbm(kLoRaBandwidth125k) - RunOptions{}.prune_margin;
+            noise_floor_dbm(kLoRaBandwidth125k) - ScenarioRunner::prune_margin();
         // Ground truth from a monolithic cache on a fresh world.
         prop::World mono_world = prop::build_world(params);
         const auto candidates = monolithic_candidates(mono_world, floor);

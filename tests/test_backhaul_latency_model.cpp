@@ -73,10 +73,15 @@ TEST(LatencyModel, SameSeedReproducesSequence) {
 
 TEST(LatencyModelTest, RebootNearPaperMean) {
   LatencyModel latency{LatencyModelConfig{}, 11};
-  RunningStats stats;
-  for (int i = 0; i < 500; ++i) stats.add(latency.gateway_reboot().value());
-  EXPECT_NEAR(stats.mean(), 4.62, 0.15);  // paper: 4.62 s average
-  EXPECT_GT(stats.min(), 0.4);
+  double sum = 0.0;
+  double shortest = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 500; ++i) {
+    const double reboot = latency.gateway_reboot().value();
+    sum += reboot;
+    shortest = std::min(shortest, reboot);
+  }
+  EXPECT_NEAR(sum / 500.0, 4.62, 0.15);  // paper: 4.62 s average
+  EXPECT_GT(shortest, 0.4);
 }
 
 TEST(LatencyModelTest, MasterRoundTripInPaperRange) {

@@ -1,4 +1,4 @@
-// The name-keyed baseline registry: built-in scheme set, factory errors,
+// The fixed baseline table: scheme set and order, unknown-name errors,
 // ALPHAWAN_BASELINE parsing, and the null-side convenience semantics of
 // BaselineScheme (docs/baselines.md).
 #include "baselines/registry.hpp"
@@ -52,34 +52,6 @@ TEST(BaselineRegistry, UnknownNameThrowsListingRegisteredSchemes) {
     EXPECT_NE(what.find("saloha"), std::string::npos)
         << "error should list the registered schemes: " << what;
   }
-}
-
-TEST(BaselineRegistry, DuplicateEmptyAndNullRegistrationsThrow) {
-  BaselineRegistry registry;  // fresh instance, built-ins pre-registered
-  EXPECT_THROW(registry.register_scheme(
-                   "standard",
-                   [](const BaselineTuning&) {
-                     return BaselineScheme{"standard", nullptr, nullptr};
-                   }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.register_scheme(
-                   "", [](const BaselineTuning&) { return BaselineScheme{}; }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.register_scheme("null-factory", nullptr),
-               std::invalid_argument);
-}
-
-TEST(BaselineRegistry, CustomSchemeRegistersOnFreshInstance) {
-  BaselineRegistry registry;
-  registry.register_scheme("custom", [](const BaselineTuning& tuning) {
-    return BaselineScheme{
-        "custom", std::make_shared<StandardLorawanPolicy>(tuning.node_side),
-        nullptr};
-  });
-  EXPECT_TRUE(registry.contains("custom"));
-  EXPECT_EQ(registry.make("custom").name, "custom");
-  // The process-wide instance is untouched.
-  EXPECT_FALSE(BaselineRegistry::instance().contains("custom"));
 }
 
 TEST(BaselineRegistry, ParseBaselineListTrimsAndValidates) {

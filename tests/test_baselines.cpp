@@ -157,10 +157,8 @@ TEST(Lmac, HiddenTerminalsStillCollide) {
                                        Point{Meters{1200}, Meters{990}}, cfg));
   PacketIdSource ids;
   auto txs = concurrent_burst(nodes, Seconds{0.0}, ids);
-  LmacOptions options;
-  options.sense_range = Meters{800.0};
   Rng rng(7);
-  const auto scheduled = LmacPolicy(options).shape_window(txs, rng);
+  const auto scheduled = LmacPolicy().shape_window(txs, rng);
   EXPECT_TRUE(scheduled[0].overlaps_in_time(scheduled[1]));
 }
 
@@ -176,13 +174,14 @@ TEST(Lmac, DeferralBounded) {
   }
   PacketIdSource ids;
   auto txs = concurrent_burst(nodes, Seconds{0.0}, ids);
-  LmacOptions options;
-  options.max_defer = Seconds{2.0};
   Rng rng(9);
-  const auto scheduled = LmacPolicy(options).shape_window(txs, rng);
+  const auto scheduled = LmacPolicy().shape_window(txs, rng);
+  // Ten ~1 s packets cannot all fit before LMAC's 5 s deferral bound: the
+  // late ones give up waiting and transmit at the deadline.
   for (const auto& tx : scheduled) {
-    EXPECT_LE(tx.start, Seconds{2.0 + 1e-9});
+    EXPECT_LE(tx.start, Seconds{5.0});
   }
+  EXPECT_EQ(scheduled.back().start, Seconds{5.0});
 }
 
 TEST(Cic, ResolvesSmallCollisions) {
@@ -217,7 +216,7 @@ TEST(Cic, ResolvesSmallCollisions) {
 }
 
 TEST(Cic, BoundedResolvability) {
-  // Five overlapping same-channel packets exceed max_resolvable=3: CIC
+  // Five overlapping same-channel packets exceed kMaxResolvable = 3: CIC
   // leaves them collided.
   Deployment deployment{Region{Meters{600.0}, Meters{600.0}}, spectrum_1m6(), quiet_channel()};
   auto& network = deployment.add_network("op");
@@ -268,10 +267,10 @@ Transmission capture_tx(PacketId id, NodeId node, Seconds start,
   return tx;
 }
 
-// Receive `txs` on one gateway with `policy` installed (nullptr = stock);
-// returns each packet's disposition.
+// Receive `events` on one gateway with `policy` installed (nullptr =
+// stock); returns each packet's disposition.
 std::vector<RxDisposition> capture_receive(
-    const CapturePolicy* policy, const std::vector<Transmission>& txs,
+    const CapturePolicy* policy, const std::vector<RxEvent>& events,
     std::vector<Channel> chains = {kCaptureSpectrum.grid_channel(0)},
     int decoders = 16) {
   GatewayProfile profile = default_profile();
@@ -279,18 +278,26 @@ std::vector<RxDisposition> capture_receive(
   GatewayRadio radio(profile, 0, sync_word_for_network(0));
   radio.configure_channels(std::move(chains));
   radio.set_capture_policy(policy);
-  std::vector<RxEvent> events;
-  for (const auto& tx : txs) events.push_back(RxEvent{tx, Dbm{-80.0}});
   std::vector<RxDisposition> out;
   for (const auto& o : radio.process(events)) out.push_back(o.disposition);
   return out;
+}
+
+// The same for `txs`, every packet received at -80 dBm.
+std::vector<RxDisposition> capture_receive(
+    const CapturePolicy* policy, const std::vector<Transmission>& txs,
+    std::vector<Channel> chains = {kCaptureSpectrum.grid_channel(0)},
+    int decoders = 16) {
+  std::vector<RxEvent> events;
+  for (const auto& tx : txs) events.push_back(RxEvent{tx, Dbm{-80.0}});
+  return capture_receive(policy, events, std::move(chains), decoders);
 }
 
 constexpr RxDisposition kOk = RxDisposition::kDelivered;
 constexpr RxDisposition kHit = RxDisposition::kDroppedCollision;
 
 TEST(Cic, RecoversThreeWayButNotFourWayCollision) {
-  // max_resolvable = 3: three packets (two overlappers each) are recovered,
+  // kMaxResolvable = 3: three packets (two overlappers each) are recovered,
   // four (three overlappers each) are not.
   const CicCapturePolicy cic;
   std::vector<Transmission> txs;
@@ -318,7 +325,7 @@ TEST(Ss5g, RecoversSameSfPairOffsetByEnoughSymbols) {
 }
 
 TEST(Ss5g, NearAlignedPairStaysCollided) {
-  // Offset below min_offset_symbols = 3: no whole symbols to slice at.
+  // Offset below kMinOffsetSymbols = 3: no whole symbols to slice at.
   const Ss5gCapturePolicy ss5g;
   const std::vector<Transmission> txs = {
       capture_tx(1, 1, Seconds{0.0}), capture_tx(2, 2, kSf7Symbol * 2.5)};
@@ -327,24 +334,24 @@ TEST(Ss5g, NearAlignedPairStaysCollided) {
 }
 
 TEST(Ss5g, CrossSfOverlapperBlocksRecovery) {
-  // max_superposed = 3 so only the SF rule can refuse: a same-SF third
-  // packet is recovered with the pair, a cross-SF one blocks it.
-  Ss5gOptions options;
-  options.max_superposed = 3;
-  const Ss5gCapturePolicy ss5g(options);
-  std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
-                                   capture_tx(2, 2, kSf7Symbol * 4),
-                                   capture_tx(3, 3, kSf7Symbol * 8)};
-  EXPECT_EQ(capture_receive(&ss5g, txs),
-            std::vector<RxDisposition>(3, kOk));
-  txs[2] = capture_tx(3, 3, kSf7Symbol * 8, SpreadingFactor::kSF8);
-  const auto outcomes = capture_receive(&ss5g, txs);
-  EXPECT_EQ(outcomes[0], kHit);
-  EXPECT_EQ(outcomes[1], kHit);
+  // A pair within the superposition bound and offset by whole symbols, so
+  // only the SF rule can refuse: the same-SF interferer is sliced away, a
+  // much stronger cross-SF one (which the stock receiver also loses the
+  // SF7 packet to) is not.
+  const Ss5gCapturePolicy ss5g;
+  const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
+                                         capture_tx(2, 2, kSf7Symbol * 4)};
+  EXPECT_EQ(capture_receive(&ss5g, txs), std::vector<RxDisposition>(2, kOk));
+  const std::vector<RxEvent> cross_sf = {
+      RxEvent{txs[0], Dbm{-80.0}},
+      RxEvent{capture_tx(2, 2, kSf7Symbol * 4, SpreadingFactor::kSF8),
+              Dbm{-50.0}}};
+  ASSERT_EQ(capture_receive(nullptr, cross_sf)[0], kHit);
+  EXPECT_EQ(capture_receive(&ss5g, cross_sf)[0], kHit);
 }
 
 TEST(Ss5g, ThreeWaySuperpositionExceedsMaxSuperposed) {
-  const Ss5gCapturePolicy ss5g;  // max_superposed = 2
+  const Ss5gCapturePolicy ss5g;  // kMaxSuperposed = 2
   const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
                                          capture_tx(2, 2, kSf7Symbol * 4),
                                          capture_tx(3, 3, kSf7Symbol * 8)};
@@ -353,7 +360,7 @@ TEST(Ss5g, ThreeWaySuperpositionExceedsMaxSuperposed) {
 }
 
 TEST(CurvingLora, RecoversSameSfPacketsOnDifferentCurvatures) {
-  const CurvingLoraCapturePolicy curving;  // curvature_count = 4
+  const CurvingLoraCapturePolicy curving;  // kCurvatureCount = 4
   const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
                                          capture_tx(2, 2, Seconds{0.0}),
                                          capture_tx(3, 3, kSf7Symbol)};
@@ -364,7 +371,7 @@ TEST(CurvingLora, RecoversSameSfPacketsOnDifferentCurvatures) {
 }
 
 TEST(CurvingLora, SameCurvatureStaysCollided) {
-  // Nodes 1 and 5 are congruent mod curvature_count = 4.
+  // Nodes 1 and 5 are congruent mod kCurvatureCount = 4.
   const CurvingLoraCapturePolicy curving;
   ASSERT_EQ(curving.curvature_of(1), curving.curvature_of(5));
   const std::vector<Transmission> txs = {capture_tx(1, 1, Seconds{0.0}),
@@ -387,7 +394,7 @@ TEST(CapturePolicies, CountOverlapperAcrossFrequencyBucketBoundary) {
   // Centres 2 kHz either side of a multiple of kChannelSpacing fall in
   // adjacent coarse buckets yet overlap by 121/125 >= 0.95: each packet is
   // the other's co-channel overlapper, so a same-curvature pair stays
-  // collided and CIC with max_resolvable = 1 cannot separate it.
+  // collided.
   const Hz boundary = kChannelSpacing * 4617.0;
   const Channel below{boundary - Hz{2e3}, kLoRaBandwidth125k};
   const Channel above{boundary + Hz{2e3}, kLoRaBandwidth125k};
@@ -399,11 +406,6 @@ TEST(CapturePolicies, CountOverlapperAcrossFrequencyBucketBoundary) {
             std::vector<RxDisposition>(2, kHit));
   const CurvingLoraCapturePolicy curving;
   EXPECT_EQ(capture_receive(&curving, txs, {below}),
-            std::vector<RxDisposition>(2, kHit));
-  CicOptions single;
-  single.max_resolvable = 1;
-  const CicCapturePolicy cic(single);
-  EXPECT_EQ(capture_receive(&cic, txs, {below}),
             std::vector<RxDisposition>(2, kHit));
 }
 
@@ -445,128 +447,9 @@ void expect_rejected(Make make, const std::string& field) {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TEST(Cic, RejectsNonPositiveMaxResolvable) {
-  for (const int value : {0, -1}) {
-    CicOptions options;
-    options.max_resolvable = value;
-    expect_rejected([&] { CicCapturePolicy{options}; }, "max_resolvable");
-  }
-}
-
-TEST(Ss5g, RejectsNonPositiveMaxSuperposed) {
-  for (const int value : {0, -2}) {
-    Ss5gOptions options;
-    options.max_superposed = value;
-    expect_rejected([&] { Ss5gCapturePolicy{options}; }, "max_superposed");
-  }
-}
-
-TEST(Ss5g, RejectsNegativeOrNanMinOffsetSymbols) {
-  for (const double value : {-0.5, kNan}) {
-    Ss5gOptions options;
-    options.min_offset_symbols = value;
-    expect_rejected([&] { Ss5gCapturePolicy{options}; }, "min_offset_symbols");
-  }
-}
-
-TEST(CurvingLora, RejectsNonPositiveCurvatureCount) {
-  // 0 was a modulo by zero in curvature_of; a negative count wrapped to a
-  // huge modulus.
-  for (const int value : {0, -4}) {
-    CurvingLoraOptions options;
-    options.curvature_count = value;
-    expect_rejected([&] { CurvingLoraCapturePolicy{options}; },
-                    "curvature_count");
-  }
-}
-
-TEST(CapturePolicies, RejectNonFiniteSnrHeadroom) {
-  for (const double value : {kNan, kInf, -kInf}) {
-    CicOptions cic;
-    cic.snr_headroom = Db{value};
-    expect_rejected([&] { CicCapturePolicy{cic}; }, "snr_headroom");
-    Ss5gOptions ss5g;
-    ss5g.snr_headroom = Db{value};
-    expect_rejected([&] { Ss5gCapturePolicy{ss5g}; }, "snr_headroom");
-    CurvingLoraOptions curving;
-    curving.snr_headroom = Db{value};
-    expect_rejected([&] { CurvingLoraCapturePolicy{curving}; },
-                    "snr_headroom");
-  }
-}
-
-TEST(RandomCp, RejectsMinChannelsBelowOne) {
-  RandomCpOptions options;
-  options.min_channels_per_gateway = 0;
-  expect_rejected([&] { RandomCpPolicy{options}; },
-                  "min_channels_per_gateway");
-}
-
-TEST(RandomCp, RejectsMinChannelsAboveMax) {
-  // An inverted range used to reach uniform_int and wrap.
-  RandomCpOptions options;
-  options.min_channels_per_gateway = 5;
-  options.max_channels_per_gateway = 3;
-  expect_rejected([&] { RandomCpPolicy{options}; },
-                  "max_channels_per_gateway");
-}
-
-TEST(Lmac, RejectsNegativeMaxDefer) {
-  LmacOptions options;
-  options.max_defer = Seconds{-1.0};
-  expect_rejected([&] { LmacPolicy{options}; }, "max_defer");
-}
-
-TEST(Lmac, RejectsNegativeMinGap) {
-  LmacOptions options;
-  options.min_gap = Seconds{-1e-3};
-  expect_rejected([&] { LmacPolicy{options}; }, "min_gap");
-}
-
-TEST(Lmac, RejectsMinGapAboveMaxGap) {
-  LmacOptions options;
-  options.min_gap = Seconds{40e-3};
-  options.max_gap = Seconds{30e-3};
-  expect_rejected([&] { LmacPolicy{options}; }, "max_gap");
-}
-
-TEST(Lmac, RejectsNegativeSenseRange) {
-  LmacOptions options;
-  options.sense_range = Meters{-1.0};
-  expect_rejected([&] { LmacPolicy{options}; }, "sense_range");
-}
-
-TEST(SlottedAloha, RejectsNegativeGuard) {
-  SlottedAlohaOptions options;
-  options.guard = Seconds{-1e-3};
-  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "guard");
-}
-
-TEST(SlottedAloha, RejectsNegativeSyncJitter) {
-  SlottedAlohaOptions options;
-  options.sync_jitter = Seconds{-1e-3};
-  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "sync_jitter");
-}
-
-TEST(SlottedAloha, RejectsNegativeMaxOffset) {
-  SlottedAlohaOptions options;
-  options.max_offset = Seconds{-1e-3};
-  expect_rejected([&] { SlottedAlohaPolicy{options}; }, "max_offset");
-}
-
-TEST(StandardLorawan, RejectsNonPositiveOrNonFiniteAdrStep) {
-  // 0 made standard_adr cast an infinite step count to int.
-  for (const double value : {0.0, -3.0, kNan, kInf}) {
-    StandardLorawanOptions options;
-    options.adr.step_db = Db{value};
-    expect_rejected([&] { StandardLorawanPolicy{options}; }, "step_db");
-  }
-}
-
 TEST(StandardLorawan, RejectsMinTxPowerAboveMax) {
   StandardLorawanOptions options;
-  options.adr.min_tx_power = Dbm{16.0};
-  options.adr.max_tx_power = Dbm{14.0};
+  options.adr.min_tx_power = Dbm{16.0};  // above the 14 dBm ADR ceiling
   expect_rejected([&] { StandardLorawanPolicy{options}; }, "min_tx_power");
 }
 

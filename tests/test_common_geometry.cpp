@@ -76,20 +76,5 @@ TEST(Geometry, UniformPlacement) {
   for (const auto& p : pts) EXPECT_TRUE(r.contains(p));
 }
 
-TEST(Geometry, ClusteredPlacementBoundsAndCount) {
-  Region r{Meters{1000.0}, Meters{1000.0}};
-  Rng rng(11);
-  const auto pts = clustered_placement(r, 60, 3, Meters{50.0}, rng);
-  EXPECT_EQ(pts.size(), 60u);
-  for (const auto& p : pts) EXPECT_TRUE(r.contains(p));
-}
-
-TEST(Geometry, ClusteredPlacementZeroClustersStillWorks) {
-  Region r{Meters{1000.0}, Meters{1000.0}};
-  Rng rng(13);
-  const auto pts = clustered_placement(r, 10, 0, Meters{50.0}, rng);
-  EXPECT_EQ(pts.size(), 10u);
-}
-
 }  // namespace
 }  // namespace alphawan

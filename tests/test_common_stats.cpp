@@ -5,39 +5,6 @@
 namespace alphawan {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, KnownSequence) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, Reset) {
-  RunningStats s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(Percentile, EmptyReturnsZero) {
   EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
 }
@@ -60,15 +27,6 @@ TEST(Percentile, ClampsQuantile) {
   EXPECT_DOUBLE_EQ(percentile(v, 2.0), 2.0);
 }
 
-TEST(EmpiricalCdf, Basics) {
-  const auto cdf = empirical_cdf({1.0, 2.0, 3.0, 4.0}, {0.0, 2.0, 2.5, 10.0});
-  ASSERT_EQ(cdf.size(), 4u);
-  EXPECT_DOUBLE_EQ(cdf[0], 0.0);
-  EXPECT_DOUBLE_EQ(cdf[1], 0.5);
-  EXPECT_DOUBLE_EQ(cdf[2], 0.5);
-  EXPECT_DOUBLE_EQ(cdf[3], 1.0);
-}
-
 TEST(JainFairness, PerfectlyFair) {
   EXPECT_DOUBLE_EQ(jain_fairness({3.0, 3.0, 3.0}), 1.0);
 }
@@ -80,32 +38,6 @@ TEST(JainFairness, MaximallyUnfair) {
 TEST(JainFairness, EmptyAndZero) {
   EXPECT_DOUBLE_EQ(jain_fairness({}), 1.0);
   EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 1.0);
-}
-
-TEST(HistogramTest, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(5.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bins()[0], 1u);
-  EXPECT_EQ(h.bins()[2], 1u);
-  EXPECT_EQ(h.bins()[4], 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-}
-
-TEST(HistogramTest, OutOfRangeClamped) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.bins()[0], 1u);
-  EXPECT_EQ(h.bins()[1], 1u);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(TallyTest, CountsAndTotal) {

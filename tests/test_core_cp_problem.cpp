@@ -47,12 +47,6 @@ TEST(CpProblem, ValidInstance) {
   EXPECT_FALSE(no_gw.valid());
 }
 
-TEST(CpProblem, Totals) {
-  const auto inst = small_instance();
-  EXPECT_DOUBLE_EQ(inst.total_decoders(), 8.0);
-  EXPECT_DOUBLE_EQ(inst.total_traffic(), 6.0);
-}
-
 TEST(CpProblem, FeasibleAcceptsValidSolution) {
   const auto inst = small_instance();
   EXPECT_TRUE(feasible(inst, trivial_solution(inst)));

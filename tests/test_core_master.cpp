@@ -23,10 +23,14 @@ TEST(Master, RegistrationAssignsStableSlots) {
   MasterNode master(config_for(3));
   master.handle_register(1);
   master.handle_register(2);
+  const Hz second = *master.offset_of(2);
   master.handle_register(1);
-  EXPECT_EQ(master.registered_operators(), 2u);
+  master.handle_register(3);
   EXPECT_DOUBLE_EQ(master.offset_of(1)->value(), 0.0);
-  EXPECT_GT(master.offset_of(2)->value(), 0.0);
+  EXPECT_GT(second.value(), 0.0);
+  EXPECT_EQ(*master.offset_of(2), second);
+  // Re-registering operator 1 took no slot: the third gets the next one.
+  EXPECT_GT(*master.offset_of(3), second);
 }
 
 TEST(Master, UnregisteredOperatorHasNoOffset) {
@@ -97,6 +101,22 @@ TEST(Master, ChannelsStayInsideSpectrum) {
       EXPECT_TRUE(master.config().spectrum.contains(ch));
     }
   }
+}
+
+// coexist_plan's second operator: shifted +75 kHz, the last of the 24 grid
+// channels would poke out of the band, so the Master assigns one fewer
+// than asked. (IntraPlanner::plan ignores this list today and plans on
+// all 24 shifted channels; ROADMAP item 3.)
+TEST(Master, ShiftedOperatorGetsOneChannelFewerThanFullGrid) {
+  const Spectrum spec = spectrum_4m8();
+  MasterNode master(MasterConfig{spec, 0.4, 2});
+  master.handle_register(1);
+  master.handle_register(2);
+  ASSERT_EQ(master.offset_of(2)->value(), 75e3);
+  const auto assign = master.handle_plan_request(2, spec.grid_size());
+  EXPECT_EQ(spec.grid_size(), 24);
+  EXPECT_EQ(assign.channels.size(), 23u);
+  for (const auto& ch : assign.channels) EXPECT_TRUE(spec.contains(ch));
 }
 
 TEST(Master, BaseOffsetShiftsAllPlans) {

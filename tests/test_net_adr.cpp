@@ -81,7 +81,7 @@ TEST(Adr, UsesBestGatewaySnr) {
     const Db weak_margin = deployment.mean_snr(node, weak) -
                            demod_snr_threshold(SpreadingFactor::kSF12) -
                            AdrConfig{}.installation_margin;
-    EXPECT_LT(weak_margin, AdrConfig{}.step_db);
+    EXPECT_LT(weak_margin, Db{3.0});  // one ADR step (net/adr.cpp)
     StandardLorawanOptions options;
     options.use_adr = true;
     Rng rng(7);

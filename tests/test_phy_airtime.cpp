@@ -59,13 +59,6 @@ TEST(Airtime, ZeroPayloadStillHasEightSymbols) {
   EXPECT_GE(payload_symbols(p, 0), 8u);
 }
 
-TEST(Airtime, EffectiveBitrateOrdering) {
-  TxParams fast, slow;
-  fast.sf = SpreadingFactor::kSF7;
-  slow.sf = SpreadingFactor::kSF12;
-  EXPECT_GT(effective_bitrate(fast, 10), effective_bitrate(slow, 10));
-}
-
 // Property sweep: airtime is monotone in payload size and spreading factor.
 class AirtimeMonotone
     : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};

@@ -8,7 +8,6 @@ namespace {
 TEST(BandPlan, GridSizeMatchesSpectrum) {
   EXPECT_EQ(spectrum_1m6().grid_size(), 8);
   EXPECT_EQ(spectrum_4m8().grid_size(), 24);
-  EXPECT_EQ(spectrum_6m4().grid_size(), 32);
 }
 
 TEST(BandPlan, GridCentersSpacedCorrectly) {

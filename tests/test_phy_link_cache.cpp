@@ -242,6 +242,53 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
   }
 }
 
+// A floor lowered after a rejection re-probes the node: the runner prunes
+// at 25 dB below the noise floor, but the cache may be handed another
+// floor (perfbench preregisters at its own). A node rejected at the
+// runner's floor materializes at one 15 dB lower, and the warm cache then
+// holds exactly the rows and candidate masks a fresh cache builds there.
+TEST(LinkCache, LowerFloorMaterializesRejectedNode) {
+  ChannelModelConfig cfg;
+  cfg.seed = 17;
+  cfg.shadowing_sigma_db = Db{0.0};  // deterministic reach
+  ChannelModel model_a(cfg), model_b(cfg);
+  LinkCache warm(model_a);
+  LinkCache fresh(model_b);
+  for (const auto& site : test_sites()) {
+    upsert(warm, site);
+    upsert(fresh, site);
+  }
+  const Dbm noise = noise_floor_dbm(kLoRaBandwidth125k);
+  const Dbm runner_floor = noise - Db{25.0};
+  const Dbm low_floor = noise - Db{40.0};
+  const Point near{Meters{200.0}, Meters{0.0}};
+  const Point far{Meters{8000.0}, Meters{0.0}};  // ~7 km past the sites
+
+  ASSERT_EQ(warm.ensure_row_if_audible(1, near, runner_floor, kMaxTxPower),
+            0u);
+  (void)warm.candidate_mask(0, runner_floor, kMaxTxPower);
+  EXPECT_EQ(warm.ensure_row_if_audible(2, far, runner_floor, kMaxTxPower),
+            LinkCache::kInvalidRow);
+  ASSERT_EQ(warm.ensure_row_if_audible(2, far, low_floor, kMaxTxPower), 1u);
+
+  ASSERT_EQ(fresh.ensure_row_if_audible(1, near, low_floor, kMaxTxPower), 0u);
+  ASSERT_EQ(fresh.ensure_row_if_audible(2, far, low_floor, kMaxTxPower), 1u);
+  const auto bits = [](Db v) { return std::bit_cast<std::uint64_t>(v.value()); };
+  for (std::uint32_t row = 0; row < 2; ++row) {
+    for (std::uint32_t col = 0; col < warm.column_count(); ++col) {
+      EXPECT_EQ(bits(warm.gains(col)[row].path_loss),
+                bits(fresh.gains(col)[row].path_loss));
+      EXPECT_EQ(bits(warm.gains(col)[row].antenna_gain),
+                bits(fresh.gains(col)[row].antenna_gain));
+    }
+    const auto a = warm.candidate_mask(row, low_floor, kMaxTxPower);
+    const auto b = fresh.candidate_mask(row, low_floor, kMaxTxPower);
+    ASSERT_EQ(a.size(), b.size()) << "row " << row;
+    for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
+  }
+  EXPECT_NE(warm.candidate_mask(1, low_floor, kMaxTxPower)[0], 0U);
+}
+
 // First contact of co-located users (emulated users share their physical
 // node's position): every gain a slice computes must equal the uncached
 // expressions bit for bit — link_path_loss over the same distance, and the

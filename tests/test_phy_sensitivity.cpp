@@ -43,16 +43,6 @@ TEST(Sensitivity, BestDataRateNulloptBelowSf12) {
   EXPECT_FALSE(best_data_rate_for_snr(Db{-25.0}).has_value());
 }
 
-TEST(Sensitivity, RangeLevelsMonotone) {
-  const auto& levels = range_levels();
-  for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
-    EXPECT_LT(levels[i].typical_range, levels[i + 1].typical_range);
-  }
-  // Level 0 is the fastest data rate; the last is DR0.
-  EXPECT_EQ(levels.front().dr, DataRate::kDR5);
-  EXPECT_EQ(levels.back().dr, DataRate::kDR0);
-}
-
 TEST(Sensitivity, DrSfMappingRoundTrips) {
   for (const auto dr : kAllDataRates) {
     EXPECT_EQ(sf_to_dr(dr_to_sf(dr)), dr);

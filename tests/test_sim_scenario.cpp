@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -170,7 +169,7 @@ void expect_rejected(const RunOptions& bad, const std::string& field) {
   ScenarioRunner runner(f.deployment);
   EXPECT_THROW(runner.set_options(bad), std::invalid_argument);
   EXPECT_EQ(runner.options().threads, 0);  // the rejected value never lands
-  EXPECT_EQ(runner.options().prune_margin, Db{25.0});
+  EXPECT_EQ(runner.options().shards, 0);
 }
 
 TEST(ScenarioOptions, NegativeThreadsRejected) {
@@ -185,27 +184,10 @@ TEST(ScenarioOptions, ShardsAboveCapRejected) {
   expect_rejected(RunOptions{.shards = 4097}, "shards");
 }
 
-TEST(ScenarioOptions, NegativePruneMarginRejected) {
-  expect_rejected(RunOptions{.prune_margin = Db{-1.0}}, "prune_margin");
-}
-
-TEST(ScenarioOptions, NanPruneMarginRejected) {
-  expect_rejected(
-      RunOptions{.prune_margin = Db{std::numeric_limits<double>::quiet_NaN()}},
-      "prune_margin");
-}
-
-TEST(ScenarioOptions, InfinitePruneMarginRejected) {
-  expect_rejected(
-      RunOptions{.prune_margin = Db{std::numeric_limits<double>::infinity()}},
-      "prune_margin");
-}
-
 TEST(ScenarioOptions, ZeroDefaultsAccepted) {
   Fixture f;
   ScenarioRunner runner(f.deployment, 7,
-                        RunOptions{.prune_margin = Db{0.0}, .threads = 0,
-                                   .shards = 0});
+                        RunOptions{.threads = 0, .shards = 0});
   EXPECT_NO_THROW(runner.set_options(RunOptions{}));
 }
 

@@ -108,7 +108,7 @@ struct WideFixture {
   }
 
   [[nodiscard]] Dbm prune_floor() const {
-    return noise_floor_dbm(kLoRaBandwidth125k) - RunOptions{}.prune_margin;
+    return noise_floor_dbm(kLoRaBandwidth125k) - ScenarioRunner::prune_margin();
   }
 };
 
@@ -361,28 +361,6 @@ TEST(ShardMemo, NodeIdReusedAtNewOrigin) {
   EXPECT_FALSE(delivered(second, moved[0].node));
   EXPECT_TRUE(delivered(second, moved[1].node));
   EXPECT_EQ(fate_digest(second.fates), fresh_digest(moved, xs, {}));
-}
-
-TEST(ShardMemo, PruneMarginChangeReprobesRejections) {
-  // 10 km from the west gateway: rejected at the default 25 dB margin,
-  // audible once the margin widens the prune floor by 15 dB.
-  const auto xs = {50300.0, 60000.0};
-  const RunOptions kWide{.prune_margin = Db{40.0}, .threads = 4,
-                             .shards = 8};
-  MemoWorld world(xs);
-  ScenarioRunner runner(world.f.deployment, /*seed=*/7, kMemoOptions);
-  (void)runner.run_window(world.txs);
-  const std::size_t rows_before = runner.shard_stats().resident_rows;
-  runner.set_options(kWide);
-  const WindowResult second = runner.run_window(world.txs);
-  EXPECT_GT(runner.shard_stats().resident_rows, rows_before);
-
-  MemoWorld fresh(xs);
-  ScenarioRunner fresh_runner(fresh.f.deployment, /*seed=*/7, kWide);
-  const WindowResult alone = fresh_runner.run_window(world.txs);
-  EXPECT_EQ(fate_digest(second.fates), fate_digest(alone.fates));
-  EXPECT_EQ(runner.shard_stats().resident_rows,
-            fresh_runner.shard_stats().resident_rows);
 }
 
 TEST(ShardMemo, ShardCountSwitchRebuildsSlices) {

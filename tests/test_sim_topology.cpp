@@ -21,8 +21,7 @@ TEST(Topology, NetworksGetSequentialIdsAndStableReferences) {
     deployment.add_network("extra-" + std::to_string(i));
   }
   EXPECT_EQ(first.name(), "a");
-  EXPECT_EQ(deployment.find_network(1), &second);
-  EXPECT_EQ(deployment.find_network(999), nullptr);
+  EXPECT_EQ(&deployment.networks()[1], &second);
 }
 
 TEST(Topology, IdAllocationIsGloballyUnique) {

@@ -47,15 +47,6 @@ TEST(Traffic, PacketIdsUnique) {
   EXPECT_EQ(seen.size(), 40u);
 }
 
-TEST(Traffic, StaggeredByStartOrdersStarts) {
-  auto nodes = make_nodes(12);
-  PacketIdSource ids;
-  const auto txs = staggered_by_start(raw(nodes), Seconds{0.0}, Seconds{0.001}, ids);
-  for (std::size_t i = 0; i + 1 < txs.size(); ++i) {
-    EXPECT_LT(txs[i].start, txs[i + 1].start);
-  }
-}
-
 TEST(Traffic, StaggeredByLockOnOrdersLockOns) {
   // Scheme (b): even with wildly different preamble lengths (mixed SFs),
   // the lock-on instants are in node order.

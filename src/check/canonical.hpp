@@ -1,9 +1,11 @@
-// Three canonical scenarios with checked-in golden digests
+// Four canonical scenarios with checked-in golden digests
 // (tests/golden/digests.txt). They are small but exercise the three loss
 // regimes the paper separates: decoder contention, inter-network
-// contention, and channel contention. Any behavioural change to the radio
-// pipeline, the channel model, or the RNG substream derivation shows up as
-// a digest mismatch; docs/testing.md describes when and how to re-bless.
+// contention, and channel contention — the fourth under Strategy 8's
+// misaligned plans, where most gateway events are front-end rejects. Any
+// behavioural change to the radio pipeline, the channel model, or the RNG
+// substream derivation shows up as a digest mismatch; docs/testing.md
+// describes when and how to re-bless.
 #pragma once
 
 #include <memory>

@@ -1,19 +1,6 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-
 namespace alphawan {
-
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
 
 double jain_fairness(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;

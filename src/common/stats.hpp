@@ -7,10 +7,6 @@
 
 namespace alphawan {
 
-// Percentile of a sample set (linear interpolation between order
-// statistics). `q` in [0, 1]. Returns 0 for an empty sample.
-[[nodiscard]] double percentile(std::vector<double> samples, double q);
-
 // Jain's fairness index: (sum x)^2 / (n * sum x^2). 1.0 = perfectly fair.
 [[nodiscard]] double jain_fairness(const std::vector<double>& xs);
 

@@ -91,6 +91,66 @@ int GatewayRadio::chain_for(const Channel& packet_channel) {
   return index;
 }
 
+// A window channel w is readable when
+//   (1) overlap_ratio(w, chain) > 0 for some chain, or
+//   (2) overlap_ratio(w, d) >= kDetectOverlapThreshold for some window
+//       channel d that is detectable on a chain (chain_for(d) >= 0), or
+//   (3) w shares its coarse frequency bucket with a channel meeting (1)
+//       or (2).
+// An event j on a channel meeting none of them leaves every outcome of
+// the window unchanged, its own included:
+//   * phase 1: every chain's overlap with w is 0 < kDetectOverlapThreshold,
+//     so chain_for(w) is -1 and j is kRejectedFrontEnd — never queued, so
+//     FCFS dispatch never sees it, and fold_outcome maps it to 0;
+//   * phase 3: a decoded event on chain c reads j only where
+//     overlap_ratio(w, channels_[c]) > 0 (the scalar kernel's rho test and
+//     the per-(bucket, chain) memo), which clause (1) rules out;
+//   * policy_recovers(i) gathers j only where overlap_ratio(w, channel of
+//     i) >= kDetectOverlapThreshold, and i holds a decoder, so its channel
+//     is detectable: clause (2) rules that out;
+//   * clause (3) leaves every bucket that holds a readable event with the
+//     same members, so its start order (an unstable sort, which may order
+//     equal starts differently in a different set), lookback and uniform
+//     flag are unchanged; skipped events only ever fill whole buckets of
+//     their own, which no kernel reads anything from.
+// Clause (2) is not implied by (1): a 500 kHz packet covering a 125 kHz
+// chain is detected on it (the ratio divides by the narrower bandwidth),
+// and a 125 kHz packet elsewhere inside the 500 kHz band overlaps it fully
+// while missing the chain.
+void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
+                                     std::vector<std::uint8_t>& readable) const {
+  constexpr std::uint8_t kReadable = 1;
+  constexpr std::uint8_t kDetectable = 2;
+  const std::size_t n = window_channels.size();
+  readable.assign(n, 0);
+  for (std::size_t w = 0; w < n; ++w) {
+    for (const Channel& chain : channels_) {
+      const double rho = overlap_ratio(window_channels[w], chain);
+      if (rho >= kDetectOverlapThreshold) readable[w] = kDetectable;
+      if (rho > 0.0 && readable[w] == 0) readable[w] = kReadable;
+    }
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::size_t d = 0; d < n && readable[w] == 0; ++d) {
+      if (readable[d] == kDetectable &&
+          overlap_ratio(window_channels[w], window_channels[d]) >=
+              kDetectOverlapThreshold) {
+        readable[w] = kReadable;
+      }
+    }
+  }
+  // Sharing a bucket is an equivalence: a channel marked here shares its
+  // bucket with one meeting (1) or (2), so marking in place is safe.
+  for (std::size_t w = 0; w < n; ++w) {
+    const std::int64_t bucket = bucket_of(window_channels[w].center);
+    for (std::size_t r = 0; r < n && readable[w] == 0; ++r) {
+      if (readable[r] != 0 && bucket_of(window_channels[r].center) == bucket) {
+        readable[w] = kReadable;
+      }
+    }
+  }
+}
+
 // Phase 2: FCFS dispatch (paper Appendix C). In (lock_on, packet id)
 // order, each detected packet claims one of the profile's decoders at its
 // lock-on instant and holds it to its end; a decoder frees at the instant

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "phy/batch_kernels.hpp"
@@ -52,6 +53,17 @@ class GatewayRadio {
   // view) instead of returning a fresh vector, so a caller-owned buffer
   // keeps its capacity across windows.
   void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
+
+  // Which of a window's distinct channels (WindowTxTable::channels) this
+  // radio can ever read: fills `readable` with one byte per channel,
+  // nonzero where an event on it may reach phase 1's chains, phase 3's
+  // interference scan or a capture policy, or shares a frequency bucket
+  // with one that may. An event on a zero channel is front-end rejected
+  // and changes no other event's outcome, so the runner drops it before
+  // the fading draw (batch_prune_candidates); the proof is at the
+  // definition.
+  void readable_channels(std::span<const Channel> window_channels,
+                         std::vector<std::uint8_t>& readable) const;
 
   // Convenience adapter for an event list: builds a table and a view over
   // the events (in order) and runs process_into. Returns one outcome per

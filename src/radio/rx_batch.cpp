@@ -15,12 +15,22 @@ const WindowTxTable::AirtimeMemo& WindowTxTable::airtime_for(
   return memo_.back();
 }
 
+std::uint32_t WindowTxTable::channel_index(const Channel& ch) {
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    if (channels[c] == ch) return static_cast<std::uint32_t>(c);
+  }
+  channels.push_back(ch);
+  return static_cast<std::uint32_t>(channels.size() - 1);
+}
+
 void WindowTxTable::build(const std::vector<Transmission>& txs) {
   const std::size_t n = txs.size();
   start.resize(n);
   end.resize(n);
   lock_on.resize(n);
   channel.resize(n);
+  channels.clear();
+  channel_id.resize(n);
   sf.resize(n);
   net.resize(n);
   tx_power.resize(n);
@@ -36,6 +46,7 @@ void WindowTxTable::build(const std::vector<Transmission>& txs) {
     end[t] = tx.start + airtime.airtime;
     lock_on[t] = tx.start + airtime.preamble;
     channel[t] = tx.channel;
+    channel_id[t] = channel_index(tx.channel);
     sf[t] = tx.params.sf;
     net[t] = tx.network;
     tx_power[t] = tx.tx_power;

@@ -31,6 +31,11 @@ struct WindowTxTable {
   std::vector<Seconds> end;      // start + time_on_air (== Transmission::end)
   std::vector<Seconds> lock_on;  // start + preamble   (== Transmission::lock_on)
   std::vector<Channel> channel;
+  // The window's distinct channels, in first-use order, and each
+  // transmission's index into them: per-channel questions (can this radio
+  // read it?) are answered once per window channel, not once per event.
+  std::vector<Channel> channels;
+  std::vector<std::uint32_t> channel_id;
   std::vector<SpreadingFactor> sf;
   std::vector<NetworkId> net;
   std::vector<Dbm> tx_power;
@@ -52,6 +57,9 @@ struct WindowTxTable {
     Seconds preamble{0.0};
   };
   [[nodiscard]] const AirtimeMemo& airtime_for(const Transmission& tx);
+  // Index of `ch` in `channels`, appended on first use. A linear scan: a
+  // window uses a few dozen channels (its operators' plans).
+  [[nodiscard]] std::uint32_t channel_index(const Channel& ch);
   std::vector<AirtimeMemo> memo_;
 };
 

@@ -182,6 +182,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   if (sc.task_fade.size() < tasks.size()) {
     sc.task_fade.resize(tasks.size());
     sc.task_power.resize(tasks.size());
+    sc.task_readable.resize(tasks.size());
   }
 
   // Per-gateway pipelines are independent: each consumes its shard's
@@ -199,7 +200,8 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         yield.uplinks.clear();
         // Gather the gateway's candidate transmission indices in ascending
         // order, prune those that cannot clear the floor at their own tx
-        // power (the masks assume kMaxTxPower; docs/performance.md), draw
+        // power (the masks assume kMaxTxPower; docs/performance.md) or sit
+        // on a channel this radio can never read (readable_channels), draw
         // the survivors' fading in one keyed batch, filter by the prune
         // floor, then run the radio off the shared columns. The list
         // compacts in place into the yield's event list. The rx power comes
@@ -223,9 +225,12 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
             idx.push_back(static_cast<std::uint32_t>(i));
           }
         }
+        auto& readable = sc.task_readable[t];
+        gw->radio().readable_channels(sc.table.channels, readable);
         idx.resize(batch_prune_candidates(
-            gains, sh.row_of_tx.data(), sc.table.tx_power.data(), floor,
-            fading_sigma, idx.data(), idx.size()));
+            gains, sh.row_of_tx.data(), sc.table.tx_power.data(),
+            sc.table.channel_id.data(), readable.data(), floor, fading_sigma,
+            idx.data(), idx.size()));
         fade.resize(idx.size());
         power.resize(idx.size());
         const SubstreamBatch fading_stream(

@@ -60,12 +60,14 @@ struct RunOptions {
 // Telemetry from the last window's shard partition: how many transmitter
 // rows the slices held, and how much of the window crossed a shard border
 // (a boundary row is a transmitter audible in a stripe other than the one
-// holding its origin; a boundary event is a reception at such a gateway).
+// holding its origin; a boundary event is an event handed to the radio of
+// a gateway in another stripe — candidates pruned before the radio, on
+// power or on a channel it cannot read, are not counted).
 struct ShardWindowStats {
   int shards = 1;
   std::size_t resident_rows = 0;   // rows materialized across all slices
   std::size_t boundary_rows = 0;   // audible (tx, shard) pairs away from home
-  std::size_t boundary_events = 0; // rx events that crossed a border
+  std::size_t boundary_events = 0; // radio events that crossed a border
 };
 
 // Everything one gateway produces from a window, computed independently of
@@ -159,6 +161,8 @@ class ScenarioRunner {
     WindowTxTable table;
     std::vector<std::vector<double>> task_fade;
     std::vector<std::vector<Dbm>> task_power;
+    // Per task, one byte per window channel: can its radio read it?
+    std::vector<std::vector<std::uint8_t>> task_readable;
     // tx index -> its own-network outcomes, folded (fold_outcome).
     std::vector<std::uint8_t> own_fold;
     // Per-network uplink gather handed to NetworkServer::ingest.

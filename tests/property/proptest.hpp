@@ -102,6 +102,86 @@ inline World build_world(const CaseParams& p) {
   return world;
 }
 
+// Worlds where gateways cannot read every packet: the same CaseParams as
+// build_world (random_case draws are shared), built over spectrum_4m8 with
+// operators on different channel plans — network n % 3 == 0 on standard
+// plan 0, 1 on plan 0 shifted by 75 kHz (Strategy 8), 2 on six channels of
+// plan 1 plus a 250 kHz chain. Each node picks its own plan's channels
+// (the first plan_channels of them) half the time, else any grid channel
+// (a third of the grid is monitored by no gateway), a 75 kHz-shifted grid
+// channel, a 250 kHz channel on a grid center, or a 500 kHz channel
+// between two grid centers (covering both); tx powers mix 2-20 dBm.
+inline World build_mixed_world(const CaseParams& p) {
+  World world;
+  world.deployment = std::make_unique<Deployment>(
+      Region{Meters{1000.0}, Meters{1000.0}}, spectrum_4m8(), ChannelModelConfig{});
+  const Spectrum& spectrum = world.deployment->spectrum();
+  constexpr Hz kShift{75e3};
+  GatewayProfile profile = default_profile();
+  profile.decoders = p.decoders;
+  const Rng root(p.seed);
+  PacketIdSource ids;
+  for (int n = 0; n < p.networks; ++n) {
+    auto& network =
+        world.deployment->add_network("net-" + std::to_string(n));
+    Rng net_rng =
+        root.substream("mixed-net").substream(static_cast<std::uint64_t>(n));
+    std::vector<Channel> plan = standard_plan(spectrum, n % 3 == 2 ? 1 : 0).channels;
+    if (n % 3 == 1) {
+      for (Channel& ch : plan) ch.center += kShift;
+    } else if (n % 3 == 2) {
+      plan.resize(6);
+      plan.push_back(Channel{spectrum.grid_center(15), kLoRaBandwidth250k});
+    }
+    for (int g = 0; g < p.gateways_per_net; ++g) {
+      const Point pos{
+          Meters{300.0 + 400.0 * g / std::max(1, p.gateways_per_net - 1)},
+          Meters{400.0 + 120.0 * n}};
+      auto& gw = network.add_gateway(world.deployment->next_gateway_id(), pos,
+                                     profile);
+      gw.apply_channels(GatewayChannelConfig{plan});
+    }
+    auto& placed = world.nodes_by_network.emplace_back();
+    const int grid = spectrum.grid_size();
+    for (int i = 0; i < p.nodes_per_net; ++i) {
+      const int slot = static_cast<int>(net_rng.uniform_int(0, grid - 2));
+      NodeRadioConfig cfg;
+      switch (net_rng.uniform_int(0, 7)) {
+        case 0:
+          cfg.channel = spectrum.grid_channel(slot);
+          break;
+        case 1:
+          cfg.channel = spectrum.grid_channel(slot);
+          cfg.channel.center += kShift;
+          break;
+        case 2:
+          cfg.channel = Channel{spectrum.grid_center(slot), kLoRaBandwidth250k};
+          break;
+        case 3:
+          cfg.channel = Channel{spectrum.grid_center(slot) + kChannelSpacing / 2,
+                                kLoRaBandwidth500k};
+          break;
+        default:
+          cfg.channel = plan[static_cast<std::size_t>(net_rng.uniform_int(
+              0, std::min<int>(p.plan_channels, static_cast<int>(plan.size())) - 1))];
+      }
+      cfg.dr = static_cast<DataRate>(net_rng.uniform_int(0, 5));
+      cfg.tx_power = Dbm{2.0 + 6.0 * static_cast<double>(net_rng.uniform_int(0, 3))};
+      const Point pos{Meters{net_rng.uniform(250.0, 750.0)},
+                      Meters{net_rng.uniform(250.0, 750.0)}};
+      placed.push_back(&network.add_node(world.deployment->next_node_id(),
+                                         pos, cfg));
+    }
+    Rng traffic_rng =
+        root.substream("mixed-traffic").substream(static_cast<std::uint64_t>(n));
+    std::vector<Transmission> txs =
+        p.burst ? concurrent_burst(placed, Seconds{0.0}, ids)
+                : poisson_traffic(placed, Seconds{0.8}, 1.5, traffic_rng, ids);
+    world.txs.insert(world.txs.end(), txs.begin(), txs.end());
+  }
+  return world;
+}
+
 // The collector-versus-fate-stream recount: a collector that recorded one
 // window holds exactly that window's offered and delivered counts.
 inline std::optional<std::string> collector_matches_window(

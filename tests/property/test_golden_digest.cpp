@@ -70,6 +70,22 @@ TEST(GoldenDigest, ReplayReproducesEveryPacketFate) {
   }
 }
 
+// The Strategy-8 scenario holds front-end rejects, so the replay check
+// above covers the events the runner skips before the fading draw.
+TEST(GoldenDigest, MisalignedPlansHoldFrontEndRejects) {
+  CanonicalScenario scenario = make_canonical("misaligned-plans");
+  std::size_t rejected = 0;
+  for (const auto& tx : scenario.txs) {
+    const ReplayReport report =
+        replay_packet(*scenario.deployment, scenario.seed, scenario.txs, tx.id);
+    for (const auto& obs : report.observations) {
+      rejected += !obs.pruned &&
+                  obs.disposition == RxDisposition::kRejectedFrontEnd;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(GoldenDigest, ReplayReportsMissingPacket) {
   CanonicalScenario scenario = make_canonical("burst-1net");
   const ReplayReport report = replay_packet(

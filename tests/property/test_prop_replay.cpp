@@ -1,0 +1,143 @@
+// Property: the runner's window — candidate masks, own-power prune, skip of
+// channels a gateway cannot read, threads and shards — assigns every packet
+// the fate the unpruned per-gateway reference (replay_packet) gives it.
+// The worlds (prop::build_mixed_world) put operators on disjoint and on
+// 75 kHz-shifted plans, mix 125/250/500 kHz channels and tx powers, and
+// send on channels no gateway monitors, so front-end rejects, partial
+// overlappers and capture-policy overlappers off every chain all occur;
+// each world runs under every capture policy of the baseline table.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "baselines/registry.hpp"
+#include "check/replay.hpp"
+#include "phy/overlap.hpp"
+#include "proptest.hpp"
+
+namespace alphawan {
+namespace {
+
+using prop::CaseParams;
+
+// The stock pipeline plus every distinct capture policy of the table.
+std::vector<std::shared_ptr<const CapturePolicy>> table_capture_policies() {
+  std::vector<std::shared_ptr<const CapturePolicy>> policies{nullptr};
+  const auto& registry = BaselineRegistry::instance();
+  for (const auto& name : registry.names()) {
+    auto capture = registry.make(name).capture;
+    if (capture) policies.push_back(std::move(capture));
+  }
+  return policies;
+}
+
+CaseParams lo_case() {
+  CaseParams lo;
+  lo.networks = 1;
+  lo.gateways_per_net = 1;
+  lo.nodes_per_net = 4;
+  lo.plan_channels = 2;
+  lo.decoders = 4;
+  return lo;
+}
+
+CaseParams hi_case() {
+  CaseParams hi;
+  hi.networks = 3;
+  hi.gateways_per_net = 3;
+  hi.nodes_per_net = 30;
+  hi.plan_channels = 8;
+  hi.decoders = 16;
+  return hi;
+}
+
+constexpr int kCases = 24;
+constexpr std::uint64_t kMetaSeed = 20261020;
+
+std::optional<std::string> runner_matches_replay(const CaseParams& params) {
+  for (const auto& capture : table_capture_policies()) {
+    const std::string policy = capture ? std::string(capture->name()) : "none";
+    std::vector<PacketFate> reference;
+    for (const int threads : {1, 8}) {
+      for (const int shards : {1, 8}) {
+        prop::World world = prop::build_mixed_world(params);
+        ScenarioRunner runner(*world.deployment, params.seed,
+                              RunOptions{capture, threads, shards});
+        const WindowResult result = runner.run_window(world.txs);
+        if (reference.empty()) {
+          // The replay runs each radio as the window left it attached.
+          for (const auto& fate : result.fates) {
+            reference.push_back(replay_packet(*world.deployment, params.seed,
+                                              world.txs, fate.packet)
+                                    .fate);
+          }
+        }
+        for (std::size_t k = 0; k < result.fates.size(); ++k) {
+          const PacketFate& got = result.fates[k];
+          if (got.delivered != reference[k].delivered ||
+              got.cause != reference[k].cause) {
+            return "packet " + std::to_string(got.packet) + " under policy " +
+                   policy + " at threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards) + ": runner " +
+                   std::string(loss_cause_name(got.cause)) + ", replay " +
+                   std::string(loss_cause_name(reference[k].cause));
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ReplayEquivalence, RunnerFatesEqualUnprunedReplayInMixedSpectrum) {
+  prop::check_property("runner fates equal the unpruned replay", kCases,
+                       kMetaSeed, lo_case(), hi_case(), runner_matches_replay);
+}
+
+// The generator reaches both sides of GatewayRadio::readable_channels:
+// (gateway, window channel) pairs the runner skips, and pairs that overlap
+// no chain but fully overlap a channel detectable on one (the
+// capture-policy clause).
+TEST(ReplayEquivalence, MixedWorldsSkipAndKeepOffChainChannels) {
+  Rng meta(kMetaSeed);
+  std::size_t skipped = 0;
+  std::size_t kept_for_policy = 0;
+  std::vector<std::uint8_t> readable;
+  for (int c = 0; c < kCases; ++c) {
+    const prop::World world =
+        prop::build_mixed_world(prop::random_case(meta, lo_case(), hi_case()));
+    WindowTxTable table;
+    table.build(world.txs);
+    for (const auto& network : world.deployment->networks()) {
+      for (const auto& gw : network.gateways()) {
+        const auto& chains = gw.radio().channels();
+        const auto best_overlap = [&](const Channel& ch) {
+          double best = 0.0;
+          for (const Channel& chain : chains) {
+            best = std::max(best, overlap_ratio(ch, chain));
+          }
+          return best;
+        };
+        gw.radio().readable_channels(table.channels, readable);
+        for (std::size_t w = 0; w < table.channels.size(); ++w) {
+          skipped += readable[w] == 0;
+          if (readable[w] == 0 || best_overlap(table.channels[w]) > 0.0) {
+            continue;
+          }
+          for (const Channel& d : table.channels) {
+            if (best_overlap(d) >= kDetectOverlapThreshold &&
+                overlap_ratio(table.channels[w], d) >= kDetectOverlapThreshold) {
+              ++kept_for_policy;
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(kept_for_policy, 0u);
+}
+
+}  // namespace
+}  // namespace alphawan

@@ -5,28 +5,6 @@
 namespace alphawan {
 namespace {
 
-TEST(Percentile, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(Percentile, MedianAndExtremes) {
-  std::vector<double> v = {3.0, 1.0, 2.0, 5.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> v = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
-}
-
-TEST(Percentile, ClampsQuantile) {
-  std::vector<double> v = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 2.0), 2.0);
-}
-
 TEST(JainFairness, PerfectlyFair) {
   EXPECT_DOUBLE_EQ(jain_fairness({3.0, 3.0, 3.0}), 1.0);
 }

@@ -906,5 +906,33 @@ TEST(RxChain, BestChainOnEmptyChainList) {
             RxDisposition::kRejectedFrontEnd);
 }
 
+// One 125 kHz chain at 917.0 MHz; each clause of readable_channels, and a
+// channel that meets none of them.
+TEST(GatewayRadio, ReadableChannelsFollowTheirThreeClauses) {
+  GatewayRadio radio(default_profile(), 0, kPublicSyncWord);
+  const Channel chain{Hz{917.0e6}, kLoRaBandwidth125k};
+  radio.configure_channels({chain});
+  const std::vector<Channel> window = {
+      Channel{Hz{916.925e6}, kLoRaBandwidth125k},  // (1) partial overlap
+      Channel{Hz{917.15e6}, kLoRaBandwidth500k},   // detected on the chain
+      Channel{Hz{917.25e6}, kLoRaBandwidth125k},   // (2) inside the 500 kHz
+      Channel{Hz{916.81e6}, kLoRaBandwidth125k},   // (3) bucket of (1)
+      Channel{Hz{917.65e6}, kLoRaBandwidth125k},   // none
+  };
+  ASSERT_GE(overlap_ratio(window[1], chain), kDetectOverlapThreshold);
+  for (const std::size_t w : {0, 3}) {
+    ASSERT_LT(overlap_ratio(window[w], window[1]), kDetectOverlapThreshold);
+  }
+  ASSERT_EQ(overlap_ratio(window[2], chain), 0.0);
+  ASSERT_EQ(overlap_ratio(window[3], chain), 0.0);
+  std::vector<std::uint8_t> readable;
+  radio.readable_channels(window, readable);
+  ASSERT_EQ(readable.size(), window.size());
+  for (std::size_t w = 0; w + 1 < window.size(); ++w) {
+    EXPECT_NE(readable[w], 0) << w;
+  }
+  EXPECT_EQ(readable.back(), 0);
+}
+
 }  // namespace
 }  // namespace alphawan

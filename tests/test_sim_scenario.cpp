@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 
+#include "check/replay.hpp"
 #include "core/log_parser.hpp"
+#include "phy/overlap.hpp"
 #include "sim/traffic.hpp"
 
 namespace alphawan {
@@ -154,6 +159,115 @@ TEST(Scenario, DeterministicUnderSameSeed) {
     return runner.run_window(txs).total_delivered();
   };
   EXPECT_EQ(run_once(5), run_once(5));
+}
+
+// Recovers a collision drop exactly when one given node's packet is among
+// the overlappers it is shown.
+class RecoversBesideNode final : public CapturePolicy {
+ public:
+  explicit RecoversBesideNode(NodeId node) : node_(node) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "recovers-beside-node";
+  }
+  [[nodiscard]] bool recovers(
+      const CaptureEvent& /*wanted*/,
+      std::span<const CaptureEvent> overlappers) const override {
+    return std::any_of(overlappers.begin(), overlappers.end(),
+                       [&](const CaptureEvent& e) { return e.node == node_; });
+  }
+
+ private:
+  NodeId node_;
+};
+
+// One gateway with a single 125 kHz chain. A 500 kHz packet covering the
+// chain is detected on it (the overlap ratio divides by the narrower
+// bandwidth) and collides with a louder 500 kHz packet. A 125 kHz packet
+// inside the 500 kHz band but clear of the chain overlaps no chain at all,
+// yet the capture policy is shown it as an overlapper of the collision
+// drop: the runner must still hand it to the radio, and the policy's
+// verdict must match the unpruned replay's.
+TEST(Scenario, OffChainOverlapperOfADetectedPacketReachesThePolicy) {
+  const Channel chain{Hz{917.0e6}, kLoRaBandwidth125k};
+  const Channel wide{Hz{917.1e6}, kLoRaBandwidth500k};
+  const Channel inside{Hz{917.25e6}, kLoRaBandwidth125k};
+  ASSERT_GE(overlap_ratio(wide, chain), kDetectOverlapThreshold);
+  ASSERT_EQ(overlap_ratio(inside, chain), 0.0);
+  ASSERT_GE(overlap_ratio(inside, wide), kDetectOverlapThreshold);
+  for (const bool policy_keys_on_overlapper : {true, false}) {
+    Deployment deployment{Region{Meters{800.0}, Meters{800.0}}, spectrum_1m6(),
+                          quiet_channel()};
+    Network& network = deployment.add_network("op");
+    network
+        .add_gateway(deployment.next_gateway_id(), deployment.region().center(),
+                     default_profile())
+        .apply_channels(GatewayChannelConfig{{chain}});
+    PacketIdSource ids;
+    std::vector<Transmission> txs;
+    auto send = [&](const Channel& channel, Dbm power) {
+      NodeRadioConfig cfg;
+      cfg.channel = channel;
+      cfg.dr = DataRate::kDR3;
+      cfg.tx_power = power;
+      EndNode& node = network.add_node(deployment.next_node_id(),
+                                       Point{Meters{450.0}, Meters{400.0}}, cfg);
+      txs.push_back(node.make_transmission(Seconds{0.0}, 10, ids.next()));
+      return node.id();
+    };
+    const NodeId wanted = send(wide, Dbm{2.0});
+    send(wide, Dbm{14.0});
+    const NodeId off_chain = send(inside, Dbm{14.0});
+    const std::uint64_t seed = 3;
+    RunOptions options;
+    options.capture_policy = std::make_shared<RecoversBesideNode>(
+        policy_keys_on_overlapper ? off_chain : kInvalidNode);
+    ScenarioRunner runner(deployment, seed, options);
+    const WindowResult result = runner.run_window(txs);
+    const PacketFate& fate = result.fates[0];
+    ASSERT_EQ(fate.node, wanted);
+    EXPECT_EQ(fate.delivered, policy_keys_on_overlapper);
+    if (!policy_keys_on_overlapper) {
+      EXPECT_EQ(fate.cause, LossCause::kChannelContentionIntra);
+    }
+    const ReplayReport replay =
+        replay_packet(deployment, seed, txs, fate.packet);
+    EXPECT_EQ(replay.fate.delivered, fate.delivered);
+    EXPECT_EQ(replay.fate.cause, fate.cause);
+  }
+}
+
+// A loud packet on a channel shifted 100 kHz off the gateway's chain is
+// rejected by the front end, yet the fifth of its band that overlaps the
+// chain still couples energy into it: it must still reach the radio, where
+// it sinks a packet the chain would otherwise decode. Its center lies in
+// the next frequency bucket, so only the overlap clause of
+// readable_channels keeps it.
+TEST(Scenario, PartialOverlapperStillInterferes) {
+  Fixture f;
+  const Channel chain = f.deployment.spectrum().grid_channel(0);
+  Channel shifted = chain;
+  shifted.center += Hz{100e3};
+  ASSERT_GT(overlap_ratio(shifted, chain), 0.0);
+  ASSERT_LT(overlap_ratio(shifted, chain), kDetectOverlapThreshold);
+  auto& wanted = f.add_node(0, DataRate::kDR5, Point{Meters{400.0}, Meters{700.0}});
+  NodeRadioConfig cfg;
+  cfg.channel = shifted;
+  cfg.dr = DataRate::kDR5;
+  cfg.tx_power = Dbm{20.0};
+  auto& loud = f.network->add_node(f.deployment.next_node_id(),
+                                   Point{Meters{405.0}, Meters{400.0}}, cfg);
+  const std::vector<Transmission> alone = {
+      wanted.make_transmission(Seconds{0.0}, 10, f.ids.next())};
+  std::vector<Transmission> both = {
+      wanted.make_transmission(Seconds{0.0}, 10, f.ids.next()),
+      loud.make_transmission(Seconds{0.0}, 10, f.ids.next())};
+  ScenarioRunner runner(f.deployment);
+  EXPECT_TRUE(runner.run_window(alone).fates[0].delivered);
+  const PacketFate fate = runner.run_window(both).fates[0];
+  EXPECT_FALSE(fate.delivered);
+  EXPECT_EQ(fate.cause, LossCause::kOther);
+  EXPECT_EQ(replay_packet(f.deployment, runner.seed(), both, fate.packet).fate.cause,
+            fate.cause);
 }
 
 // Bad configuration fails when the runner is built (or reconfigured), with

@@ -371,7 +371,8 @@ void BM_BatchCapture(benchmark::State& state) {
         scan_bucket_aligned_grouped(soa, order_sf.data(), pos_sf.data(),
                                     groups.data(),
                                     groups.data() + groups.size(),
-                                    cursors.data(), lookback, ev, acc);
+                                    cursors.data(), lookback,
+                                    /*one_network=*/false, ev, acc);
       } else {
         scan_bucket_scalar(soa, order.data(), order.data() + kEvents,
                            /*uniform=*/true, /*rho_uniform=*/1.0, lookback,

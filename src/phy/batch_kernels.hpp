@@ -25,7 +25,9 @@
 //    accumulates in the scalar subsequence order (the SF grouping is a
 //    stable sort), and the fatal-interferer attribution — last colliding
 //    element in scalar scan order — is recovered from the max stable-sort
-//    rank among colliders.
+//    rank among colliders, or, in a bucket whose events all share one
+//    network, from its first collider (every collider there gives the same
+//    attribution).
 //
 // The kernel tests (tests/test_phy_batch_kernels.cpp) check scalar ==
 // batched bit-for-bit per kernel, and the pinned digests in
@@ -176,7 +178,11 @@ inline void scan_bucket_scalar(const RxScanSoA& soa,
 //    dead (the sum is only read when no collision occurred anywhere);
 //  * the fatal-interferer attribution takes the collider with the maximum
 //    stable-sort rank — the forward overwrite chain leaves the group's
-//    last collider, exactly as the scalar loop's does.
+//    last collider, exactly as the scalar loop's does;
+//  * `one_network` (every event of the bucket belongs to one network)
+//    settles the bucket at its first collider: the last collider's
+//    attribution soa.net[j] != ev.net is then the first one's, and the
+//    sums are dead, so nothing after it can change the result.
 // `order_sf`/`pos_sf` are bucket-global arrays: order_sf holds the bucket's
 // events stably regrouped by SF, pos_sf the bucket rank of each entry.
 inline void scan_bucket_aligned_grouped(const RxScanSoA& soa,
@@ -185,8 +191,8 @@ inline void scan_bucket_aligned_grouped(const RxScanSoA& soa,
                                         const SfGroup* groups_begin,
                                         const SfGroup* groups_end,
                                         std::uint32_t* cursors,
-                                        Seconds lookback, const ScanEvent& ev,
-                                        ScanAccum& acc) {
+                                        Seconds lookback, bool one_network,
+                                        const ScanEvent& ev, ScanAccum& acc) {
   // The scalar time-window bound, evaluated once with the scalar's exact
   // floating-point expression (bucket-wide lookback, not per group, so the
   // candidate set matches the reference element for element).
@@ -230,6 +236,11 @@ inline void scan_bucket_aligned_grouped(const RxScanSoA& soa,
       if (!(ev.start < soa.end[j])) continue;
       if (sums_live && !hit) acc.aligned_same_sf_lin += soa.lin_power[j];
       if (ev.power - soa.power[j] < threshold) {
+        if (one_network) {
+          acc.collided = true;
+          acc.foreign_fatal = soa.net[j] != ev.net;
+          return;
+        }
         hit = true;
         last_pos = pos_sf[it];
         last_j = j;

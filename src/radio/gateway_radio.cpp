@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -40,6 +41,49 @@ std::int64_t bucket_of(Hz center) {
   return static_cast<std::int64_t>(center / kChannelSpacing);
 }
 
+// RxScratch::chain_of_channel before a window channel's first lookup.
+constexpr int kChainUnknown = -2;
+
+// FCFS dispatch key order: (lock_on, packet id).
+bool dispatched_before(const auto& a, const auto& b) {
+  return a.lock_on < b.lock_on ||
+         (a.lock_on == b.lock_on && a.packet < b.packet);
+}
+
+// Sorts one bucket's event indices by start time — through a contiguous
+// (start, index) staging array, because comparing via the wide event
+// records costs a scattered load per comparison. A start-only comparator
+// sees exactly the comparison outcomes the index comparator would, so the
+// resulting index permutation is identical to sorting the indices directly
+// (bit-identity of every downstream accumulation order).
+void sort_bucket_by_start(std::span<std::uint32_t> bucket,
+                          const Seconds* start_of,
+                          std::vector<std::pair<Seconds, std::uint32_t>>& staged) {
+  staged.clear();
+  bool sorted = true;
+  bool strictly = true;
+  for (const std::uint32_t k : bucket) {
+    const Seconds start = start_of[k];
+    if (!staged.empty()) {
+      if (start < staged.back().first) sorted = strictly = false;
+      if (!(staged.back().first < start)) strictly = false;
+    }
+    staged.emplace_back(start, k);
+  }
+  // Skip the sort when it provably cannot move anything: any comparison
+  // sort is the identity on strictly sorted input, and libstdc++'s
+  // std::sort uses pure insertion sort below its 16-element threshold,
+  // which never reorders a sorted-with-ties sequence.
+  if (strictly || (sorted && staged.size() <= 16)) return;
+  std::sort(staged.begin(), staged.end(),
+            [](const std::pair<Seconds, std::uint32_t>& a,
+               const std::pair<Seconds, std::uint32_t>& c) {
+              return a.first < c.first;
+            });
+  auto out = bucket.begin();
+  for (const auto& [start, index] : staged) *out++ = index;
+}
+
 }  // namespace
 
 GatewayRadio::GatewayRadio(GatewayProfile profile, NetworkId network,
@@ -63,20 +107,13 @@ void GatewayRadio::configure_channels(std::vector<Channel> channels) {
         "GatewayRadio: channel span exceeds radio bandwidth (B_j violated)");
   }
   channels_ = std::move(channels);
-  scratch_.chain_memo.clear();
 }
 
 void GatewayRadio::set_capture_policy(const CapturePolicy* policy) {
   capture_policy_ = policy;
 }
 
-int GatewayRadio::chain_for(const Channel& packet_channel) {
-  for (const auto& memo : scratch_.chain_memo) {
-    if (memo.center == packet_channel.center &&
-        memo.bandwidth == packet_channel.bandwidth) {
-      return memo.chain;
-    }
-  }
+int GatewayRadio::chain_for(const Channel& packet_channel) const {
   int index = -1;
   double best = 0.0;
   for (std::size_t c = 0; c < channels_.size(); ++c) {
@@ -86,8 +123,6 @@ int GatewayRadio::chain_for(const Channel& packet_channel) {
       index = static_cast<int>(c);
     }
   }
-  scratch_.chain_memo.push_back(RxScratch::ChainMemo{
-      packet_channel.center, packet_channel.bandwidth, index});
   return index;
 }
 
@@ -156,22 +191,23 @@ void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
 // lock-on instant and holds it to its end; a decoder frees at the instant
 // its packet ends. With every decoder held the packet is dropped at once
 // (the radio cannot re-synchronize mid-packet), flagged as inter-network
-// contention when any holder belongs to another network.
+// contention when any holder belongs to another network. A packet that
+// finds no free decoder loses its chain_of entry, so afterwards chain_of
+// marks exactly the packets that hold a decoder.
 void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
                                   bool already_sorted) {
   auto& sc = scratch_;
-  if (!already_sorted) {
+  const bool merged = !already_sorted && merge_dispatch_order();
+  if (!already_sorted && !merged) {
     std::sort(sc.queue.begin(), sc.queue.end(),
               [](const RxScratch::Queued& a, const RxScratch::Queued& b) {
-                if (a.lock_on != b.lock_on) return a.lock_on < b.lock_on;
-                return a.packet < b.packet;
+                return dispatched_before(a, b);
               });
   }
   const auto decoders = static_cast<std::size_t>(profile_.decoders);
   sc.held.clear();
-  sc.decoding.clear();
-  sc.decoding.reserve(sc.queue.size());
-  for (const auto& entry : sc.queue) {
+  for (std::size_t q = 0; q < sc.queue.size(); ++q) {
+    const auto& entry = sc.queue[merged ? sc.order[q] : q];
     std::erase_if(sc.held, [&](const RxScratch::Holder& h) {
       return h.end <= entry.lock_on;
     });
@@ -183,11 +219,75 @@ void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
                       [&](const RxScratch::Holder& h) {
                         return h.network != entry.network;
                       });
+      sc.chain_of[entry.event] = -1;
       continue;
     }
     sc.held.push_back(RxScratch::Holder{entry.end, entry.network});
-    sc.decoding.push_back(entry.event);
   }
+}
+
+// The queue is filled in event order. Events of one (SF, bandwidth) class
+// share one preamble duration, so where starts ascend each class's run of
+// the queue is already in (lock_on, packet) order, and merging the runs
+// yields the sorted order without sorting. The merge equals std::sort's
+// result only when that order is unique, so this returns false (the caller
+// sorts) when a run is out of order or a key repeats. The classes only
+// make sorted runs likely; exactness rests on those two checks alone, so
+// a bandwidth other than 250 or 500 kHz may share the 125 kHz class (phase
+// 1's noise floor aborts on one before it is queued anyway). The merge
+// moves queue indices, not the 40-byte entries: `order` receives the
+// result and `pos_sf` holds each run's links, both free until phase 3
+// rebuilds them.
+bool GatewayRadio::merge_dispatch_order() {
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  constexpr int kClasses = 3 * kNumSpreadingFactors;
+  auto& sc = scratch_;
+  const auto n = static_cast<std::uint32_t>(sc.queue.size());
+  auto& next = sc.pos_sf;
+  next.resize(n);
+  std::uint32_t head[kClasses];
+  std::uint32_t tail[kClasses] = {};
+  std::fill(std::begin(head), std::end(head), kNone);
+  for (std::uint32_t q = 0; q < n; ++q) {
+    const auto& entry = sc.queue[q];
+    const Hz bandwidth = sc.channel_of[entry.event].bandwidth;
+    const int bw = bandwidth == kLoRaBandwidth250k   ? 1
+                   : bandwidth == kLoRaBandwidth500k ? 2
+                                                     : 0;
+    const int cls = sf_index(sc.sf_of[entry.event]) * 3 + bw;
+    if (head[cls] == kNone) {
+      head[cls] = q;
+    } else {
+      if (!dispatched_before(sc.queue[tail[cls]], entry)) return false;
+      next[tail[cls]] = q;
+    }
+    tail[cls] = q;
+  }
+  // The live run heads, compacted: an exhausted run takes the last slot's.
+  std::uint32_t heads[kClasses] = {};
+  int live = 0;
+  for (int c = 0; c < kClasses; ++c) {
+    if (head[c] == kNone) continue;
+    next[tail[c]] = kNone;
+    heads[live++] = head[c];
+  }
+  sc.order.resize(n);
+  for (std::uint32_t out = 0; out < n; ++out) {
+    int best = 0;
+    for (int h = 1; h < live; ++h) {
+      const auto& candidate = sc.queue[heads[h]];
+      const auto& current = sc.queue[heads[best]];
+      if (dispatched_before(candidate, current)) {
+        best = h;
+      } else if (!dispatched_before(current, candidate)) {
+        return false;  // a repeated key: only the sort's order is exact
+      }
+    }
+    sc.order[out] = heads[best];
+    heads[best] = next[heads[best]];
+    if (heads[best] == kNone) heads[best] = heads[--live];
+  }
+  return true;
 }
 
 // Phase 3a: group events into coarse frequency buckets (interference
@@ -200,7 +300,7 @@ void GatewayRadio::dispatch_queue(std::vector<RxOutcome>& outcomes,
 // sequence the map-based code fed to the identical start-time sort, so
 // the per-bucket permutation (and thus every floating-point accumulation
 // order downstream) is unchanged.
-void GatewayRadio::build_bucket_index(std::size_t count) {
+void GatewayRadio::build_bucket_index(std::size_t count, bool starts_strict) {
   auto& sc = scratch_;
   sc.order.resize(count);
   sc.buckets.clear();
@@ -270,43 +370,18 @@ void GatewayRadio::build_bucket_index(std::size_t count) {
   for (auto& b : sc.buckets) {
     const auto begin = sc.order.begin() + b.begin;
     const auto end = sc.order.begin() + b.end;
-    // Sort each bucket's group by start time — through a contiguous
-    // (start, index) staging array, because comparing via the wide event
-    // records costs a scattered load per comparison. A start-only
-    // comparator sees exactly the comparison outcomes the index comparator
-    // would, so the resulting index permutation is identical to sorting
-    // the indices directly (bit-identity of every downstream accumulation
-    // order).
-    auto& staged = sc.start_idx;
-    staged.clear();
-    bool sorted = true;
-    bool strictly = true;
-    for (auto it = begin; it != end; ++it) {
-      const Seconds start = sc.start_of[*it];
-      if (!staged.empty()) {
-        if (start < staged.back().first) sorted = strictly = false;
-        if (!(staged.back().first < start)) strictly = false;
-      }
-      staged.emplace_back(start, *it);
-    }
-    // Skip the sort when it provably cannot move anything: any comparison
-    // sort is the identity on strictly sorted input, and libstdc++'s
-    // std::sort uses pure insertion sort below its 16-element threshold,
-    // which never reorders a sorted-with-ties sequence.
-    const bool identity =
-        strictly || (sorted && staged.size() <= 16);
-    if (!identity) {
-      std::sort(staged.begin(), staged.end(),
-                [](const std::pair<Seconds, std::uint32_t>& a,
-                   const std::pair<Seconds, std::uint32_t>& c) {
-                  return a.first < c.first;
-                });
-      auto out = begin;
-      for (const auto& [start, index] : staged) *out++ = index;
+    // Where the view's starts strictly increase, each bucket's ascending
+    // indices are already strictly start-sorted: the sort below would be
+    // the identity, so skip its staging too.
+    if (!starts_strict) {
+      sort_bucket_by_start(std::span(begin, end), sc.start_of.data(),
+                           sc.start_idx);
     }
     Seconds longest{0.0};
     b.channel = sc.channel_of[*begin];
+    b.network = sc.net_of[*begin];
     b.uniform = true;
+    b.one_network = true;
     for (auto it = begin; it != end; ++it) {
       longest = std::max(longest, sc.end_of[*it] - sc.start_of[*it]);
       const Channel& ch = sc.channel_of[*it];
@@ -314,6 +389,7 @@ void GatewayRadio::build_bucket_index(std::size_t count) {
           !(ch.bandwidth == b.channel.bandwidth)) {
         b.uniform = false;
       }
+      if (sc.net_of[*it] != b.network) b.one_network = false;
     }
     b.max_duration = longest;
   }
@@ -459,10 +535,12 @@ void GatewayRadio::process_into(const RxEventView& view,
   // pair* in the interferer scan. As the dispatch queue fills, a running
   // strict-order check records whether the dispatch sort can be skipped
   // (ascending tx order usually already is lock-on ordered within a chain
-  // mix).
+  // mix), and another whether the starts ascend, which fixes phase 3's
+  // visit order and bucket order without sorting.
   sc.queue.clear();
   sc.queue.reserve(view.count);
   sc.chain_of.assign(view.count, -1);
+  sc.chain_of_channel.assign(tbl.channels.size(), kChainUnknown);
   sc.end_of.resize(view.count);
   sc.lin_power.resize(view.count);
   sc.start_of.resize(view.count);
@@ -471,10 +549,16 @@ void GatewayRadio::process_into(const RxEventView& view,
   sc.sf_of.resize(view.count);
   sc.net_of.resize(view.count);
   bool queue_sorted = true;
+  bool starts_ascend = true;  // never decrease in event order
+  bool starts_strict = true;  // strictly increase in event order
   for (std::size_t k = 0; k < view.count; ++k) {
     const std::uint32_t t = view.tx_index[k];
     const Dbm rx_power = view.rx_power[k];
     auto& out = outcomes[k];
+    if (k != 0) {
+      if (tbl.start[t] < sc.start_of[k - 1]) starts_ascend = false;
+      if (!(sc.start_of[k - 1] < tbl.start[t])) starts_strict = false;
+    }
     sc.end_of[k] = tbl.end[t];
     sc.lin_power[k] = dbm_to_lin(rx_power);
     sc.start_of[k] = tbl.start[t];
@@ -485,18 +569,19 @@ void GatewayRadio::process_into(const RxEventView& view,
     out.packet = tbl.packet[t];
     out.node = tbl.node[t];
     out.network = tbl.net[t];
-    const int chain = chain_for(tbl.channel[t]);
+    int& chain = sc.chain_of_channel[tbl.channel_id[t]];
+    if (chain == kChainUnknown) chain = chain_for(tbl.channel[t]);
     if (chain < 0) {
       out.disposition = RxDisposition::kRejectedFrontEnd;
       continue;
     }
-    sc.chain_of[k] = chain;
     out.chain_channel = chain;
     out.snr = packet_snr(rx_power, tbl.channel[t].bandwidth);
     if (out.snr < demod_snr_threshold(tbl.sf[t]) + kDetectionMargin) {
       out.disposition = RxDisposition::kNotDetected;
       continue;
     }
+    sc.chain_of[k] = chain;
     if (!sc.queue.empty()) {
       const auto& prev = sc.queue.back();
       const bool strictly_before =
@@ -519,7 +604,7 @@ void GatewayRadio::process_into(const RxEventView& view,
   // uniform buckets take the SF-grouped kernel, partially overlapping
   // uniform buckets the hoisted-coupling kernel, mixed-channel buckets the
   // per-pair reference kernel.
-  build_bucket_index(view.count);
+  build_bucket_index(view.count, starts_strict);
   build_sf_groups_and_memos(view.count);
 
   const RxScanSoA soa{sc.start_of.data(), sc.end_of.data(),
@@ -531,15 +616,21 @@ void GatewayRadio::process_into(const RxEventView& view,
   // Visit decoded events in ascending start order (ties by event index):
   // outcomes are per-event independent, so any visit order gives identical
   // results, and a monotone order lets the kernels' window-start cursors
-  // replace per-event lower_bounds. sc.decoding arrives in dispatch
-  // (lock-on) order and is not read again afterwards, so sort in place.
-  std::sort(sc.decoding.begin(), sc.decoding.end(),
-            [&sc](std::size_t a, std::size_t b) {
-              if (sc.start_of[a] != sc.start_of[b]) {
-                return sc.start_of[a] < sc.start_of[b];
-              }
-              return a < b;
-            });
+  // replace per-event lower_bounds. Where the starts never decrease, that
+  // order is the event order.
+  sc.decoding.clear();
+  for (std::size_t k = 0; k < view.count; ++k) {
+    if (sc.chain_of[k] >= 0) sc.decoding.push_back(k);
+  }
+  if (!starts_ascend) {
+    std::sort(sc.decoding.begin(), sc.decoding.end(),
+              [&sc](std::size_t a, std::size_t b) {
+                if (sc.start_of[a] != sc.start_of[b]) {
+                  return sc.start_of[a] < sc.start_of[b];
+                }
+                return a < b;
+              });
+  }
   for (const std::size_t i : sc.decoding) {
     auto& out = outcomes[i];
     const auto chain = static_cast<std::size_t>(sc.chain_of[i]);
@@ -564,6 +655,13 @@ void GatewayRadio::process_into(const RxEventView& view,
         [](const RxScratch::Bucket& b, std::int64_t id) { return b.id < id; });
     for (; bucket_it != sc.buckets.end() && bucket_it->id <= center_bucket + 1;
          ++bucket_it) {
+      // Once a collision is established the sums are dead, and a
+      // one-network bucket's colliders can only rewrite the attribution
+      // with the value it already has: nothing left to learn there.
+      if (acc.collided && bucket_it->one_network &&
+          (bucket_it->network != se.net) == acc.foreign_fatal) {
+        continue;
+      }
       const auto bpos =
           static_cast<std::size_t>(bucket_it - sc.buckets.begin());
       if (bucket_it->uniform) {
@@ -575,7 +673,7 @@ void GatewayRadio::process_into(const RxEventView& view,
               sc.sf_groups.data() + bucket_it->groups_begin,
               sc.sf_groups.data() + bucket_it->groups_end,
               sc.group_cursor.data() + bucket_it->groups_begin,
-              bucket_it->max_duration, se, acc);
+              bucket_it->max_duration, bucket_it->one_network, se, acc);
         } else {
           scan_bucket_misaligned_uniform(soa, order + bucket_it->begin,
                                          order + bucket_it->end,

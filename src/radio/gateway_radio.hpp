@@ -92,7 +92,12 @@ class GatewayRadio {
     };
     std::vector<Queued> queue;
     std::vector<Holder> held;
-    std::vector<int> chain_of;          // event -> rx chain (-1 = rejected)
+    // event -> rx chain of a packet holding a decoder (-1 otherwise, once
+    // FCFS dispatch has run).
+    std::vector<int> chain_of;
+    // chain_for per window channel (WindowTxTable::channels), filled on
+    // first use in a window; -2 until then.
+    std::vector<int> chain_of_channel;
     std::vector<Seconds> end_of;        // cached tx.end() per event
     std::vector<double> lin_power;      // cached dBm->linear rx power
     std::vector<std::size_t> decoding;  // event indices holding a decoder
@@ -114,6 +119,11 @@ class GatewayRadio {
       // and zero overlap skips its entire scan range.
       bool uniform = true;
       Channel channel{};
+      // When every event in the bucket belongs to one network, each of its
+      // colliders gives one attribution (network != the decoded event's),
+      // so its first collider settles it.
+      bool one_network = true;
+      NetworkId network = 0;
       // [groups_begin, groups_end) into sf_groups for a uniform bucket's
       // stable SF grouping (empty for mixed buckets).
       std::uint32_t groups_begin = 0;
@@ -122,18 +132,12 @@ class GatewayRadio {
     std::vector<std::int64_t> bucket_id;     // per-event coarse bucket
     std::vector<std::uint32_t> bucket_count; // counting-sort workspace
     std::vector<std::pair<std::int64_t, std::uint32_t>> keyed;
-    std::vector<std::uint32_t> order;  // event indices grouped by bucket
+    // Event indices grouped by bucket. Before phase 3 builds it, FCFS
+    // dispatch borrows it for the merged dispatch order (queue indices).
+    std::vector<std::uint32_t> order;
     // Per-bucket (start, index) staging for the start-time sort.
     std::vector<std::pair<Seconds, std::uint32_t>> start_idx;
     std::vector<Bucket> buckets;       // sorted by bucket id
-    struct ChainMemo {
-      Hz center{};
-      Hz bandwidth{};
-      int chain = -1;
-    };
-    // chain_for result per distinct packet channel; valid until the
-    // channel set changes (cleared by configure_channels).
-    std::vector<ChainMemo> chain_memo;
     // One collision drop's co-channel time-overlappers, gathered for the
     // capture policy.
     std::vector<CaptureEvent> overlappers;
@@ -141,7 +145,8 @@ class GatewayRadio {
     // stably regrouped by SF (order_sf, with pos_sf the bucket rank of each
     // entry), the flat SF-group ranges, and the per-(bucket, chain)
     // overlap/coupling memo — values the reference kernel recomputes
-    // identically per decoded event.
+    // identically per decoded event. Before that, FCFS dispatch borrows
+    // pos_sf for the links of its per-class runs.
     std::vector<std::uint32_t> order_sf;
     std::vector<std::uint32_t> pos_sf;
     std::vector<SfGroup> sf_groups;
@@ -159,17 +164,22 @@ class GatewayRadio {
 
   // The chain whose filter best overlaps a packet channel (ties go to the
   // lower index), or -1 when every chain's filter truncates it (front-end
-  // rejection, the Strategy-8 isolation path). Memoized per channel.
-  [[nodiscard]] int chain_for(const Channel& packet_channel);
+  // rejection, the Strategy-8 isolation path).
+  [[nodiscard]] int chain_for(const Channel& packet_channel) const;
 
   // Phase 2: FCFS dispatch of the filled queue into the profile's
-  // decoders. `already_sorted` skips the (lock_on, packet) sort when the
-  // caller proved the queue strictly ascending — any comparison sort is
-  // the identity there, so skipping cannot change the dispatch order.
+  // decoders. `already_sorted` skips the (lock_on, packet) ordering when
+  // the caller proved the queue strictly ascending — any comparison sort
+  // is the identity there, so skipping cannot change the dispatch order.
   void dispatch_queue(std::vector<RxOutcome>& outcomes, bool already_sorted);
+  // Fills `order` with the queue's (lock_on, packet) order by merging its
+  // per-(SF, bandwidth) runs; false when that cannot be exact (the caller
+  // sorts instead).
+  [[nodiscard]] bool merge_dispatch_order();
   // Phase 3a: coarse frequency bucketing + per-bucket start-time sort over
-  // the phase-1 scratch columns.
-  void build_bucket_index(std::size_t count);
+  // the phase-1 scratch columns. `starts_strict` (the view's starts
+  // strictly increase) proves every bucket already start-sorted.
+  void build_bucket_index(std::size_t count, bool starts_strict);
   // Phase-3 prep: stable SF grouping of every uniform bucket and the
   // per-(bucket, chain) overlap/coupling memos.
   void build_sf_groups_and_memos(std::size_t count);

@@ -106,11 +106,24 @@ inline World build_world(const CaseParams& p) {
 // build_world (random_case draws are shared), built over spectrum_4m8 with
 // operators on different channel plans — network n % 3 == 0 on standard
 // plan 0, 1 on plan 0 shifted by 75 kHz (Strategy 8), 2 on six channels of
-// plan 1 plus a 250 kHz chain. Each node picks its own plan's channels
-// (the first plan_channels of them) half the time, else any grid channel
-// (a third of the grid is monitored by no gateway), a 75 kHz-shifted grid
-// channel, a 250 kHz channel on a grid center, or a 500 kHz channel
-// between two grid centers (covering both); tx powers mix 2-20 dBm.
+// plan 1 plus a 250 kHz chain. A node picks its own plan's channels (the
+// first plan_channels of them), any grid channel (a third of the grid is
+// monitored by no gateway), a 75 kHz-shifted grid channel, a 250 kHz
+// channel on a grid center, a 500 kHz channel between two grid centers
+// (covering both), or a channel at the outer edges of one network's plan,
+// drawn once per world:
+//   * a 500 kHz channel centered on the upper edge chain (detected there),
+//     and a 125 kHz channel just past that chain, inside the 500 kHz band
+//     but clear of every chain of the plan, in the next frequency bucket
+//     up: what a capture policy hears beside a wide packet;
+//   * the lower edge chain, and a 125 kHz channel 20 kHz into it from
+//     below, in the next bucket down, sent at 20 dBm from beside one of
+//     the plan's gateways: a partial overlapper that only couples energy,
+//     loud enough to sink a packet on the chain.
+// Besides its random nodes, the edge network gets eight nodes on these
+// channels (the wide packets at one slow data rate, their neighbour at a
+// faster one), so every world holds both arrangements. Tx powers
+// otherwise mix 2-20 dBm.
 inline World build_mixed_world(const CaseParams& p) {
   World world;
   world.deployment = std::make_unique<Deployment>(
@@ -121,11 +134,12 @@ inline World build_mixed_world(const CaseParams& p) {
   profile.decoders = p.decoders;
   const Rng root(p.seed);
   PacketIdSource ids;
+  const auto gateway_pos = [&](int n, int g) {
+    return Point{Meters{300.0 + 400.0 * g / std::max(1, p.gateways_per_net - 1)},
+                 Meters{400.0 + 120.0 * n}};
+  };
+  std::vector<std::vector<Channel>> plans;
   for (int n = 0; n < p.networks; ++n) {
-    auto& network =
-        world.deployment->add_network("net-" + std::to_string(n));
-    Rng net_rng =
-        root.substream("mixed-net").substream(static_cast<std::uint64_t>(n));
     std::vector<Channel> plan = standard_plan(spectrum, n % 3 == 2 ? 1 : 0).channels;
     if (n % 3 == 1) {
       for (Channel& ch : plan) ch.center += kShift;
@@ -133,20 +147,52 @@ inline World build_mixed_world(const CaseParams& p) {
       plan.resize(6);
       plan.push_back(Channel{spectrum.grid_center(15), kLoRaBandwidth250k});
     }
+    plans.push_back(std::move(plan));
+  }
+  Rng edge_rng = root.substream("mixed-edge");
+  const int edge_net = static_cast<int>(edge_rng.uniform_int(0, p.networks - 1));
+  const std::vector<Channel>& edge_plan = plans[static_cast<std::size_t>(edge_net)];
+  const auto wide_dr = static_cast<DataRate>(edge_rng.uniform_int(0, 2));
+  const auto beside_dr = static_cast<DataRate>(edge_rng.uniform_int(3, 5));
+  // A 125 kHz channel's offset from an edge chain's center when the two
+  // are edge to edge.
+  const auto clear = [](const Channel& chain) {
+    return chain.bandwidth / 2 + kLoRaBandwidth125k / 2;
+  };
+  const Channel lower = edge_plan.front();
+  const Channel upper = edge_plan.back();
+  const Channel wide{upper.center, kLoRaBandwidth500k};
+  const Channel beside{upper.center + clear(upper) + Hz{2.5e3}, kLoRaBandwidth125k};
+  const Channel partial{lower.center - clear(lower) + Hz{20e3}, kLoRaBandwidth125k};
+  int loud_next = 0;  // the loud partial overlappers go round the gateways
+  for (int n = 0; n < p.networks; ++n) {
+    auto& network =
+        world.deployment->add_network("net-" + std::to_string(n));
+    Rng net_rng =
+        root.substream("mixed-net").substream(static_cast<std::uint64_t>(n));
+    const std::vector<Channel>& plan = plans[static_cast<std::size_t>(n)];
     for (int g = 0; g < p.gateways_per_net; ++g) {
-      const Point pos{
-          Meters{300.0 + 400.0 * g / std::max(1, p.gateways_per_net - 1)},
-          Meters{400.0 + 120.0 * n}};
-      auto& gw = network.add_gateway(world.deployment->next_gateway_id(), pos,
-                                     profile);
+      auto& gw = network.add_gateway(world.deployment->next_gateway_id(),
+                                     gateway_pos(n, g), profile);
       gw.apply_channels(GatewayChannelConfig{plan});
     }
     auto& placed = world.nodes_by_network.emplace_back();
     const int grid = spectrum.grid_size();
-    for (int i = 0; i < p.nodes_per_net; ++i) {
+    // The edge network gets the fixed arrangement first: two wide packets
+    // and one beside them, two packets on the lower edge chain and three
+    // loud overlappers.
+    constexpr int kConstruct[] = {5, 5, 6, 4, 4, 7, 7, 7};
+    const int constructs = n == edge_net ? static_cast<int>(std::size(kConstruct)) : 0;
+    for (int i = 0; i < constructs + p.nodes_per_net; ++i) {
       const int slot = static_cast<int>(net_rng.uniform_int(0, grid - 2));
       NodeRadioConfig cfg;
-      switch (net_rng.uniform_int(0, 7)) {
+      cfg.dr = static_cast<DataRate>(net_rng.uniform_int(0, 5));
+      cfg.tx_power = Dbm{2.0 + 6.0 * static_cast<double>(net_rng.uniform_int(0, 3))};
+      Point pos{Meters{net_rng.uniform(250.0, 750.0)},
+                Meters{net_rng.uniform(250.0, 750.0)}};
+      const auto family =
+          i < constructs ? kConstruct[i] : net_rng.uniform_int(0, 9);
+      switch (family) {
         case 0:
           cfg.channel = spectrum.grid_channel(slot);
           break;
@@ -161,14 +207,29 @@ inline World build_mixed_world(const CaseParams& p) {
           cfg.channel = Channel{spectrum.grid_center(slot) + kChannelSpacing / 2,
                                 kLoRaBandwidth500k};
           break;
+        case 4:
+          cfg.channel = lower;
+          break;
+        case 5:
+          cfg.channel = wide;
+          cfg.dr = wide_dr;
+          break;
+        case 6:
+          cfg.channel = beside;
+          cfg.dr = beside_dr;
+          break;
+        case 7: {
+          cfg.channel = partial;
+          cfg.tx_power = Dbm{20.0};
+          const Point gw = gateway_pos(edge_net, loud_next++ % p.gateways_per_net);
+          pos = Point{gw.x + Meters{net_rng.uniform(-20.0, 20.0)},
+                      gw.y + Meters{net_rng.uniform(-20.0, 20.0)}};
+          break;
+        }
         default:
           cfg.channel = plan[static_cast<std::size_t>(net_rng.uniform_int(
               0, std::min<int>(p.plan_channels, static_cast<int>(plan.size())) - 1))];
       }
-      cfg.dr = static_cast<DataRate>(net_rng.uniform_int(0, 5));
-      cfg.tx_power = Dbm{2.0 + 6.0 * static_cast<double>(net_rng.uniform_int(0, 3))};
-      const Point pos{Meters{net_rng.uniform(250.0, 750.0)},
-                      Meters{net_rng.uniform(250.0, 750.0)}};
       placed.push_back(&network.add_node(world.deployment->next_node_id(),
                                          pos, cfg));
     }

@@ -371,28 +371,127 @@ void expect_equivalent(const ScanAccum& scalar, const ScanAccum& batched,
   }
 }
 
+// Whether every event of the bucket belongs to one network — the flag
+// GatewayRadio's bucket index hands the aligned kernel.
+bool one_network(const SyntheticBucket& b) {
+  return std::all_of(b.net.begin(), b.net.end(),
+                     [&](NetworkId n) { return n == b.net.front(); });
+}
+
+// Runs every decoded event of `b` through the scalar and the aligned
+// kernel, each starting from `carried` (the state earlier buckets left),
+// and returns how many collided.
+int check_aligned_against_scalar(const SyntheticBucket& b, const Channel& ch,
+                                 const ScanAccum& carried,
+                                 NetworkId event_net_offset = 0) {
+  const bool single = one_network(b);
+  std::vector<std::uint32_t> cursors;
+  for (const auto& g : b.groups) cursors.push_back(g.begin);
+  int collided = 0;
+  for (const std::uint32_t i : decoded_ascending(b)) {
+    ScanEvent ev = event_of(b, i, ch);
+    ev.net += event_net_offset;
+    ScanAccum scalar = carried;
+    scan_bucket_scalar(b.soa(), b.order.data(),
+                       b.order.data() + b.order.size(), /*uniform=*/true,
+                       /*rho_uniform=*/1.0, b.lookback, ev, scalar);
+    ScanAccum batched = carried;
+    scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
+                                b.groups.data(),
+                                b.groups.data() + b.groups.size(),
+                                cursors.data(), b.lookback, single, ev,
+                                batched);
+    expect_equivalent(scalar, batched, i);
+    collided += scalar.collided ? 1 : 0;
+  }
+  return collided;
+}
+
 TEST(ScanBucketAligned, MatchesScalarOnRandomBuckets) {
   Rng rng(0xA11C0DEULL);
   const Channel ch = kSpec.grid_channel(0);
   for (int trial = 0; trial < 50; ++trial) {
     const auto count = static_cast<std::size_t>(rng.uniform_int(1, 80));
-    SyntheticBucket b = make_bucket(rng, count, ch);
-    std::vector<std::uint32_t> cursors;
-    for (const auto& g : b.groups) cursors.push_back(g.begin);
-    for (const std::uint32_t i : decoded_ascending(b)) {
-      const ScanEvent ev = event_of(b, i, ch);
-      ScanAccum scalar;
-      scan_bucket_scalar(b.soa(), b.order.data(),
-                         b.order.data() + b.order.size(), /*uniform=*/true,
-                         /*rho_uniform=*/1.0, b.lookback, ev, scalar);
-      ScanAccum batched;
-      scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
-                                  b.groups.data(),
-                                  b.groups.data() + b.groups.size(),
-                                  cursors.data(), b.lookback, ev, batched);
-      expect_equivalent(scalar, batched, i);
+    check_aligned_against_scalar(make_bucket(rng, count, ch), ch, ScanAccum{});
+  }
+}
+
+// The first-collider exit: on one-network buckets — the decoded event's
+// own network or another one — it must give the scalar's verdict and
+// attribution, also when an earlier bucket already established a
+// collision of either attribution; on mixed-network buckets the kernel
+// keeps the full scan.
+TEST(ScanBucketAligned, FirstColliderExitMatchesScalar) {
+  Rng rng(0xF1257C01ULL);
+  const Channel ch = kSpec.grid_channel(1);
+  ScanAccum carried_own;
+  carried_own.collided = true;
+  ScanAccum carried_foreign = carried_own;
+  carried_foreign.foreign_fatal = true;
+  int collided_single = 0;
+  int collided_mixed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(2, 80));
+    SyntheticBucket single = make_bucket(rng, count, ch);
+    std::fill(single.net.begin(), single.net.end(),
+              static_cast<NetworkId>(rng.uniform_int(0, 2)));
+    SyntheticBucket mixed = make_bucket(rng, count, ch);
+    mixed.net.front() = 0;
+    mixed.net.back() = 1;
+    ASSERT_FALSE(one_network(mixed));
+    for (const ScanAccum& carried :
+         {ScanAccum{}, carried_own, carried_foreign}) {
+      collided_single += check_aligned_against_scalar(single, ch, carried);
+      collided_single += check_aligned_against_scalar(single, ch, carried,
+                                                      /*event_net_offset=*/1);
+      collided_mixed += check_aligned_against_scalar(mixed, ch, carried);
     }
   }
+  EXPECT_GT(collided_single, 0);
+  EXPECT_GT(collided_mixed, 0);
+}
+
+// A mixed-network bucket whose first collider is the decoded event's own
+// network and whose last is foreign: the attribution stays foreign (the
+// scalar overwrite chain ends at the last collider).
+TEST(ScanBucketAligned, LastForeignColliderOutranksFirstOwnOne) {
+  const Channel ch = kSpec.grid_channel(2);
+  SyntheticBucket b;
+  // Event 0 is decoded; events 1 (own) and 2 (foreign) both overlap it and
+  // are 10 dB louder at its SF, so both collide; event 1 starts first.
+  const double starts[] = {0.10, 0.05, 0.12};
+  const NetworkId nets[] = {0, 0, 1};
+  const double powers[] = {-100.0, -90.0, -90.0};
+  for (int k = 0; k < 3; ++k) {
+    b.start.push_back(Seconds{starts[k]});
+    b.end.push_back(Seconds{starts[k] + 0.1});
+    b.power.push_back(Dbm{powers[k]});
+    b.lin_power.push_back(batch_detail::dbm_to_lin(Dbm{powers[k]}));
+    b.channel.push_back(ch);
+    b.sf.push_back(SpreadingFactor::kSF9);
+    b.net.push_back(nets[k]);
+  }
+  b.order = {1, 0, 2};  // start order
+  b.order_sf = b.order;
+  b.pos_sf = {0, 1, 2};
+  b.groups = {SfGroup{0, 3, SpreadingFactor::kSF9, Dbm{-90.0}}};
+  b.lookback = Seconds{0.1};
+  ASSERT_FALSE(one_network(b));
+  const ScanEvent ev = event_of(b, 0, ch);
+  ScanAccum scalar;
+  scan_bucket_scalar(b.soa(), b.order.data(), b.order.data() + 3,
+                     /*uniform=*/true, /*rho_uniform=*/1.0, b.lookback, ev,
+                     scalar);
+  std::vector<std::uint32_t> cursors = {0};
+  ScanAccum batched;
+  scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
+                              b.groups.data(), b.groups.data() + 1,
+                              cursors.data(), b.lookback, one_network(b), ev,
+                              batched);
+  EXPECT_TRUE(scalar.collided);
+  EXPECT_TRUE(scalar.foreign_fatal);
+  EXPECT_TRUE(batched.collided);
+  EXPECT_TRUE(batched.foreign_fatal);
 }
 
 TEST(ScanBucketAligned, SingleEventBucketSeesNoInterferer) {
@@ -404,7 +503,8 @@ TEST(ScanBucketAligned, SingleEventBucketSeesNoInterferer) {
   ScanAccum acc;
   scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
                               b.groups.data(), b.groups.data() + 1,
-                              cursors.data(), b.lookback, ev, acc);
+                              cursors.data(), b.lookback,
+                              /*one_network=*/false, ev, acc);
   EXPECT_FALSE(acc.collided);
   EXPECT_EQ(acc.aligned_same_sf_lin, 0.0);
   EXPECT_EQ(acc.misaligned_intf_lin, 0.0);
@@ -419,7 +519,7 @@ TEST(ScanBucketAligned, EmptyGroupSpanIsANoOp) {
   // groups_begin == groups_end: the mixed-bucket / empty-bucket shape.
   scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
                               b.groups.data(), b.groups.data(), nullptr,
-                              b.lookback, ev, acc);
+                              b.lookback, /*one_network=*/false, ev, acc);
   EXPECT_FALSE(acc.collided);
   EXPECT_EQ(acc.aligned_same_sf_lin, 0.0);
 }

@@ -331,6 +331,56 @@ TEST(GatewayRadio, MisalignedStrongInterfererActsAsNoiseNotCollision) {
   EXPECT_TRUE(outcomes[0].foreign_interferer);
 }
 
+// The fatal-interferer attribution is the last collider in scan order
+// (buckets by ascending id, each in start order), also where the bucket
+// index settles one-network buckets at their first collider and skips
+// those that cannot change the result. A 500 kHz chain is aligned with
+// 125 kHz packets in the buckets on either side of the wanted packet's.
+TEST(GatewayRadio, LastColliderInScanOrderDecidesTheAttribution) {
+  const Channel wide{Hz{917.3e6}, kLoRaBandwidth500k};
+  const Channel below{Hz{917.15e6}, kLoRaBandwidth125k};
+  const Channel above{Hz{917.45e6}, kLoRaBandwidth125k};
+  const auto bucket = [](const Channel& ch) {
+    return static_cast<std::int64_t>(ch.center / kChannelSpacing);
+  };
+  ASSERT_EQ(bucket(below) + 1, bucket(wide));
+  ASSERT_EQ(bucket(wide) + 1, bucket(above));
+  const auto tx_on = [](PacketId id, const Channel& ch, Seconds start,
+                        NetworkId network) {
+    Transmission tx = make_tx(id, 0, SpreadingFactor::kSF9, start, network);
+    tx.channel = ch;
+    return tx;
+  };
+  struct Case {
+    Channel first_channel;
+    NetworkId first_network;
+    Channel last_channel;
+    NetworkId last_network;
+    bool foreign;
+  };
+  const Case cases[] = {
+      // Across buckets: the upper bucket's collider is scanned last.
+      {below, 1, above, 0, false},
+      {below, 0, above, 1, true},
+      // One mixed bucket: the later-starting collider is scanned last.
+      {wide, 0, wide, 1, true},
+      {wide, 1, wide, 0, false},
+  };
+  for (const Case& c : cases) {
+    GatewayRadio radio(default_profile(), 0, sync_word_for_network(0));
+    radio.configure_channels({wide});
+    const auto outcomes = radio.process(
+        {RxEvent{tx_on(1, wide, Seconds{0.10}, 0), Dbm{-100.0}},
+         RxEvent{tx_on(2, c.first_channel, Seconds{0.05}, c.first_network),
+                 Dbm{-80.0}},
+         RxEvent{tx_on(3, c.last_channel, Seconds{0.12}, c.last_network),
+                 Dbm{-80.0}}});
+    ASSERT_EQ(outcomes[0].disposition, RxDisposition::kDroppedCollision);
+    EXPECT_EQ(outcomes[0].foreign_interferer, c.foreign)
+        << "first net " << c.first_network << ", last net " << c.last_network;
+  }
+}
+
 TEST(GatewayRadio, BucketedScanMatchesBruteForce) {
   // Property: the frequency-bucketed interferer scan must agree with a
   // brute-force reference on the *set of delivered packets* for random

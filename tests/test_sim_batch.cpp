@@ -6,8 +6,13 @@
 // window (every batched kernel invoked on an empty batch). The expected
 // dispositions and digests were recorded from the scalar reference
 // pipeline while it still existed (it agreed with the batched one on every
-// case). The property suite (tests/property/test_prop_kernels.cpp) covers
-// random worlds; these are the deliberate corners.
+// case). The sort-skipping cases (equal starts past the insertion-sort
+// threshold, events out of start order, a dispatch key tied across two
+// classes, a dispatch queue of all three bandwidths) were recorded by the
+// receive path before it merged the dispatch order and skipped sorts of
+// ordered starts. The property suite
+// (tests/property/test_prop_kernels.cpp) covers random worlds; these are
+// the deliberate corners.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -198,6 +203,112 @@ TEST(BatchPipeline, SixtyFiveCandidateWindow) {
                 "CCCCCBCCCCDBCCCDCCCCCCCCDCCBCCDCD"
                 "DCBCCCBCCCCCDCDCCCCCCCCCBBBDCCCC",
                 "50be90237b4a404a");
+}
+
+TEST(BatchPipeline, EqualStartsBeyondTheInsertionSortThreshold) {
+  // Twenty events of two networks share one start on one channel: the
+  // bucket's start sort meets ties in a run longer than libstdc++'s
+  // 16-element insertion-sort threshold, where it may reorder equal starts,
+  // and the fatal-interferer attribution follows that order. Strictly
+  // later events on the next channel share the window, so the starts never
+  // decrease but do not strictly increase.
+  Rng rng(0x16161616ULL);
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  PacketId id = 1;
+  for (int i = 0; i < 20; ++i) {
+    txs.push_back(make_tx(id++, kSpec.grid_channel(0), sf_from_index(i % 3),
+                          Seconds{0.01}, static_cast<NetworkId>(i % 2)));
+    powers.push_back(Dbm{rng.uniform(-120.0, -70.0)});
+  }
+  for (int i = 0; i < 6; ++i) {
+    txs.push_back(make_tx(id++, kSpec.grid_channel(1), sf_from_index(i % 2),
+                          Seconds{0.02 + 0.01 * i}));
+    powers.push_back(Dbm{rng.uniform(-120.0, -70.0)});
+  }
+  expect_pinned(txs, powers, "CCCCCCCCCCCCDCCCCCCCCCCBCD", "2dd94ce2dc732775");
+}
+
+TEST(BatchPipeline, EventsOutOfStartOrder) {
+  // Events arrive in no start order, as GatewayRadio::process allows: the
+  // FCFS dispatch, the per-bucket start sorts and the decode visit order
+  // all take their sorts. One transmission is heard twice, so a dispatch
+  // key repeats.
+  Rng rng(0x0DD0DDULL);
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  for (int i = 0; i < 40; ++i) {
+    txs.push_back(make_tx(static_cast<PacketId>(i + 1),
+                          kSpec.grid_channel(static_cast<int>(rng.uniform_int(0, 3))),
+                          sf_from_index(static_cast<int>(rng.uniform_int(0, 5))),
+                          Seconds{rng.uniform(0.0, 0.3)},
+                          static_cast<NetworkId>(rng.uniform_int(0, 1))));
+    powers.push_back(Dbm{rng.uniform(-125.0, -70.0)});
+  }
+  txs.push_back(txs[7]);
+  powers.push_back(powers[7]);
+  expect_pinned(txs, powers,
+                "CCCCCFCCCCCCCCCFCCCDCCCCFCFCCDCCCCCDCDCCC",
+                "765f0d04e54bae9c");
+}
+
+TEST(BatchPipeline, DispatchKeyTiedAcrossClasses) {
+  // One packet id heard as SF7 at 125 kHz and as SF8 at 250 kHz from one
+  // start: the two share a symbol time, so their dispatch keys tie, one in
+  // each class's run, and dispatch must fall back to the sort. Fifteen
+  // earlier packets take all but one decoder, so the dispatch order of
+  // the tied pair decides which of them decodes.
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  for (int i = 0; i < 15; ++i) {
+    txs.push_back(make_tx(static_cast<PacketId>(i + 1),
+                          kSpec.grid_channel(1 + i % 7), SpreadingFactor::kSF7,
+                          Seconds{0.0}));
+    powers.push_back(Dbm{-90.0});
+  }
+  Channel wide = kSpec.grid_channel(0);
+  wide.bandwidth = kLoRaBandwidth250k;
+  txs.push_back(make_tx(100, kSpec.grid_channel(0), SpreadingFactor::kSF7,
+                        Seconds{0.01}));
+  powers.push_back(Dbm{-90.0});
+  txs.push_back(make_tx(100, wide, SpreadingFactor::kSF8, Seconds{0.01}));
+  powers.push_back(Dbm{-90.0});
+  expect_pinned(txs, powers, "CCCCCCCCCCCCCCCDB", "fb49f6c2dcc62ccc");
+}
+
+TEST(BatchPipeline, QueueMixesAllThreeBandwidths) {
+  // Ascending starts over 125, 250 and 500 kHz packets of every SF: each
+  // (SF, bandwidth) class shares one preamble, so its run of the dispatch
+  // queue is in lock-on order while the runs interleave, and with 80
+  // packets on four chains the dispatch order decides who finds a free
+  // decoder.
+  Rng rng(0xB0B0B0ULL);
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  double start = 0.0;
+  for (int i = 0; i < 80; ++i) {
+    const int slot = static_cast<int>(rng.uniform_int(0, 3));
+    Channel ch = kSpec.grid_channel(slot);
+    switch (i % 3) {
+      case 1:
+        ch.bandwidth = kLoRaBandwidth250k;
+        break;
+      case 2:
+        ch = Channel{ch.center + kChannelSpacing / 2, kLoRaBandwidth500k};
+        break;
+      default:
+        break;
+    }
+    start += rng.uniform(0.0, 0.004);
+    txs.push_back(make_tx(static_cast<PacketId>(i + 1), ch,
+                          sf_from_index(static_cast<int>(rng.uniform_int(0, 5))),
+                          Seconds{start}));
+    powers.push_back(Dbm{rng.uniform(-125.0, -70.0)});
+  }
+  expect_pinned(txs, powers,
+                "CCCCCCDCCCCDCCCBBCCCCCCCBBDBCBCBCBCCDCBCBCDCCCC"
+                "NCBBCCDCBCBBBCCCCDCCCCBDCBCCBDDDB",
+                "8849994659975159");
 }
 
 // ---- runner-level pins ---------------------------------------------------

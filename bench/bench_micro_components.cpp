@@ -286,7 +286,8 @@ void BM_BatchCapture(benchmark::State& state) {
   std::vector<Seconds> start(kEvents);
   std::vector<Seconds> end(kEvents);
   std::vector<double> lin_power(kEvents);
-  std::vector<Channel> channel(kEvents, ch);
+  std::vector<std::uint32_t> channel(kEvents, 0);  // one window channel
+  const ChannelLink aligned{overlap_ratio(ch, ch), Db{-400.0}};
   std::vector<Dbm> power(kEvents);
   std::vector<SpreadingFactor> sf(kEvents);
   std::vector<NetworkId> net(kEvents);
@@ -332,7 +333,7 @@ void BM_BatchCapture(benchmark::State& state) {
   const auto begin = std::chrono::steady_clock::now();
   for (auto _ : state) {
     if (batched) {
-      // Per-window prep, as in build_sf_groups_and_memos: stable counting
+      // Per-window prep, as in build_sf_groups: stable counting
       // sort by SF with per-group max power, then cursor-driven scans.
       groups.clear();
       std::uint32_t counts[kNumSpreadingFactors] = {};
@@ -365,7 +366,7 @@ void BM_BatchCapture(benchmark::State& state) {
     }
     for (const std::uint32_t i : decoded) {
       const ScanEvent ev{i,     start[i], end[i], power[i],
-                         sf[i], net[i],   ch};
+                         sf[i], net[i],   &aligned};
       ScanAccum acc;
       if (batched) {
         scan_bucket_aligned_grouped(soa, order_sf.data(), pos_sf.data(),
@@ -374,8 +375,7 @@ void BM_BatchCapture(benchmark::State& state) {
                                     cursors.data(), lookback,
                                     /*one_network=*/false, ev, acc);
       } else {
-        scan_bucket_scalar(soa, order.data(), order.data() + kEvents,
-                           /*uniform=*/true, /*rho_uniform=*/1.0, lookback,
+        scan_bucket_scalar(soa, order.data(), order.data() + kEvents, lookback,
                            ev, acc);
       }
       sink += acc.collided ? 1 : 0;

@@ -40,7 +40,7 @@ void Gateway::receive_window(const RxEventView& view,
     rec.gateway = id_;
     rec.network = network_;
     rec.timestamp = tbl.end[t];
-    rec.channel = tbl.channel[t];
+    rec.channel = tbl.channels[tbl.channel_id[t]];
     rec.dr = sf_to_dr(tbl.sf[t]);
     rec.snr = out.snr;
     uplinks.push_back(rec);

@@ -1,40 +1,42 @@
 // Batched PHY receive kernels (the receive path of ScenarioRunner and
-// GatewayRadio::process_into) and the scalar reference kernels they are
+// GatewayRadio::process_into) and the reference scan they are
 // differentially tested against.
 //
-// The four hot loops of the receive pipeline — candidate link-gain /
-// sensitivity filtering, the co-SF / inter-SF SIR capture tests, the
-// partial-overlap interference scan, and the Box–Muller fading draws — are
-// each expressed twice: a scalar reference (a verbatim transcription of the
-// original per-event loop) and a batched form that restructures the *scan*
-// but never the *arithmetic*. Bit-exactness is by construction:
+// The hot loops of the receive pipeline — candidate link-gain /
+// sensitivity filtering, the Box–Muller fading draws, and the interferer
+// scan with its co-SF / inter-SF SIR capture tests — restructure the
+// *scan* but never the *arithmetic*. The interferer scan has two kernels:
+// the reference scan (scan_bucket_scalar, the original per-event loop) and
+// the SF-grouped scan of a uniform bucket aligned with the receiving chain
+// (scan_bucket_aligned_grouped). Bit-exactness is by construction:
 //
-//  * every floating-point expression a batched kernel evaluates for a live
-//    element is the same expression, on the same operands, in the same
-//    order, as the scalar loop (hoisted subexpressions are values the
-//    scalar loop recomputes identically each iteration — overlap couplings
-//    per uniform bucket, SIR thresholds per SF pair, the first SplitMix64
-//    round of each fading substream);
-//  * elements the batched form skips are exactly those whose scalar
-//    contribution is dead: interference sums are never read once a
-//    collision is established (the event is dropped before the SNR test),
-//    and range pruning uses the identical floating-point bound the scalar
-//    lower_bound evaluates, so the candidate sets match element for
-//    element;
+//  * every floating-point expression a kernel evaluates for a live element
+//    is the same expression, on the same operands, in the same order, as
+//    the original loop; hoisted subexpressions are values that loop
+//    recomputed identically each iteration — the overlap ratio and
+//    coupling of each (window channel, chain) pair, read from the
+//    per-window channel table (ChannelLink), SIR thresholds per SF pair,
+//    the first SplitMix64 round of each fading substream;
+//  * elements a kernel skips are exactly those whose contribution is dead:
+//    interference sums are never read once a collision is established
+//    (the event is dropped before the SNR test), and range pruning uses
+//    the identical floating-point bound the reference lower_bound
+//    evaluates, so the candidate sets match element for element;
 //  * order-sensitive outputs are preserved explicitly: same-SF linear power
-//    accumulates in the scalar subsequence order (the SF grouping is a
+//    accumulates in the reference subsequence order (the SF grouping is a
 //    stable sort), and the fatal-interferer attribution — last colliding
-//    element in scalar scan order — is recovered from the max stable-sort
-//    rank among colliders, or, in a bucket whose events all share one
-//    network, from its first collider (every collider there gives the same
-//    attribution).
+//    element in reference scan order — is recovered from the max
+//    stable-sort rank among colliders, or, in a bucket whose events all
+//    share one network, from its first collider (every collider there
+//    gives the same attribution).
 //
-// The kernel tests (tests/test_phy_batch_kernels.cpp) check scalar ==
-// batched bit-for-bit per kernel, and the pinned digests in
-// tests/property/test_prop_kernels.cpp (recorded when the scalar pipeline
-// was still the runner's reference) hold the whole path to it; the
-// equivalences above are what make that hold for every input, not just the
-// sampled ones.
+// The kernel tests (tests/test_phy_batch_kernels.cpp) check the grouped
+// kernel against the reference scan bit for bit, and the reference scan
+// against the per-pair overlap formulas; the pinned digests in
+// tests/property/test_prop_kernels.cpp and tests/test_sim_batch.cpp hold
+// the whole path to the per-event pipeline they were recorded from. The
+// equivalences above are what make that hold for every input, not just
+// the sampled ones.
 #pragma once
 
 #include <algorithm>
@@ -64,10 +66,20 @@ struct RxScanSoA {
   const Seconds* start = nullptr;
   const Seconds* end = nullptr;
   const double* lin_power = nullptr;  // dBm->linear received power
-  const Channel* channel = nullptr;
+  const std::uint32_t* channel = nullptr;  // window channel id
   const Dbm* power = nullptr;
   const SpreadingFactor* sf = nullptr;
   const NetworkId* net = nullptr;
+};
+
+// How one window channel meets one receive chain: the two values the
+// reference scan reads per interferer, computed once per window
+// (GatewayRadio's channel table) from the same pure functions it once
+// called per candidate pair.
+struct ChannelLink {
+  double rho = 0.0;     // overlap_ratio(window channel, chain channel)
+  Db coupling{-400.0};  // coupling_db(window channel, chain channel) where
+                        // 0 < rho < kDetectOverlapThreshold, else -400
 };
 
 // The event currently being decoded, hoisted out of its scratch columns.
@@ -78,7 +90,8 @@ struct ScanEvent {
   Dbm power{-400.0};
   SpreadingFactor sf = SpreadingFactor::kSF7;
   NetworkId net = 0;
-  Channel rx_channel{};  // the receiving chain's channel
+  // The receiving chain's links, indexed by window channel id.
+  const ChannelLink* toward = nullptr;
 };
 
 // Interference accumulated for one decoded event across all scanned
@@ -92,7 +105,6 @@ struct ScanAccum {
   bool collided = false;
   bool foreign_fatal = false;  // fatal interferer was foreign (last in scan
                                // order, matching the scalar overwrite chain)
-  Dbm strongest_same_sf{-400.0};
 };
 
 // One same-SF run of a bucket's stable SF grouping: [begin, end) into the
@@ -109,17 +121,19 @@ struct SfGroup {
   Dbm max_power{-400.0};
 };
 
-// Scalar reference scan of one frequency bucket — a verbatim transcription
-// of the original per-event phase-3 inner loop, run for buckets that don't
-// qualify for a fast kernel (mixed-channel buckets). `order_begin/order_end`
-// delimit the bucket's start-sorted event indices; `uniform`/`rho_uniform`
-// mirror the bucket's uniform-channel fast path; `lookback` is the bucket's
-// longest event duration.
+// Reference scan of one frequency bucket — the original per-event phase-3
+// inner loop, run for every bucket the aligned kernel does not take: mixed
+// buckets and uniform buckets that only partially overlap the receiving
+// chain. `order_begin/order_end` delimit the bucket's start-sorted event
+// indices; `lookback` is the bucket's longest event duration. Each
+// interferer's overlap and coupling are read from the receiving chain's
+// links by window channel id; effective_interference_from_coupling on
+// coupling_db(src, dst) is effective_interference_dbm(power, src, dst).
 inline void scan_bucket_scalar(const RxScanSoA& soa,
                                const std::uint32_t* order_begin,
-                               const std::uint32_t* order_end, bool uniform,
-                               double rho_uniform, Seconds lookback,
-                               const ScanEvent& ev, ScanAccum& acc) {
+                               const std::uint32_t* order_end,
+                               Seconds lookback, const ScanEvent& ev,
+                               ScanAccum& acc) {
   const std::uint32_t* first = std::lower_bound(
       order_begin, order_end, ev.start - lookback,
       [&](std::uint32_t idx, Seconds t) { return soa.start[idx] < t; });
@@ -129,31 +143,20 @@ inline void scan_bucket_scalar(const RxScanSoA& soa,
     if (j_start >= ev.end) break;
     if (j == ev.index) continue;
     if (!(ev.start < soa.end[j] && j_start < ev.end)) continue;
-    const double rho =
-        uniform ? rho_uniform : overlap_ratio(soa.channel[j], ev.rx_channel);
-    if (rho <= 0.0) continue;
+    const ChannelLink& link = ev.toward[soa.channel[j]];
+    if (link.rho <= 0.0) continue;
     const bool same_sf = soa.sf[j] == ev.sf;
-    if (rho >= kDetectOverlapThreshold) {
+    if (link.rho >= kDetectOverlapThreshold) {
       // Co-channel interferer: SF capture matrix applies.
-      if (same_sf) {
-        acc.aligned_same_sf_lin += soa.lin_power[j];
-        if (soa.power[j] > acc.strongest_same_sf) {
-          acc.strongest_same_sf = soa.power[j];
-          // Attribute a potential fatal collision to this interferer.
-        }
-        if (ev.power - soa.power[j] < capture_sir_threshold(ev.sf, soa.sf[j])) {
-          acc.collided = true;
-          acc.foreign_fatal = soa.net[j] != ev.net;
-        }
-      } else if (ev.power - soa.power[j] <
-                 capture_sir_threshold(ev.sf, soa.sf[j])) {
+      if (same_sf) acc.aligned_same_sf_lin += soa.lin_power[j];
+      if (ev.power - soa.power[j] < capture_sir_threshold(ev.sf, soa.sf[j])) {
         acc.collided = true;
         acc.foreign_fatal = soa.net[j] != ev.net;
       }
     } else {
       // Misaligned interferer: filter-truncated energy acts as noise.
       Dbm eff =
-          effective_interference_dbm(soa.power[j], soa.channel[j], ev.rx_channel);
+          effective_interference_from_coupling(soa.power[j], link.coupling);
       if (!same_sf) eff -= kCrossSfMisalignedRejection;
       if (eff > Dbm{-250.0}) acc.misaligned_intf_lin += batch_detail::dbm_to_lin(eff);
     }
@@ -255,46 +258,6 @@ inline void scan_bucket_aligned_grouped(const RxScanSoA& soa,
   if (found) {
     acc.collided = true;
     acc.foreign_fatal = soa.net[best_j] != ev.net;
-  }
-}
-
-// Batched scan of a uniform-channel bucket with partial overlap
-// (0 < rho < kDetectOverlapThreshold): every overlapper takes the
-// misaligned branch, whose channel coupling is constant across the bucket —
-// `coupling` must be coupling_db(bucket channel, chain channel), the value
-// the scalar loop recomputes identically per element inside
-// effective_interference_dbm. Skipped entirely when a collision is already
-// established (the interference sum is dead — the event is dropped before
-// the SNR test reads it) or when the coupling pins every contribution to
-// the -400 dBm floor (below the -250 dBm accumulation cutoff).
-// `cursor` is the bucket's monotone window-start cursor into [0, count):
-// like the aligned kernel's per-group cursors, it replaces the per-event
-// lower_bound because callers scan decoded events in ascending start order.
-// The cursor only advances on live scans (early returns leave it parked),
-// which is safe: a lagging cursor re-skips the same already-expired
-// elements the lower_bound would.
-inline void scan_bucket_misaligned_uniform(const RxScanSoA& soa,
-                                           const std::uint32_t* order_begin,
-                                           const std::uint32_t* order_end,
-                                           std::uint32_t& cursor,
-                                           Seconds lookback, Db coupling,
-                                           const ScanEvent& ev,
-                                           ScanAccum& acc) {
-  if (acc.collided) return;
-  if (coupling <= Db{-399.0}) return;
-  const Seconds window_from = ev.start - lookback;
-  const auto count = static_cast<std::uint32_t>(order_end - order_begin);
-  while (cursor < count && soa.start[order_begin[cursor]] < window_from) {
-    ++cursor;
-  }
-  for (const std::uint32_t* it = order_begin + cursor; it != order_end; ++it) {
-    const std::uint32_t j = *it;
-    if (soa.start[j] >= ev.end) break;
-    if (j == ev.index) continue;
-    if (!(ev.start < soa.end[j])) continue;
-    Dbm eff = effective_interference_from_coupling(soa.power[j], coupling);
-    if (soa.sf[j] != ev.sf) eff -= kCrossSfMisalignedRejection;
-    if (eff > Dbm{-250.0}) acc.misaligned_intf_lin += batch_detail::dbm_to_lin(eff);
   }
 }
 

@@ -9,10 +9,9 @@
 // below is calibrated to reproduce the measured PRR-vs-overlap curve of
 // Fig. 8 and the SNR-threshold shifts of Fig. 16.
 //
-// Defined inline: overlap_ratio runs once per candidate interferer pair in
-// GatewayRadio::process's phase-3 scan (the single hottest call site in the
-// simulator), where inlining lets the compiler hoist the receiver channel's
-// band edges out of the loop.
+// The receive path asks these questions once per (window channel, chain)
+// pair per window, in GatewayRadio's channel table, and reads the answers
+// per candidate interferer pair (phy/batch_kernels.hpp).
 #pragma once
 
 #include <algorithm>
@@ -63,11 +62,10 @@ inline constexpr Db kSelectivitySlope{35.0};
 }
 
 // Interferer power through a precomputed coupling — the hoisted form of
-// effective_interference_dbm used by the batched uniform-bucket kernel
-// (phy/batch_kernels.hpp): within a uniform-channel frequency bucket every
-// interferer shares one (src, dst) pair, so coupling_db runs once per
-// bucket and each event pays only the addition. Bit-identical to the
-// per-event form because `power + coupling` is the exact expression
+// effective_interference_dbm the interferer scan uses (phy/batch_kernels.hpp):
+// coupling_db runs once per (window channel, chain) pair per window, and
+// each interferer pays only the addition. Bit-identical to the per-event
+// form because `power + coupling` is the exact expression
 // effective_interference_dbm evaluates after its own coupling_db call.
 [[nodiscard]] inline Dbm effective_interference_from_coupling(Dbm power,
                                                               Db coupling) {

@@ -22,27 +22,11 @@ Db packet_snr(Dbm rx_power, Hz bandwidth) {
   return rx_power - noise_floor_dbm(bandwidth);
 }
 
-// The per-packet noise-floor conversion is a pow() on a three-valued input;
-// memoize the three LoRa bandwidths (anything else still reaches
-// noise_floor_dbm's hard model error).
-double noise_floor_lin(Hz bandwidth) {
-  static const double lin125 = dbm_to_lin(noise_floor_dbm(kLoRaBandwidth125k));
-  static const double lin250 = dbm_to_lin(noise_floor_dbm(kLoRaBandwidth250k));
-  static const double lin500 = dbm_to_lin(noise_floor_dbm(kLoRaBandwidth500k));
-  if (bandwidth == kLoRaBandwidth125k) return lin125;
-  if (bandwidth == kLoRaBandwidth250k) return lin250;
-  if (bandwidth == kLoRaBandwidth500k) return lin500;
-  return dbm_to_lin(noise_floor_dbm(bandwidth));
-}
-
 // Coarse frequency bucket of a channel center (interference requires
 // spectral overlap, so candidates live in the same or an adjacent bucket).
 std::int64_t bucket_of(Hz center) {
   return static_cast<std::int64_t>(center / kChannelSpacing);
 }
-
-// RxScratch::chain_of_channel before a window channel's first lookup.
-constexpr int kChainUnknown = -2;
 
 // FCFS dispatch key order: (lock_on, packet id).
 bool dispatched_before(const auto& a, const auto& b) {
@@ -113,33 +97,60 @@ void GatewayRadio::set_capture_policy(const CapturePolicy* policy) {
   capture_policy_ = policy;
 }
 
-int GatewayRadio::chain_for(const Channel& packet_channel) const {
-  int index = -1;
-  double best = 0.0;
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    const double rho = overlap_ratio(packet_channel, channels_[c]);
-    if (rho >= kDetectOverlapThreshold && rho > best) {
-      best = rho;
-      index = static_cast<int>(c);
+// Per window channel w and chain c: the overlap and (where partial) the
+// coupling of w toward c, and the chain detecting w — the one whose filter
+// best overlaps it (ties go to the lower index), or -1 when every chain's
+// filter truncates it (front-end rejection, the Strategy-8 isolation
+// path). The noise floor is taken where w is detected; an event on a
+// bandwidth noise_floor_dbm does not know aborts in phase 1 (packet_snr)
+// before phase 3 could read it.
+void GatewayRadio::build_channel_table(std::span<const Channel> window_channels,
+                                       ChannelTable& table) const {
+  const std::size_t n = window_channels.size();
+  table.rows.resize(n);
+  table.links.resize(n * channels_.size());
+  for (std::size_t w = 0; w < n; ++w) {
+    const Channel& ch = window_channels[w];
+    auto& row = table.rows[w];
+    row.channel = ch;
+    row.bucket = bucket_of(ch.center);
+    row.chain = -1;
+    double best = 0.0;
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+      const double rho = overlap_ratio(ch, channels_[c]);
+      if (rho >= kDetectOverlapThreshold && rho > best) {
+        best = rho;
+        row.chain = static_cast<int>(c);
+      }
+      table.links[c * n + w] = ChannelLink{
+          rho, rho > 0.0 && rho < kDetectOverlapThreshold
+                   ? coupling_db(ch, channels_[c])
+                   : Db{-400.0}};
     }
+    const Hz bw = ch.bandwidth;
+    const bool known = bw == kLoRaBandwidth125k || bw == kLoRaBandwidth250k ||
+                       bw == kLoRaBandwidth500k;
+    row.noise_lin =
+        row.chain >= 0 && known ? dbm_to_lin(noise_floor_dbm(bw)) : 0.0;
   }
-  return index;
 }
 
 // A window channel w is readable when
-//   (1) overlap_ratio(w, chain) > 0 for some chain, or
+//   (1) overlap_ratio(w, chain) > 0 for some chain (a table link), or
 //   (2) overlap_ratio(w, d) >= kDetectOverlapThreshold for some window
-//       channel d that is detectable on a chain (chain_for(d) >= 0), or
+//       channel d that is detectable on a chain (its table row's chain is
+//       not -1), or
 //   (3) w shares its coarse frequency bucket with a channel meeting (1)
 //       or (2).
 // An event j on a channel meeting none of them leaves every outcome of
 // the window unchanged, its own included:
 //   * phase 1: every chain's overlap with w is 0 < kDetectOverlapThreshold,
-//     so chain_for(w) is -1 and j is kRejectedFrontEnd — never queued, so
-//     FCFS dispatch never sees it, and fold_outcome maps it to 0;
-//   * phase 3: a decoded event on chain c reads j only where
-//     overlap_ratio(w, channels_[c]) > 0 (the scalar kernel's rho test and
-//     the per-(bucket, chain) memo), which clause (1) rules out;
+//     so w's table row has chain -1 and j is kRejectedFrontEnd — never
+//     queued, so FCFS dispatch never sees it, and fold_outcome maps it
+//     to 0;
+//   * phase 3: a decoded event on chain c reads j only where its table
+//     link toward c has rho > 0 (both scan kernels test it), which clause
+//     (1) rules out;
 //   * policy_recovers(i) gathers j only where overlap_ratio(w, channel of
 //     i) >= kDetectOverlapThreshold, and i holds a decoder, so its channel
 //     is detectable: clause (2) rules that out;
@@ -156,13 +167,17 @@ void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
                                      std::vector<std::uint8_t>& readable) const {
   constexpr std::uint8_t kReadable = 1;
   constexpr std::uint8_t kDetectable = 2;
+  ChannelTable table;
+  build_channel_table(window_channels, table);
   const std::size_t n = window_channels.size();
   readable.assign(n, 0);
   for (std::size_t w = 0; w < n; ++w) {
-    for (const Channel& chain : channels_) {
-      const double rho = overlap_ratio(window_channels[w], chain);
-      if (rho >= kDetectOverlapThreshold) readable[w] = kDetectable;
-      if (rho > 0.0 && readable[w] == 0) readable[w] = kReadable;
+    if (table.rows[w].chain >= 0) {
+      readable[w] = kDetectable;
+      continue;
+    }
+    for (std::size_t c = 0; c < channels_.size() && readable[w] == 0; ++c) {
+      if (table.toward(c)[w].rho > 0.0) readable[w] = kReadable;
     }
   }
   for (std::size_t w = 0; w < n; ++w) {
@@ -177,9 +192,8 @@ void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
   // Sharing a bucket is an equivalence: a channel marked here shares its
   // bucket with one meeting (1) or (2), so marking in place is safe.
   for (std::size_t w = 0; w < n; ++w) {
-    const std::int64_t bucket = bucket_of(window_channels[w].center);
     for (std::size_t r = 0; r < n && readable[w] == 0; ++r) {
-      if (readable[r] != 0 && bucket_of(window_channels[r].center) == bucket) {
+      if (readable[r] != 0 && table.rows[r].bucket == table.rows[w].bucket) {
         readable[w] = kReadable;
       }
     }
@@ -250,7 +264,8 @@ bool GatewayRadio::merge_dispatch_order() {
   std::fill(std::begin(head), std::end(head), kNone);
   for (std::uint32_t q = 0; q < n; ++q) {
     const auto& entry = sc.queue[q];
-    const Hz bandwidth = sc.channel_of[entry.event].bandwidth;
+    const Hz bandwidth =
+        sc.channels.rows[sc.channel_of[entry.event]].channel.bandwidth;
     const int bw = bandwidth == kLoRaBandwidth250k   ? 1
                    : bandwidth == kLoRaBandwidth500k ? 2
                                                      : 0;
@@ -306,10 +321,10 @@ void GatewayRadio::build_bucket_index(std::size_t count, bool starts_strict) {
   sc.buckets.clear();
   if (count != 0) {
     sc.bucket_id.resize(count);
-    std::int64_t lo = bucket_of(sc.channel_of[0].center);
+    std::int64_t lo = sc.channels.rows[sc.channel_of[0]].bucket;
     std::int64_t hi = lo;
     for (std::size_t i = 0; i < count; ++i) {
-      const std::int64_t b = bucket_of(sc.channel_of[i].center);
+      const std::int64_t b = sc.channels.rows[sc.channel_of[i]].bucket;
       sc.bucket_id[i] = b;
       lo = std::min(lo, b);
       hi = std::max(hi, b);
@@ -384,11 +399,7 @@ void GatewayRadio::build_bucket_index(std::size_t count, bool starts_strict) {
     b.one_network = true;
     for (auto it = begin; it != end; ++it) {
       longest = std::max(longest, sc.end_of[*it] - sc.start_of[*it]);
-      const Channel& ch = sc.channel_of[*it];
-      if (!(ch.center == b.channel.center) ||
-          !(ch.bandwidth == b.channel.bandwidth)) {
-        b.uniform = false;
-      }
+      if (sc.channel_of[*it] != b.channel) b.uniform = false;
       if (sc.net_of[*it] != b.network) b.one_network = false;
     }
     b.max_duration = longest;
@@ -397,31 +408,16 @@ void GatewayRadio::build_bucket_index(std::size_t count, bool starts_strict) {
 
 // Phase-3 prep: per uniform bucket, a stable counting sort by SF
 // (preserving the start order within each SF, so every same-SF subsequence
-// keeps the reference kernel's accumulation order) plus the per-(bucket,
-// chain) overlap/coupling memo — overlap_ratio and coupling_db are pure
-// functions of the two channels, so memoized values are bit-identical to
-// the ones the reference kernel recomputes per decoded event.
-void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
+// keeps the reference kernel's accumulation order).
+void GatewayRadio::build_sf_groups(std::size_t count) {
   auto& sc = scratch_;
   sc.order_sf.resize(count);
   sc.pos_sf.resize(count);
   sc.sf_groups.clear();
-  sc.bucket_cursor.assign(sc.buckets.size(), 0);
-  const std::size_t n_chains = channels_.size();
-  sc.bucket_chain.resize(sc.buckets.size() * n_chains);
-  for (std::size_t bpos = 0; bpos < sc.buckets.size(); ++bpos) {
-    auto& b = sc.buckets[bpos];
+  for (auto& b : sc.buckets) {
     b.groups_begin = static_cast<std::uint32_t>(sc.sf_groups.size());
     b.groups_end = b.groups_begin;
     if (!b.uniform) continue;  // mixed buckets take the reference kernel
-    for (std::size_t c = 0; c < n_chains; ++c) {
-      auto& memo = sc.bucket_chain[bpos * n_chains + c];
-      memo.rho = overlap_ratio(b.channel, channels_[c]);
-      memo.coupling =
-          (memo.rho > 0.0 && memo.rho < kDetectOverlapThreshold)
-              ? coupling_db(b.channel, channels_[c])
-              : Db{-400.0};
-    }
     std::uint32_t counts[6] = {0, 0, 0, 0, 0, 0};
     Dbm max_power[6] = {Dbm{-400.0}, Dbm{-400.0}, Dbm{-400.0},
                         Dbm{-400.0}, Dbm{-400.0}, Dbm{-400.0}};
@@ -465,16 +461,17 @@ void GatewayRadio::build_sf_groups_and_memos(std::size_t count) {
 // start) and ask the capture policy.
 bool GatewayRadio::policy_recovers(std::size_t i, const RxEventView& view) {
   auto& sc = scratch_;
+  const auto& rows = sc.channels.rows;
   const auto capture_event = [&](std::size_t k) {
-    const Hz bandwidth = sc.channel_of[k].bandwidth;
+    const Hz bandwidth = rows[sc.channel_of[k]].channel.bandwidth;
     return CaptureEvent{sc.start_of[k], sc.sf_of[k], bandwidth,
                         view.table->node[view.tx_index[k]],
                         packet_snr(sc.power_of[k], bandwidth)};
   };
   const Seconds start = sc.start_of[i];
   const Seconds end = sc.end_of[i];
-  const Channel& channel = sc.channel_of[i];
-  const std::int64_t center_bucket = bucket_of(channel.center);
+  const Channel& channel = rows[sc.channel_of[i]].channel;
+  const std::int64_t center_bucket = rows[sc.channel_of[i]].bucket;
   sc.overlappers.clear();
   auto bucket_it = std::lower_bound(
       sc.buckets.begin(), sc.buckets.end(), center_bucket - 1,
@@ -490,7 +487,8 @@ bool GatewayRadio::policy_recovers(std::size_t i, const RxEventView& view) {
     for (; it != last && sc.start_of[*it] < end; ++it) {
       const std::uint32_t j = *it;
       if (j == i || !(start < sc.end_of[j]) ||
-          overlap_ratio(sc.channel_of[j], channel) < kDetectOverlapThreshold) {
+          overlap_ratio(rows[sc.channel_of[j]].channel, channel) <
+              kDetectOverlapThreshold) {
         continue;
       }
       sc.overlappers.push_back(capture_event(j));
@@ -528,19 +526,22 @@ void GatewayRadio::process_into(const RxEventView& view,
   outcomes.assign(view.count, RxOutcome{});
   auto& sc = scratch_;
 
+  // Every per-channel answer of the window, once (build_channel_table).
+  build_channel_table(tbl.channels, sc.channels);
+  const auto& rows = sc.channels.rows;
+
   // Phase 1: front-end + detection per event, reading the window's shared
-  // table columns. Also fills the per-event scratch columns phase 3 leans
-  // on: the airtime-derived end instant (memoized in the table) and
-  // the linear rx power (a pow), each otherwise paid once per *candidate
-  // pair* in the interferer scan. As the dispatch queue fills, a running
-  // strict-order check records whether the dispatch sort can be skipped
-  // (ascending tx order usually already is lock-on ordered within a chain
-  // mix), and another whether the starts ascend, which fixes phase 3's
-  // visit order and bucket order without sorting.
+  // table columns and the channel table. Also fills the per-event scratch
+  // columns phase 3 leans on: the airtime-derived end instant (memoized in
+  // the table) and the linear rx power (a pow), each otherwise paid once
+  // per *candidate pair* in the interferer scan. As the dispatch queue
+  // fills, a running strict-order check records whether the dispatch sort
+  // can be skipped (ascending tx order usually already is lock-on ordered
+  // within a chain mix), and another whether the starts ascend, which
+  // fixes phase 3's visit order and bucket order without sorting.
   sc.queue.clear();
   sc.queue.reserve(view.count);
   sc.chain_of.assign(view.count, -1);
-  sc.chain_of_channel.assign(tbl.channels.size(), kChainUnknown);
   sc.end_of.resize(view.count);
   sc.lin_power.resize(view.count);
   sc.start_of.resize(view.count);
@@ -562,26 +563,25 @@ void GatewayRadio::process_into(const RxEventView& view,
     sc.end_of[k] = tbl.end[t];
     sc.lin_power[k] = dbm_to_lin(rx_power);
     sc.start_of[k] = tbl.start[t];
-    sc.channel_of[k] = tbl.channel[t];
+    sc.channel_of[k] = tbl.channel_id[t];
     sc.power_of[k] = rx_power;
     sc.sf_of[k] = tbl.sf[t];
     sc.net_of[k] = tbl.net[t];
     out.packet = tbl.packet[t];
     out.node = tbl.node[t];
     out.network = tbl.net[t];
-    int& chain = sc.chain_of_channel[tbl.channel_id[t]];
-    if (chain == kChainUnknown) chain = chain_for(tbl.channel[t]);
-    if (chain < 0) {
+    const auto& row = rows[tbl.channel_id[t]];
+    if (row.chain < 0) {
       out.disposition = RxDisposition::kRejectedFrontEnd;
       continue;
     }
-    out.chain_channel = chain;
-    out.snr = packet_snr(rx_power, tbl.channel[t].bandwidth);
+    out.chain_channel = row.chain;
+    out.snr = packet_snr(rx_power, row.channel.bandwidth);
     if (out.snr < demod_snr_threshold(tbl.sf[t]) + kDetectionMargin) {
       out.disposition = RxDisposition::kNotDetected;
       continue;
     }
-    sc.chain_of[k] = chain;
+    sc.chain_of[k] = row.chain;
     if (!sc.queue.empty()) {
       const auto& prev = sc.queue.back();
       const bool strictly_before =
@@ -599,20 +599,17 @@ void GatewayRadio::process_into(const RxEventView& view,
   // Phase 3: decode each packet that holds a decoder, accounting for
   // interference from *all* transmissions in the air (including ones the
   // front-end rejected or that were never detected — their RF energy is
-  // still present). The bucket index and its prep (SF grouping,
-  // per-(bucket, chain) overlap memos) feed a kernel per bucket: aligned
-  // uniform buckets take the SF-grouped kernel, partially overlapping
-  // uniform buckets the hoisted-coupling kernel, mixed-channel buckets the
-  // per-pair reference kernel.
+  // still present). The bucket index and its SF grouping feed a kernel
+  // per bucket: uniform buckets aligned with the chain take the SF-grouped
+  // kernel, every other overlapping bucket the reference scan.
   build_bucket_index(view.count, starts_strict);
-  build_sf_groups_and_memos(view.count);
+  build_sf_groups(view.count);
 
   const RxScanSoA soa{sc.start_of.data(), sc.end_of.data(),
                       sc.lin_power.data(), sc.channel_of.data(),
                       sc.power_of.data(),  sc.sf_of.data(),
                       sc.net_of.data()};
   const std::uint32_t* order = sc.order.data();
-  const std::size_t n_chains = channels_.size();
   // Visit decoded events in ascending start order (ties by event index):
   // outcomes are per-event independent, so any visit order gives identical
   // results, and a monotone order lets the kernels' window-start cursors
@@ -633,10 +630,9 @@ void GatewayRadio::process_into(const RxEventView& view,
   }
   for (const std::size_t i : sc.decoding) {
     auto& out = outcomes[i];
-    const auto chain = static_cast<std::size_t>(sc.chain_of[i]);
-    const Channel& rx_ch = channels_[chain];
-
-    const double noise_lin = noise_floor_lin(sc.channel_of[i].bandwidth);
+    const auto& row = rows[sc.channel_of[i]];
+    const ChannelLink* toward =
+        sc.channels.toward(static_cast<std::size_t>(sc.chain_of[i]));
     ScanAccum acc;
     const ScanEvent se{i,
                        sc.start_of[i],
@@ -644,12 +640,12 @@ void GatewayRadio::process_into(const RxEventView& view,
                        sc.power_of[i],
                        sc.sf_of[i],
                        sc.net_of[i],
-                       rx_ch};
+                       toward};
 
     // Candidates: same or adjacent frequency bucket. One lower_bound finds
     // the bucket run (ids are consecutive within [center-1, center+1], and
     // buckets are id-sorted), walked in ascending id order.
-    const std::int64_t center_bucket = bucket_of(sc.channel_of[i].center);
+    const std::int64_t center_bucket = row.bucket;
     auto bucket_it = std::lower_bound(
         sc.buckets.begin(), sc.buckets.end(), center_bucket - 1,
         [](const RxScratch::Bucket& b, std::int64_t id) { return b.id < id; });
@@ -662,31 +658,24 @@ void GatewayRadio::process_into(const RxEventView& view,
           (bucket_it->network != se.net) == acc.foreign_fatal) {
         continue;
       }
-      const auto bpos =
-          static_cast<std::size_t>(bucket_it - sc.buckets.begin());
       if (bucket_it->uniform) {
-        const auto& memo = sc.bucket_chain[bpos * n_chains + chain];
-        if (memo.rho <= 0.0) continue;
-        if (memo.rho >= kDetectOverlapThreshold) {
+        const double rho = toward[bucket_it->channel].rho;
+        if (rho <= 0.0) continue;
+        if (rho >= kDetectOverlapThreshold) {
           scan_bucket_aligned_grouped(
               soa, sc.order_sf.data(), sc.pos_sf.data(),
               sc.sf_groups.data() + bucket_it->groups_begin,
               sc.sf_groups.data() + bucket_it->groups_end,
               sc.group_cursor.data() + bucket_it->groups_begin,
               bucket_it->max_duration, bucket_it->one_network, se, acc);
-        } else {
-          scan_bucket_misaligned_uniform(soa, order + bucket_it->begin,
-                                         order + bucket_it->end,
-                                         sc.bucket_cursor[bpos],
-                                         bucket_it->max_duration,
-                                         memo.coupling, se, acc);
+          continue;
         }
-      } else {
-        scan_bucket_scalar(soa, order + bucket_it->begin,
-                           order + bucket_it->end, /*uniform=*/false,
-                           /*rho_uniform=*/0.0, bucket_it->max_duration, se,
-                           acc);
+        // Partial overlap: every event adds only to the interference sum,
+        // which is dead once a collision is established.
+        if (acc.collided) continue;
       }
+      scan_bucket_scalar(soa, order + bucket_it->begin, order + bucket_it->end,
+                         bucket_it->max_duration, se, acc);
     }
 
     // Combined same-SF co-channel power must also satisfy capture.
@@ -705,7 +694,7 @@ void GatewayRadio::process_into(const RxEventView& view,
         out.disposition = RxDisposition::kDroppedCollision;
         continue;
       }
-    } else if (se.power - lin_to_dbm(noise_lin + acc.misaligned_intf_lin) <
+    } else if (se.power - lin_to_dbm(row.noise_lin + acc.misaligned_intf_lin) <
                demod_snr_threshold(se.sf)) {
       out.disposition = RxDisposition::kDroppedLowSnr;
       continue;

@@ -61,7 +61,7 @@ class GatewayRadio {
   // with one that may. An event on a zero channel is front-end rejected
   // and changes no other event's outcome, so the runner drops it before
   // the fading draw (batch_prune_candidates); the proof is at the
-  // definition.
+  // definition. Answered from the same channel table process_into reads.
   void readable_channels(std::span<const Channel> window_channels,
                          std::vector<std::uint8_t>& readable) const;
 
@@ -72,6 +72,23 @@ class GatewayRadio {
       const std::vector<RxEvent>& events);
 
  private:
+  // Every per-channel answer a window needs, over its distinct channels
+  // (WindowTxTable::channels) × this radio's chains: each depends only on
+  // the pair, so it is computed once per window and read by every event.
+  struct ChannelTable {
+    struct Row {
+      Channel channel{};
+      std::int64_t bucket = 0;  // coarse frequency bucket of the center
+      int chain = -1;           // the detecting chain, -1 if none
+      double noise_lin = 0.0;   // linear noise floor (where chain >= 0)
+    };
+    std::vector<Row> rows;           // per window channel
+    std::vector<ChannelLink> links;  // chain * rows.size() + window channel
+    [[nodiscard]] const ChannelLink* toward(std::size_t chain) const {
+      return links.data() + chain * rows.size();
+    }
+  };
+
   // Reusable per-window working storage (docs/performance.md): allocated
   // once, capacity retained across windows, so a steady-state window does
   // no per-window heap allocation inside process_into(). The flat sorted
@@ -90,14 +107,12 @@ class GatewayRadio {
       Seconds end{0.0};
       NetworkId network = 0;
     };
+    ChannelTable channels;
     std::vector<Queued> queue;
     std::vector<Holder> held;
     // event -> rx chain of a packet holding a decoder (-1 otherwise, once
     // FCFS dispatch has run).
     std::vector<int> chain_of;
-    // chain_for per window channel (WindowTxTable::channels), filled on
-    // first use in a window; -2 until then.
-    std::vector<int> chain_of_channel;
     std::vector<Seconds> end_of;        // cached tx.end() per event
     std::vector<double> lin_power;      // cached dBm->linear rx power
     std::vector<std::size_t> decoding;  // event indices holding a decoder
@@ -105,7 +120,7 @@ class GatewayRadio {
     // phase 1, so the interferer scan reads small contiguous vectors
     // instead of one scattered table lookup per candidate pair.
     std::vector<Seconds> start_of;
-    std::vector<Channel> channel_of;
+    std::vector<std::uint32_t> channel_of;  // window channel id
     std::vector<Dbm> power_of;
     std::vector<SpreadingFactor> sf_of;
     std::vector<NetworkId> net_of;
@@ -114,11 +129,11 @@ class GatewayRadio {
       std::uint32_t begin = 0;  // [begin, end) range into `order`
       std::uint32_t end = 0;
       Seconds max_duration{0.0};
-      // When every event in the bucket shares one exact channel, a single
-      // overlap test against the wanted chain covers the whole bucket —
-      // and zero overlap skips its entire scan range.
+      // When every event in the bucket shares one window channel, one
+      // table link per chain covers the whole bucket: zero overlap skips
+      // its scan range, full overlap takes the SF-grouped kernel.
       bool uniform = true;
-      Channel channel{};
+      std::uint32_t channel = 0;
       // When every event in the bucket belongs to one network, each of its
       // colliders gives one attribution (network != the decoded event's),
       // so its first collider settles it.
@@ -141,31 +156,22 @@ class GatewayRadio {
     // One collision drop's co-channel time-overlappers, gathered for the
     // capture policy.
     std::vector<CaptureEvent> overlappers;
-    // Filled by build_sf_groups_and_memos: every uniform bucket's events
-    // stably regrouped by SF (order_sf, with pos_sf the bucket rank of each
-    // entry), the flat SF-group ranges, and the per-(bucket, chain)
-    // overlap/coupling memo — values the reference kernel recomputes
-    // identically per decoded event. Before that, FCFS dispatch borrows
-    // pos_sf for the links of its per-class runs.
+    // Filled by build_sf_groups: every uniform bucket's events stably
+    // regrouped by SF (order_sf, with pos_sf the bucket rank of each
+    // entry) and the flat SF-group ranges. Before that, FCFS dispatch
+    // borrows pos_sf for the links of its per-class runs.
     std::vector<std::uint32_t> order_sf;
     std::vector<std::uint32_t> pos_sf;
     std::vector<SfGroup> sf_groups;
-    // Monotone window-start cursors (one per SF group / per bucket): the
-    // scan walks decoded events in ascending start order, so each
-    // kernel's lower window edge only ever advances (phy/batch_kernels.hpp).
+    // Monotone window-start cursors, one per SF group: the scan walks
+    // decoded events in ascending start order, so the grouped kernel's
+    // lower window edge only ever advances (phy/batch_kernels.hpp).
     std::vector<std::uint32_t> group_cursor;
-    std::vector<std::uint32_t> bucket_cursor;
-    struct BucketChainMemo {
-      double rho = 0.0;
-      Db coupling{-400.0};
-    };
-    std::vector<BucketChainMemo> bucket_chain;  // bucket * n_chains + chain
   };
 
-  // The chain whose filter best overlaps a packet channel (ties go to the
-  // lower index), or -1 when every chain's filter truncates it (front-end
-  // rejection, the Strategy-8 isolation path).
-  [[nodiscard]] int chain_for(const Channel& packet_channel) const;
+  // Fills `table` over a window's distinct channels.
+  void build_channel_table(std::span<const Channel> window_channels,
+                           ChannelTable& table) const;
 
   // Phase 2: FCFS dispatch of the filled queue into the profile's
   // decoders. `already_sorted` skips the (lock_on, packet) ordering when
@@ -180,9 +186,8 @@ class GatewayRadio {
   // the phase-1 scratch columns. `starts_strict` (the view's starts
   // strictly increase) proves every bucket already start-sorted.
   void build_bucket_index(std::size_t count, bool starts_strict);
-  // Phase-3 prep: stable SF grouping of every uniform bucket and the
-  // per-(bucket, chain) overlap/coupling memos.
-  void build_sf_groups_and_memos(std::size_t count);
+  // Phase-3 prep: stable SF grouping of every uniform bucket.
+  void build_sf_groups(std::size_t count);
   // Phase 3, collision drops only: gathers event i's co-channel
   // time-overlappers from the bucket index and asks the capture policy.
   [[nodiscard]] bool policy_recovers(std::size_t i, const RxEventView& view);

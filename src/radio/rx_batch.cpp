@@ -28,7 +28,6 @@ void WindowTxTable::build(const std::vector<Transmission>& txs) {
   start.resize(n);
   end.resize(n);
   lock_on.resize(n);
-  channel.resize(n);
   channels.clear();
   channel_id.resize(n);
   sf.resize(n);
@@ -45,7 +44,6 @@ void WindowTxTable::build(const std::vector<Transmission>& txs) {
     // the memoized airtime, so the cached instants are bit-identical.
     end[t] = tx.start + airtime.airtime;
     lock_on[t] = tx.start + airtime.preamble;
-    channel[t] = tx.channel;
     channel_id[t] = channel_index(tx.channel);
     sf[t] = tx.params.sf;
     net[t] = tx.network;

@@ -30,10 +30,10 @@ struct WindowTxTable {
   std::vector<Seconds> start;
   std::vector<Seconds> end;      // start + time_on_air (== Transmission::end)
   std::vector<Seconds> lock_on;  // start + preamble   (== Transmission::lock_on)
-  std::vector<Channel> channel;
   // The window's distinct channels, in first-use order, and each
-  // transmission's index into them: per-channel questions (can this radio
-  // read it?) are answered once per window channel, not once per event.
+  // transmission's index into them (its channel is channels[channel_id[t]]):
+  // per-channel questions (can this radio read it, on which chain?) are
+  // answered once per window channel, not once per event.
   std::vector<Channel> channels;
   std::vector<std::uint32_t> channel_id;
   std::vector<SpreadingFactor> sf;

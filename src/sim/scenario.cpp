@@ -294,8 +294,6 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   const std::size_t deployed = sc.net_ids.size();
   sc.offered.assign(deployed, 0);
   sc.delivered.assign(deployed, 0);
-  sc.served.resize(deployed);
-  for (auto& nodes : sc.served) nodes.clear();
   auto index_of = [&sc](NetworkId id) -> std::size_t {
     if (id < sc.net_ids.size() && sc.net_ids[id] == id) return id;
     for (std::size_t n = 0; n < sc.net_ids.size(); ++n) {
@@ -307,7 +305,6 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     sc.net_ids.push_back(id);
     sc.offered.push_back(0);
     sc.delivered.push_back(0);
-    sc.served.emplace_back();
     return sc.net_ids.size() - 1;
   };
   result.fates.reserve(txs.size());
@@ -315,16 +312,10 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     PacketFate fate = classify_packet(txs[i], sc.own_fold[i]);
     const std::size_t n = index_of(fate.network);
     ++sc.offered[n];
-    if (fate.delivered) {
-      ++sc.delivered[n];
-      sc.served[n].push_back(fate.node);
-    }
+    if (fate.delivered) ++sc.delivered[n];
     result.fates.push_back(std::move(fate));
   }
   for (std::size_t n = 0; n < sc.net_ids.size(); ++n) {
-    auto& nodes = sc.served[n];
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
     const NetworkId id = sc.net_ids[n];
     // Deployment networks always report (zeroes included); ids outside the
     // deployment get exactly the entries their packets created, matching
@@ -332,9 +323,6 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     if (n < deployed || sc.offered[n] > 0) result.offered[id] = sc.offered[n];
     if (n < deployed || sc.delivered[n] > 0) {
       result.delivered[id] = sc.delivered[n];
-    }
-    if (n < deployed || !nodes.empty()) {
-      result.served_nodes[id] = nodes.size();
     }
   }
   if (invariants_ != nullptr) invariants_->check_window(result);

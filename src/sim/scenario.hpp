@@ -86,8 +86,6 @@ struct WindowResult {
   // Delivered unique packets per network in this window.
   std::map<NetworkId, std::size_t> delivered;
   std::map<NetworkId, std::size_t> offered;
-  // Distinct nodes served per network.
-  std::map<NetworkId, std::size_t> served_nodes;
 
   [[nodiscard]] std::size_t total_delivered() const;
   [[nodiscard]] std::size_t total_offered() const;
@@ -171,7 +169,6 @@ class ScenarioRunner {
     std::vector<NetworkId> net_ids;
     std::vector<std::size_t> offered;
     std::vector<std::size_t> delivered;
-    std::vector<std::vector<NodeId>> served;
   };
 
   Deployment& deployment_;

@@ -8,6 +8,11 @@
 //     value at every (shards, threads) in {1,8} x {1,8} — the kernels
 //     compose with sharding and the thread fan-out without perturbing a
 //     single fate;
+//   - over mixed-spectrum worlds (prop::build_mixed_world: 75 kHz-shifted
+//     plans, 125/250/500 kHz channels, wide packets and partial
+//     overlappers at a plan's edges), the window fate digests fold to a
+//     pinned value per capture policy — the stock pipeline and every
+//     capture policy of the baseline table — at the same grid;
 //   - every registered baseline scheme (MAC side and capture side,
 //     including the capture schemes cic / ss5g / curvinglora, which the
 //     radio asks about each collision drop) reproduces its pinned digest
@@ -102,6 +107,61 @@ TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
         }
         return std::nullopt;
       });
+}
+
+// ---- mixed spectrum, every capture policy, pinned ------------------------
+
+// Recorded by the receive path before it read overlaps and couplings from
+// a per-window channel table.
+TEST(BatchDifferential, MixedSpectrumWorldsPinnedUnderEveryCapturePolicy) {
+  const std::map<std::string, std::string> pinned = {
+      {"cic", "5c044a8b949dfed0"},
+      {"curvinglora", "fa1647a5f9fe1753"},
+      {"none", "d5618c83e5a73b33"},
+      {"ss5g", "1c4ecbd8fcdbadde"},
+  };
+  CaseParams lo;
+  lo.networks = 1;
+  lo.gateways_per_net = 1;
+  lo.nodes_per_net = 4;
+  lo.plan_channels = 2;
+  lo.decoders = 4;
+  CaseParams hi;
+  hi.networks = 3;
+  hi.gateways_per_net = 3;
+  hi.nodes_per_net = 30;
+  hi.plan_channels = 8;
+  hi.decoders = 16;
+  std::vector<CaseParams> cases;
+  Rng meta(20261021);
+  for (int c = 0; c < 30; ++c) {
+    cases.push_back(prop::random_case(meta, lo, hi));
+  }
+  std::vector<std::shared_ptr<const CapturePolicy>> policies{nullptr};
+  const auto& registry = BaselineRegistry::instance();
+  for (const auto& name : registry.names()) {
+    auto capture = registry.make(name).capture;
+    if (capture) policies.push_back(std::move(capture));
+  }
+  for (const auto& capture : policies) {
+    const std::string policy = capture ? std::string(capture->name()) : "none";
+    const auto pin = pinned.find(policy);
+    for (const auto& [shards, threads] : kGrid) {
+      std::uint64_t folded = kFnv1aOffset;
+      for (const auto& params : cases) {
+        prop::World world = prop::build_mixed_world(params);
+        ScenarioRunner runner(*world.deployment, params.seed,
+                              RunOptions{capture, threads, shards});
+        const std::uint64_t digest =
+            fate_digest(runner.run_window(world.txs).fates);
+        folded = fnv1a(&digest, sizeof digest, folded);
+      }
+      EXPECT_EQ(digest_hex(folded),
+                pin == pinned.end() ? "unpinned" : pin->second)
+          << "policy '" << policy << "' at shards=" << shards
+          << " threads=" << threads;
+    }
+  }
 }
 
 // ---- every scheme, pinned ------------------------------------------------

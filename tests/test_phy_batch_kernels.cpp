@@ -250,13 +250,15 @@ TEST(BatchPruneCandidates, EmptyListKeepsNothing) {
             0u);
 }
 
-// ---- synthetic uniform buckets for the scan kernels ----------------------
+// ---- synthetic buckets for the scan kernels -------------------------------
 
 struct SyntheticBucket {
   std::vector<Seconds> start;
   std::vector<Seconds> end;
   std::vector<double> lin_power;
-  std::vector<Channel> channel;
+  std::vector<std::uint32_t> channel;  // window channel id
+  std::vector<Channel> channels;       // the window's distinct channels
+  std::vector<ChannelLink> toward;     // per window channel, toward the chain
   std::vector<Dbm> power;
   std::vector<SpreadingFactor> sf;
   std::vector<NetworkId> net;
@@ -273,11 +275,25 @@ struct SyntheticBucket {
   }
 };
 
-// A random uniform-channel bucket, grouped exactly the way
-// GatewayRadio::build_sf_groups_and_memos does it (stable counting sort by
-// SF over the start-sorted order).
+// Links every window channel of `b` toward a receive chain on `rx`, as
+// GatewayRadio's channel table holds them.
+void link_toward(SyntheticBucket& b, const Channel& rx) {
+  b.toward.clear();
+  for (const Channel& w : b.channels) {
+    const double rho = overlap_ratio(w, rx);
+    b.toward.push_back(ChannelLink{
+        rho, rho > 0.0 && rho < kDetectOverlapThreshold ? coupling_db(w, rx)
+                                                        : Db{-400.0}});
+  }
+}
+
+// A random bucket on one channel, received on a chain tuned to it, grouped
+// exactly the way GatewayRadio::build_sf_groups does it (stable counting
+// sort by SF over the start-sorted order).
 SyntheticBucket make_bucket(Rng& rng, std::size_t count, const Channel& ch) {
   SyntheticBucket b;
+  b.channels = {ch};
+  link_toward(b, ch);
   for (std::size_t i = 0; i < count; ++i) {
     const Seconds start{rng.uniform(0.0, 0.8)};
     const Seconds dur{rng.uniform(0.02, 0.2)};
@@ -286,7 +302,7 @@ SyntheticBucket make_bucket(Rng& rng, std::size_t count, const Channel& ch) {
     b.end.push_back(start + dur);
     b.power.push_back(power);
     b.lin_power.push_back(batch_detail::dbm_to_lin(power));
-    b.channel.push_back(ch);
+    b.channel.push_back(0);
     b.sf.push_back(sf_from_index(
         static_cast<int>(rng.uniform_int(0, kNumSpreadingFactors - 1))));
     b.net.push_back(static_cast<NetworkId>(rng.uniform_int(0, 2)));
@@ -304,7 +320,7 @@ SyntheticBucket make_bucket(Rng& rng, std::size_t count, const Channel& ch) {
   }
   b.lookback = longest;
 
-  // Stable counting sort by SF, mirroring build_sf_groups_and_memos.
+  // Stable counting sort by SF, mirroring build_sf_groups.
   std::uint32_t counts[kNumSpreadingFactors] = {};
   Dbm max_power[kNumSpreadingFactors];
   for (auto& p : max_power) p = Dbm{-400.0};
@@ -348,10 +364,9 @@ std::vector<std::uint32_t> decoded_ascending(const SyntheticBucket& b) {
   return decoded;
 }
 
-ScanEvent event_of(const SyntheticBucket& b, std::uint32_t i,
-                   const Channel& rx_ch) {
-  return ScanEvent{i,        b.start[i], b.end[i], b.power[i],
-                   b.sf[i],  b.net[i],   rx_ch};
+ScanEvent event_of(const SyntheticBucket& b, std::uint32_t i) {
+  return ScanEvent{i,       b.start[i], b.end[i],       b.power[i],
+                   b.sf[i], b.net[i],   b.toward.data()};
 }
 
 // Scalar-vs-batched comparison contract: the collision verdict and its
@@ -381,7 +396,7 @@ bool one_network(const SyntheticBucket& b) {
 // Runs every decoded event of `b` through the scalar and the aligned
 // kernel, each starting from `carried` (the state earlier buckets left),
 // and returns how many collided.
-int check_aligned_against_scalar(const SyntheticBucket& b, const Channel& ch,
+int check_aligned_against_scalar(const SyntheticBucket& b,
                                  const ScanAccum& carried,
                                  NetworkId event_net_offset = 0) {
   const bool single = one_network(b);
@@ -389,12 +404,12 @@ int check_aligned_against_scalar(const SyntheticBucket& b, const Channel& ch,
   for (const auto& g : b.groups) cursors.push_back(g.begin);
   int collided = 0;
   for (const std::uint32_t i : decoded_ascending(b)) {
-    ScanEvent ev = event_of(b, i, ch);
+    ScanEvent ev = event_of(b, i);
     ev.net += event_net_offset;
     ScanAccum scalar = carried;
     scan_bucket_scalar(b.soa(), b.order.data(),
-                       b.order.data() + b.order.size(), /*uniform=*/true,
-                       /*rho_uniform=*/1.0, b.lookback, ev, scalar);
+                       b.order.data() + b.order.size(), b.lookback, ev,
+                       scalar);
     ScanAccum batched = carried;
     scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
                                 b.groups.data(),
@@ -412,7 +427,7 @@ TEST(ScanBucketAligned, MatchesScalarOnRandomBuckets) {
   const Channel ch = kSpec.grid_channel(0);
   for (int trial = 0; trial < 50; ++trial) {
     const auto count = static_cast<std::size_t>(rng.uniform_int(1, 80));
-    check_aligned_against_scalar(make_bucket(rng, count, ch), ch, ScanAccum{});
+    check_aligned_against_scalar(make_bucket(rng, count, ch), ScanAccum{});
   }
 }
 
@@ -441,10 +456,10 @@ TEST(ScanBucketAligned, FirstColliderExitMatchesScalar) {
     ASSERT_FALSE(one_network(mixed));
     for (const ScanAccum& carried :
          {ScanAccum{}, carried_own, carried_foreign}) {
-      collided_single += check_aligned_against_scalar(single, ch, carried);
-      collided_single += check_aligned_against_scalar(single, ch, carried,
+      collided_single += check_aligned_against_scalar(single, carried);
+      collided_single += check_aligned_against_scalar(single, carried,
                                                       /*event_net_offset=*/1);
-      collided_mixed += check_aligned_against_scalar(mixed, ch, carried);
+      collided_mixed += check_aligned_against_scalar(mixed, carried);
     }
   }
   EXPECT_GT(collided_single, 0);
@@ -457,6 +472,8 @@ TEST(ScanBucketAligned, FirstColliderExitMatchesScalar) {
 TEST(ScanBucketAligned, LastForeignColliderOutranksFirstOwnOne) {
   const Channel ch = kSpec.grid_channel(2);
   SyntheticBucket b;
+  b.channels = {ch};
+  link_toward(b, ch);
   // Event 0 is decoded; events 1 (own) and 2 (foreign) both overlap it and
   // are 10 dB louder at its SF, so both collide; event 1 starts first.
   const double starts[] = {0.10, 0.05, 0.12};
@@ -467,7 +484,7 @@ TEST(ScanBucketAligned, LastForeignColliderOutranksFirstOwnOne) {
     b.end.push_back(Seconds{starts[k] + 0.1});
     b.power.push_back(Dbm{powers[k]});
     b.lin_power.push_back(batch_detail::dbm_to_lin(Dbm{powers[k]}));
-    b.channel.push_back(ch);
+    b.channel.push_back(0);
     b.sf.push_back(SpreadingFactor::kSF9);
     b.net.push_back(nets[k]);
   }
@@ -477,11 +494,10 @@ TEST(ScanBucketAligned, LastForeignColliderOutranksFirstOwnOne) {
   b.groups = {SfGroup{0, 3, SpreadingFactor::kSF9, Dbm{-90.0}}};
   b.lookback = Seconds{0.1};
   ASSERT_FALSE(one_network(b));
-  const ScanEvent ev = event_of(b, 0, ch);
+  const ScanEvent ev = event_of(b, 0);
   ScanAccum scalar;
-  scan_bucket_scalar(b.soa(), b.order.data(), b.order.data() + 3,
-                     /*uniform=*/true, /*rho_uniform=*/1.0, b.lookback, ev,
-                     scalar);
+  scan_bucket_scalar(b.soa(), b.order.data(), b.order.data() + 3, b.lookback,
+                     ev, scalar);
   std::vector<std::uint32_t> cursors = {0};
   ScanAccum batched;
   scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
@@ -499,7 +515,7 @@ TEST(ScanBucketAligned, SingleEventBucketSeesNoInterferer) {
   const Channel ch = kSpec.grid_channel(1);
   SyntheticBucket b = make_bucket(rng, 1, ch);
   std::vector<std::uint32_t> cursors = {b.groups[0].begin};
-  const ScanEvent ev = event_of(b, 0, ch);
+  const ScanEvent ev = event_of(b, 0);
   ScanAccum acc;
   scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
                               b.groups.data(), b.groups.data() + 1,
@@ -514,7 +530,7 @@ TEST(ScanBucketAligned, EmptyGroupSpanIsANoOp) {
   Rng rng(8ULL);
   const Channel ch = kSpec.grid_channel(2);
   SyntheticBucket b = make_bucket(rng, 4, ch);
-  const ScanEvent ev = event_of(b, 0, ch);
+  const ScanEvent ev = event_of(b, 0);
   ScanAccum acc;
   // groups_begin == groups_end: the mixed-bucket / empty-bucket shape.
   scan_bucket_aligned_grouped(b.soa(), b.order_sf.data(), b.pos_sf.data(),
@@ -524,75 +540,97 @@ TEST(ScanBucketAligned, EmptyGroupSpanIsANoOp) {
   EXPECT_EQ(acc.aligned_same_sf_lin, 0.0);
 }
 
-TEST(ScanBucketMisaligned, MatchesScalarOnPartialOverlapBuckets) {
-  Rng rng(0xB0B0ULL);
-  const Channel bucket_ch = kSpec.grid_channel(0);
-  // A receive chain whose channel partially overlaps the bucket's: shift
-  // the center by 60% of the bandwidth, keeping 0 < rho < threshold.
-  const Channel rx_ch{bucket_ch.center + Hz{0.6 * bucket_ch.bandwidth.value()},
-                      bucket_ch.bandwidth};
-  const double rho = overlap_ratio(bucket_ch, rx_ch);
-  ASSERT_GT(rho, 0.0);
-  ASSERT_LT(rho, kDetectOverlapThreshold);
-  const Db coupling = coupling_db(bucket_ch, rx_ch);
-
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto count = static_cast<std::size_t>(rng.uniform_int(1, 60));
-    SyntheticBucket b = make_bucket(rng, count, bucket_ch);
-    std::uint32_t cursor = 0;
-    for (const std::uint32_t i : decoded_ascending(b)) {
-      const ScanEvent ev = event_of(b, i, rx_ch);
-      ScanAccum scalar;
-      scan_bucket_scalar(b.soa(), b.order.data(),
-                         b.order.data() + b.order.size(), /*uniform=*/true,
-                         rho, b.lookback, ev, scalar);
-      ScanAccum batched;
-      scan_bucket_misaligned_uniform(b.soa(), b.order.data(),
-                                     b.order.data() + b.order.size(), cursor,
-                                     b.lookback, coupling, ev, batched);
-      expect_equivalent(scalar, batched, i);
+// The original per-event scan, on the interferer's and the chain's
+// channels instead of table links: the per-pair formulas the reference scan
+// must reproduce.
+ScanAccum per_pair_scan(const SyntheticBucket& b, std::uint32_t i,
+                        const Channel& rx, ScanAccum acc) {
+  for (const std::uint32_t j : b.order) {
+    if (!(b.start[j] >= b.start[i] - b.lookback)) continue;
+    if (b.start[j] >= b.end[i]) break;
+    if (j == i || !(b.start[i] < b.end[j])) continue;
+    const Channel& src = b.channels[b.channel[j]];
+    const double rho = overlap_ratio(src, rx);
+    if (rho <= 0.0) continue;
+    const bool same_sf = b.sf[j] == b.sf[i];
+    if (rho >= kDetectOverlapThreshold) {
+      if (same_sf) {
+        acc.aligned_same_sf_lin += batch_detail::dbm_to_lin(b.power[j]);
+      }
+      if (b.power[i] - b.power[j] < capture_sir_threshold(b.sf[i], b.sf[j])) {
+        acc.collided = true;
+        acc.foreign_fatal = b.net[j] != b.net[i];
+      }
+    } else {
+      Dbm eff = effective_interference_dbm(b.power[j], src, rx);
+      if (!same_sf) eff -= kCrossSfMisalignedRejection;
+      if (eff > Dbm{-250.0}) {
+        acc.misaligned_intf_lin += batch_detail::dbm_to_lin(eff);
+      }
     }
   }
+  return acc;
 }
 
-TEST(ScanBucketMisaligned, ParkedCursorStaysSoundAfterSkippedScans) {
-  Rng rng(0xCAFEULL);
-  const Channel bucket_ch = kSpec.grid_channel(3);
-  const Channel rx_ch{bucket_ch.center + Hz{0.6 * bucket_ch.bandwidth.value()},
-                      bucket_ch.bandwidth};
-  const double rho = overlap_ratio(bucket_ch, rx_ch);
-  const Db coupling = coupling_db(bucket_ch, rx_ch);
-  SyntheticBucket b = make_bucket(rng, 40, bucket_ch);
-  std::uint32_t cursor = 0;
-  bool skipped_one = false;
-  for (const std::uint32_t i : decoded_ascending(b)) {
-    const ScanEvent ev = event_of(b, i, rx_ch);
-    // Every other decoded event arrives already-collided: the kernel must
-    // return untouched (dead sum) and leave the cursor parked without
-    // corrupting later live scans.
-    if (!skipped_one) {
-      ScanAccum dead;
-      dead.collided = true;
-      const std::uint32_t before = cursor;
-      scan_bucket_misaligned_uniform(b.soa(), b.order.data(),
-                                     b.order.data() + b.order.size(), cursor,
-                                     b.lookback, coupling, ev, dead);
-      EXPECT_EQ(cursor, before);
-      EXPECT_EQ(dead.misaligned_intf_lin, 0.0);
-      skipped_one = true;
-      continue;
+// Random mixed buckets — a grid channel, neighbours shifted 20 and 75 kHz
+// either way, 250 and 500 kHz channels on and beside it, and one clear of
+// it — received on 125, 250 and 500 kHz chains: the reference scan,
+// reading each interferer's overlap and coupling from the chain's links by
+// window channel id, equals the per-pair formulas bit for bit, every sum
+// included, from a clean and from a carried-in collision.
+TEST(ScanBucketScalar, TableLinksMatchPerPairFormulas) {
+  Rng rng(0x7AB1E5ULL);
+  const Channel grid = kSpec.grid_channel(3);
+  const auto shifted = [&](double khz, Hz bandwidth) {
+    return Channel{grid.center + Hz{khz * 1e3}, bandwidth};
+  };
+  const std::vector<Channel> family = {
+      grid,
+      shifted(75.0, kLoRaBandwidth125k),
+      shifted(-75.0, kLoRaBandwidth125k),
+      shifted(-105.0, kLoRaBandwidth125k),
+      shifted(20.0, kLoRaBandwidth125k),
+      shifted(0.0, kLoRaBandwidth250k),
+      shifted(100.0, kLoRaBandwidth500k),
+      shifted(160.0, kLoRaBandwidth250k),
+      shifted(400.0, kLoRaBandwidth125k)};
+  const std::vector<Channel> chains = {grid, shifted(75.0, kLoRaBandwidth125k),
+                                       shifted(0.0, kLoRaBandwidth250k),
+                                       shifted(100.0, kLoRaBandwidth500k)};
+  ScanAccum carried;
+  carried.collided = true;
+  carried.foreign_fatal = true;
+  int misaligned = 0;
+  int collided = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(2, 60));
+    SyntheticBucket b = make_bucket(rng, count, grid);
+    b.channels = family;
+    for (auto& id : b.channel) {
+      id = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(family.size()) - 1));
     }
-    ScanAccum scalar;
-    scan_bucket_scalar(b.soa(), b.order.data(),
-                       b.order.data() + b.order.size(), /*uniform=*/true, rho,
-                       b.lookback, ev, scalar);
-    ScanAccum batched;
-    scan_bucket_misaligned_uniform(b.soa(), b.order.data(),
-                                   b.order.data() + b.order.size(), cursor,
-                                   b.lookback, coupling, ev, batched);
-    expect_equivalent(scalar, batched, i);
-    skipped_one = false;
+    for (const Channel& rx : chains) {
+      link_toward(b, rx);
+      for (const std::uint32_t i : decoded_ascending(b)) {
+        for (const ScanAccum& from : {ScanAccum{}, carried}) {
+          ScanAccum table = from;
+          scan_bucket_scalar(b.soa(), b.order.data(),
+                             b.order.data() + b.order.size(), b.lookback,
+                             event_of(b, i), table);
+          const ScanAccum formulas = per_pair_scan(b, i, rx, from);
+          ASSERT_EQ(table.collided, formulas.collided) << "event " << i;
+          EXPECT_EQ(table.foreign_fatal, formulas.foreign_fatal);
+          EXPECT_EQ(table.aligned_same_sf_lin, formulas.aligned_same_sf_lin);
+          EXPECT_EQ(table.misaligned_intf_lin, formulas.misaligned_intf_lin);
+          misaligned += formulas.misaligned_intf_lin > 0.0 ? 1 : 0;
+          collided += formulas.collided && !from.collided ? 1 : 0;
+        }
+      }
+    }
   }
+  EXPECT_GT(misaligned, 0);
+  EXPECT_GT(collided, 0);
 }
 
 }  // namespace

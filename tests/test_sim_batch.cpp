@@ -10,7 +10,11 @@
 // threshold, events out of start order, a dispatch key tied across two
 // classes, a dispatch queue of all three bandwidths) were recorded by the
 // receive path before it merged the dispatch order and skipped sorts of
-// ordered starts. The property suite
+// ordered starts. The Strategy-8 cases (a uniform bucket partially
+// overlapping a chain, a mixed bucket of a grid channel and its 75 kHz
+// neighbour, 250 and 500 kHz chains) were recorded by the receive path
+// before it read overlaps and couplings from a per-window channel table.
+// The property suite
 // (tests/property/test_prop_kernels.cpp) covers random worlds; these are
 // the deliberate corners.
 #include <gtest/gtest.h>
@@ -88,17 +92,18 @@ std::string disposition_letters(const std::vector<RxOutcome>& outcomes) {
   return letters;
 }
 
-// Run a crafted window through a freshly configured radio and require the
-// pinned dispositions and the pinned digest of every outcome field.
+// Run a crafted window through a freshly configured radio (grid channels
+// 0-7 unless given) and require the pinned dispositions and the pinned
+// digest of every outcome field.
 void expect_pinned(const std::vector<Transmission>& txs,
                    const std::vector<Dbm>& powers,
-                   const std::string& dispositions, const char* digest) {
+                   const std::string& dispositions, const char* digest,
+                   GatewayRadio radio = make_radio()) {
   ASSERT_EQ(txs.size(), powers.size());
   std::vector<RxEvent> events;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     events.push_back(RxEvent{txs[i], powers[i]});
   }
-  GatewayRadio radio = make_radio();
   const auto outcomes = radio.process(events);
   EXPECT_EQ(disposition_letters(outcomes), dispositions);
   EXPECT_EQ(digest_hex(outcome_digest(outcomes)), digest);
@@ -182,6 +187,112 @@ TEST(BatchPipeline, PartialOverlapLookbackAtBucketEdges) {
   txs.push_back(make_tx(id++, offset, SpreadingFactor::kSF7, Seconds{0.91}));
   powers.push_back(Dbm{-58.0});
   expect_pinned(txs, powers, "RLLR", "eeff76c5e12c6b11");
+}
+
+TEST(BatchPipeline, UniformBucketOffAChainDecidesALowSnrDrop) {
+  // A chain 90 kHz above grid channel 2, and interferers 75 kHz above the
+  // chain: they sit alone in the next frequency bucket up, a uniform
+  // bucket overlapping the chain by 40%. Three weak SF7 packets on the
+  // chain: the first overlaps a loud same-SF interferer, whose leaked power
+  // sinks it below the SNR threshold; the second a cross-SF one, whose
+  // extra rejection lets it through; the third is alone.
+  const Channel chain{kSpec.grid_center(2) + Hz{90e3}, kLoRaBandwidth125k};
+  const Channel above{chain.center + Hz{75e3}, kLoRaBandwidth125k};
+  GatewayRadio radio(default_profile(), 0, sync_word_for_network(0));
+  radio.configure_channels(
+      {kSpec.grid_channel(0), kSpec.grid_channel(1), chain});
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  PacketId id = 1;
+  txs.push_back(make_tx(id++, above, SpreadingFactor::kSF7, Seconds{0.00}));
+  powers.push_back(Dbm{-90.0});
+  txs.push_back(make_tx(id++, chain, SpreadingFactor::kSF7, Seconds{0.01}));
+  powers.push_back(Dbm{-122.0});
+  txs.push_back(make_tx(id++, above, SpreadingFactor::kSF9, Seconds{0.40}));
+  powers.push_back(Dbm{-90.0});
+  txs.push_back(make_tx(id++, chain, SpreadingFactor::kSF7, Seconds{0.45}));
+  powers.push_back(Dbm{-122.0});
+  txs.push_back(make_tx(id++, chain, SpreadingFactor::kSF7, Seconds{0.90}));
+  powers.push_back(Dbm{-122.0});
+  expect_pinned(txs, powers, "RLRDD", "c55237168e9b9fac", std::move(radio));
+}
+
+TEST(BatchPipeline, MixedBucketAlignedColliderAfterMisalignedContributor) {
+  // Grid channel 2 and its neighbour 75 kHz up share one frequency bucket.
+  // The first decoded packet meets a loud misaligned contributor and then
+  // a stronger foreign packet on its own channel, which collides; the
+  // second meets only a misaligned contributor, whose leaked power decides
+  // its SNR; the third, on grid channel 3, sees neither.
+  const Channel grid = kSpec.grid_channel(2);
+  const Channel shifted{grid.center + Hz{75e3}, kLoRaBandwidth125k};
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  PacketId id = 1;
+  txs.push_back(
+      make_tx(id++, shifted, SpreadingFactor::kSF8, Seconds{0.05}, 1));
+  powers.push_back(Dbm{-80.0});
+  txs.push_back(make_tx(id++, grid, SpreadingFactor::kSF8, Seconds{0.10}));
+  powers.push_back(Dbm{-100.0});
+  txs.push_back(make_tx(id++, grid, SpreadingFactor::kSF8, Seconds{0.12}, 1));
+  powers.push_back(Dbm{-95.0});
+  txs.push_back(make_tx(id++, shifted, SpreadingFactor::kSF8, Seconds{0.58}));
+  powers.push_back(Dbm{-78.0});
+  txs.push_back(make_tx(id++, grid, SpreadingFactor::kSF8, Seconds{0.60}));
+  powers.push_back(Dbm{-118.0});
+  txs.push_back(make_tx(id++, kSpec.grid_channel(3), SpreadingFactor::kSF8,
+                        Seconds{0.61}));
+  powers.push_back(Dbm{-118.0});
+  expect_pinned(txs, powers, "RCCRLD", "d88954e9b5424593");
+}
+
+TEST(BatchPipeline, WideChainsAmongNarrowAndShiftedPackets) {
+  // A 125 kHz chain, a 250 kHz chain and a 500 kHz chain, hearing packets
+  // on each chain, 125 kHz packets inside the wide chains, 250 kHz packets
+  // 75 kHz off the 250 kHz chain, and 125 kHz packets across the 500 kHz
+  // chain's edges: detection on the best-overlapping chain, partial
+  // overlaps of every bandwidth pair, and the noise floor of each
+  // bandwidth.
+  const Channel narrow = kSpec.grid_channel(0);
+  const Channel mid{kSpec.grid_center(1), kLoRaBandwidth250k};
+  const Channel wide{kSpec.grid_center(4) + kChannelSpacing / 2,
+                     kLoRaBandwidth500k};
+  GatewayRadio radio(default_profile(), 0, sync_word_for_network(0));
+  radio.configure_channels({narrow, mid, wide});
+  const std::vector<Channel> family = {
+      narrow,
+      mid,
+      wide,
+      kSpec.grid_channel(1),
+      Channel{mid.center + Hz{75e3}, kLoRaBandwidth250k},
+      kSpec.grid_channel(4),
+      Channel{wide.low() + Hz{20e3}, kLoRaBandwidth125k},
+      Channel{wide.high() - Hz{30e3}, kLoRaBandwidth125k},
+      Channel{narrow.center + Hz{75e3}, kLoRaBandwidth125k}};
+  Rng rng(0x5A5A5AULL);
+  std::vector<Transmission> txs;
+  std::vector<Dbm> powers;
+  double start = 0.0;
+  for (int i = 0; i < 60; ++i) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(family.size()) - 1));
+    start += rng.uniform(0.0, 0.01);
+    txs.push_back(make_tx(static_cast<PacketId>(i + 1), family[pick],
+                          sf_from_index(static_cast<int>(rng.uniform_int(0, 5))),
+                          Seconds{start},
+                          static_cast<NetworkId>(rng.uniform_int(0, 1))));
+    powers.push_back(Dbm{rng.uniform(-125.0, -75.0)});
+  }
+  // Later, a weak packet on the 250 kHz chain beside a 250 kHz interferer
+  // 75 kHz off it: the leaked power sinks it over the 250 kHz noise floor,
+  // and would not over the 125 kHz one.
+  txs.push_back(make_tx(61, family[4], SpreadingFactor::kSF7, Seconds{5.0}));
+  powers.push_back(Dbm{-108.0});
+  txs.push_back(make_tx(62, mid, SpreadingFactor::kSF7, Seconds{5.01}));
+  powers.push_back(Dbm{-121.0});
+  expect_pinned(txs, powers,
+                "CDRCRDRRCRCRDRRCFRRCCDCRRCCDNCFC"
+                "RCRRCRRFFFDRRRRRCRFRRRRCRDCCRL",
+                "8d305da8c5d93ab9", std::move(radio));
 }
 
 TEST(BatchPipeline, SixtyFiveCandidateWindow) {

@@ -6,30 +6,11 @@
 #include <stdexcept>
 
 namespace alphawan {
-namespace {
-
-std::string join(const std::vector<std::string>& parts) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out << "; ";
-    out << parts[i];
-  }
-  return out.str();
-}
-
-}  // namespace
-
 void SimInvariants::violate(std::string message) {
   if (fail_fast_) {
     throw std::logic_error("SimInvariants: " + message);
   }
   violations_.push_back(std::move(message));
-}
-
-void SimInvariants::require_clean() const {
-  if (!ok()) {
-    throw std::logic_error("SimInvariants: " + join(violations_));
-  }
 }
 
 void SimInvariants::clear() {

@@ -33,8 +33,6 @@ class SimInvariants {
   [[nodiscard]] const std::vector<std::string>& violations() const {
     return violations_;
   }
-  // Throws std::logic_error listing all violations unless ok().
-  void require_clean() const;
   void clear();
 
   [[nodiscard]] std::size_t windows_checked() const {

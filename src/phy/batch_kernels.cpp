@@ -13,9 +13,7 @@ void batch_fading_draws(const SubstreamBatch& stream, const PacketId* packets,
 
 std::size_t batch_prune_candidates(std::span<const LinkGain> gains,
                                    const std::uint32_t* row_of_tx,
-                                   const Dbm* tx_power,
-                                   const std::uint32_t* channel_of_tx,
-                                   const std::uint8_t* readable, Dbm floor,
+                                   const Dbm* tx_power, Dbm floor,
                                    Db fading_sigma, std::uint32_t* tx_index,
                                    std::size_t count) {
   std::size_t kept = 0;
@@ -26,9 +24,8 @@ std::size_t batch_prune_candidates(std::span<const LinkGain> gains,
     // the slot overwritten was already read.
     tx_index[kept] = i;
     kept += static_cast<std::size_t>(
-        (g.antenna_gain.value() - g.path_loss.value() >=
-         min_audible_gain(floor, tx_power[i], fading_sigma)) &
-        (readable[channel_of_tx[i]] != 0));
+        g.antenna_gain.value() - g.path_loss.value() >=
+        min_audible_gain(floor, tx_power[i], fading_sigma));
   }
   return kept;
 }

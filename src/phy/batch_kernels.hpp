@@ -281,16 +281,11 @@ void batch_fading_draws(const SubstreamBatch& stream, const PacketId* packets,
 // the full one; fading is keyed per (gateway, packet), so skipping a draw
 // moves no other. A separate branch-free pass: where most candidates fail
 // the test, a branch on it predicts badly, and fused into the draw loop it
-// would stall the draws behind it (docs/performance.md). The same pass
-// drops every candidate on a channel the gateway can never read
-// (readable[channel_of_tx[i]] == 0, GatewayRadio::readable_channels): such
-// an event is front-end rejected and touches no other outcome, so skipping
-// it moves no fate. Returns the number kept, in ascending order.
+// would stall the draws behind it (docs/performance.md). Returns the
+// number kept, in ascending order.
 std::size_t batch_prune_candidates(std::span<const LinkGain> gains,
                                    const std::uint32_t* row_of_tx,
-                                   const Dbm* tx_power,
-                                   const std::uint32_t* channel_of_tx,
-                                   const std::uint8_t* readable, Dbm floor,
+                                   const Dbm* tx_power, Dbm floor,
                                    Db fading_sigma, std::uint32_t* tx_index,
                                    std::size_t count);
 

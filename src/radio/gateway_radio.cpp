@@ -138,8 +138,8 @@ void GatewayRadio::build_channel_table(std::span<const Channel> window_channels,
 // A window channel w is readable when
 //   (1) overlap_ratio(w, chain) > 0 for some chain (a table link), or
 //   (2) overlap_ratio(w, d) >= kDetectOverlapThreshold for some window
-//       channel d that is detectable on a chain (its table row's chain is
-//       not -1), or
+//       channel d that is detectable on a chain (overlaps one by at least
+//       kDetectOverlapThreshold, so its table row's chain is not -1), or
 //   (3) w shares its coarse frequency bucket with a channel meeting (1)
 //       or (2).
 // An event j on a channel meeting none of them leaves every outcome of
@@ -163,21 +163,24 @@ void GatewayRadio::build_channel_table(std::span<const Channel> window_channels,
 // chain is detected on it (the ratio divides by the narrower bandwidth),
 // and a 125 kHz packet elsewhere inside the 500 kHz band overlaps it fully
 // while missing the chain.
+// Each clause reads the same overlap_ratio and bucket_of answers
+// build_channel_table stores, computed in place: the runner asks once per
+// gateway per window, and a table would cost a heap allocation and the
+// couplings and noise floors no clause reads.
 void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
                                      std::vector<std::uint8_t>& readable) const {
   constexpr std::uint8_t kReadable = 1;
   constexpr std::uint8_t kDetectable = 2;
-  ChannelTable table;
-  build_channel_table(window_channels, table);
   const std::size_t n = window_channels.size();
   readable.assign(n, 0);
   for (std::size_t w = 0; w < n; ++w) {
-    if (table.rows[w].chain >= 0) {
-      readable[w] = kDetectable;
-      continue;
-    }
-    for (std::size_t c = 0; c < channels_.size() && readable[w] == 0; ++c) {
-      if (table.toward(c)[w].rho > 0.0) readable[w] = kReadable;
+    for (const Channel& chain : channels_) {
+      const double rho = overlap_ratio(window_channels[w], chain);
+      if (rho >= kDetectOverlapThreshold) {
+        readable[w] = kDetectable;
+        break;
+      }
+      if (rho > 0.0) readable[w] = kReadable;
     }
   }
   for (std::size_t w = 0; w < n; ++w) {
@@ -192,8 +195,9 @@ void GatewayRadio::readable_channels(std::span<const Channel> window_channels,
   // Sharing a bucket is an equivalence: a channel marked here shares its
   // bucket with one meeting (1) or (2), so marking in place is safe.
   for (std::size_t w = 0; w < n; ++w) {
+    const std::int64_t bucket = bucket_of(window_channels[w].center);
     for (std::size_t r = 0; r < n && readable[w] == 0; ++r) {
-      if (readable[r] != 0 && table.rows[r].bucket == table.rows[w].bucket) {
+      if (readable[r] != 0 && bucket_of(window_channels[r].center) == bucket) {
         readable[w] = kReadable;
       }
     }

@@ -59,9 +59,10 @@ class GatewayRadio {
   // nonzero where an event on it may reach phase 1's chains, phase 3's
   // interference scan or a capture policy, or shares a frequency bucket
   // with one that may. An event on a zero channel is front-end rejected
-  // and changes no other event's outcome, so the runner drops it before
-  // the fading draw (batch_prune_candidates); the proof is at the
-  // definition. Answered from the same channel table process_into reads.
+  // and changes no other event's outcome, so the runner's prepass never
+  // routes it to this radio; the proof is at the definition. Gives the
+  // answers of the channel table process_into builds, without building
+  // one: it allocates nothing beyond growing `readable`.
   void readable_channels(std::span<const Channel> window_channels,
                          std::vector<std::uint8_t>& readable) const;
 

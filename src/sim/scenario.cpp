@@ -102,11 +102,22 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   sc.shards.resize(shards);
   sc.task_col.resize(tasks.size());
   sc.task_shard.resize(tasks.size());
+  sc.task_ids.resize(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const Gateway* gw = tasks[t];
     const auto home = static_cast<std::size_t>(layout.shard_of(gw->position()));
     sc.task_shard[t] = static_cast<std::uint32_t>(home);
     sc.task_col[t] = caches.slice(home).column_of(gw->id());
+    sc.task_ids[t] = gw->id();
+  }
+  // Gateways sharing an id would share a link-cache column, and with it
+  // the candidate list each task compacts in place.
+  std::sort(sc.task_ids.begin(), sc.task_ids.end());
+  const auto twice = std::adjacent_find(sc.task_ids.begin(), sc.task_ids.end());
+  if (twice != sc.task_ids.end()) {
+    throw std::invalid_argument("run_window: gateway id " +
+                                std::to_string(*twice) +
+                                " is used by two gateways");
   }
 
   // One serial pass resolves every transmission once: its node's slot in
@@ -118,24 +129,44 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     sc.tx_home[i] = static_cast<std::uint32_t>(layout.shard_of(txs[i].origin));
   }
 
+  // The window's shared transmission columns, built once: the prepass
+  // routes by their channel ids, and each gateway task consumes them
+  // through the receive kernels (phy/batch_kernels.hpp) instead of
+  // per-event struct walks.
+  sc.table.build(txs);
+
   // Per-shard prepass, shards in parallel: register every audible
-  // transmitter row with the shard's LinkCache slice and record its
-  // candidate columns, so a gateway task walks only transmissions that
-  // could plausibly clear its prune floor. Each loop touches only its own
-  // slice and scratch. The audibility gate uses exactly the candidate bound,
-  // so a transmitter skipped by a slice has no candidate columns there and
-  // no event is lost; ascending tx order is preserved per gateway, so every
-  // event list is identical to the monolithic loop's (docs/sharding.md).
+  // transmitter row with the shard's LinkCache slice and route it to the
+  // candidate columns whose gateway can read its channel, so a gateway
+  // task walks only transmissions that could plausibly clear its prune
+  // floor on a channel its radio reads. Each loop touches only its own
+  // slice, scratch and home gateways' radios. The audibility gate uses
+  // exactly the candidate bound, so a transmitter skipped by a slice has no
+  // candidate columns there and no event is lost; an event on a channel the
+  // radio cannot read changes no outcome (GatewayRadio::readable_channels);
+  // lists fill in ascending tx order, so every event list is identical to
+  // the monolithic loop's (docs/sharding.md).
   parallel_for(
       shards,
       [&](std::size_t s) {
         auto& sh = sc.shards[s];
         LinkCache& slice = caches.slice(s);
-        // Candidacy is a column bitmask of mask_words words per
-        // transmission: the fan-out tests one bit per (tx, gateway) pair.
         const std::size_t words = slice.mask_words();
+        sh.readable_cols.assign(sc.table.channels.size() * words, 0);
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+          if (sc.task_shard[t] != s) continue;
+          tasks[t]->radio().readable_channels(sc.table.channels, sh.readable);
+          const std::uint32_t col = sc.task_col[t];
+          for (std::size_t w = 0; w < sh.readable.size(); ++w) {
+            if (sh.readable[w] != 0) {
+              sh.readable_cols[w * words + col / 64] |= std::uint64_t{1}
+                                                        << (col % 64);
+            }
+          }
+        }
+        sh.col_txs.resize(slice.column_count());
+        for (auto& list : sh.col_txs) list.clear();
         sh.row_of_tx.resize(txs.size());
-        sh.tx_mask.resize(txs.size() * words);
         sh.boundary_rows = 0;
         for (std::size_t i = 0; i < txs.size(); ++i) {
           if (i + kMemoPrefetchAhead < txs.size()) {
@@ -152,17 +183,21 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
                                                        kMaxTxPower)
                       : slice.ensure_row_at(sc.tx_slot[i], tx.node, tx.origin);
           sh.row_of_tx[i] = row;
-          std::uint64_t* mask = sh.tx_mask.data() + i * words;
-          if (row == LinkCache::kInvalidRow) {
-            std::fill_n(mask, words, std::uint64_t{0});
-            continue;
-          }
+          if (row == LinkCache::kInvalidRow) continue;
           if (sc.tx_home[i] != s) ++sh.boundary_rows;
-          if (in_spec) {
-            const auto cand = slice.candidate_mask(row, floor, kMaxTxPower);
-            std::copy(cand.begin(), cand.end(), mask);
-          } else {
-            std::fill_n(mask, words, ~std::uint64_t{0});
+          const std::uint64_t* readable =
+              sh.readable_cols.data() + sc.table.channel_id[i] * words;
+          const std::uint64_t* cand =
+              in_spec ? slice.candidate_mask(row, floor, kMaxTxPower).data()
+                      : nullptr;
+          for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t m = (in_spec ? cand[w] : ~std::uint64_t{0}) &
+                              readable[w];
+            for (; m != 0; m &= m - 1) {
+              sh.col_txs[w * 64 + static_cast<std::size_t>(
+                                      __builtin_ctzll(m))]
+                  .push_back(static_cast<std::uint32_t>(i));
+            }
           }
         }
       },
@@ -174,63 +209,45 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     shard_stats_.boundary_rows += sc.shards[s].boundary_rows;
   }
   const Db fading_sigma = channel.config().fast_fading_sigma_db;
-
-  // The window's shared transmission columns, built once; each gateway task
-  // consumes them through the receive kernels (phy/batch_kernels.hpp)
-  // instead of per-event struct walks.
-  sc.table.build(txs);
   if (sc.task_fade.size() < tasks.size()) {
     sc.task_fade.resize(tasks.size());
     sc.task_power.resize(tasks.size());
-    sc.task_readable.resize(tasks.size());
   }
 
-  // Per-gateway pipelines are independent: each consumes its shard's
-  // candidate masks and touches only its own gateway (the link cache slices
-  // and scratch arenas are read-only / per-task here). Each yield lands in
-  // the slot of its global task index, so the merge below is byte-for-byte
-  // the monolithic one whatever the shard count (docs/sharding.md).
+  // Per-gateway pipelines are independent: each works on its own column's
+  // candidate list and touches only its own gateway (the link cache slices
+  // are read-only here). Each yield lands in the slot of its global task
+  // index, so the merge below is byte-for-byte the monolithic one whatever
+  // the shard count (docs/sharding.md).
   sc.yields.resize(tasks.size());
   parallel_for(
       tasks.size(),
       [&](std::size_t t) {
         Gateway* gw = tasks[t];
-        const auto& sh = sc.shards[sc.task_shard[t]];
+        auto& sh = sc.shards[sc.task_shard[t]];
         auto& yield = sc.yields[t];
         yield.uplinks.clear();
-        // Gather the gateway's candidate transmission indices in ascending
-        // order, prune those that cannot clear the floor at their own tx
-        // power (the masks assume kMaxTxPower; docs/performance.md) or sit
-        // on a channel this radio can never read (readable_channels), draw
-        // the survivors' fading in one keyed batch, filter by the prune
-        // floor, then run the radio off the shared columns. The list
-        // compacts in place into the yield's event list. The rx power comes
-        // from the cached static link terms; only the fast-fading draw is
+        // Take the gateway's routed candidates (ascending, all on channels
+        // its radio reads), prune those that cannot clear the floor at
+        // their own tx power (the masks assume kMaxTxPower;
+        // docs/performance.md), draw the survivors' fading in one keyed
+        // batch, filter by the prune floor, then run the radio off the
+        // shared columns. The list compacts in place into the gateway's
+        // event list, which the merge reads. The rx power comes from the
+        // cached static link terms; only the fast-fading draw is
         // per-packet, and the filter evaluates the uncached arithmetic term
         // for term —
         //   ((tx_power - link_path_loss) + fading) + antenna_gain
         // — so rx powers are bit-identical.
         const LinkCache& slice = caches.slice(sc.task_shard[t]);
         const auto gains = slice.gains(sc.task_col[t]);
-        auto& idx = yield.event_tx_index;
+        auto& idx = sh.col_txs[sc.task_col[t]];
         auto& fade = sc.task_fade[t];
         auto& power = sc.task_power[t];
-        idx.clear();
-        const std::uint32_t col = sc.task_col[t];
-        const std::uint64_t bit = std::uint64_t{1} << (col % 64);
-        const std::uint64_t* mask = sh.tx_mask.data() + col / 64;
-        const std::size_t words = slice.mask_words();
-        for (std::size_t i = 0; i < txs.size(); ++i) {
-          if (mask[i * words] & bit) {
-            idx.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
-        auto& readable = sc.task_readable[t];
-        gw->radio().readable_channels(sc.table.channels, readable);
-        idx.resize(batch_prune_candidates(
-            gains, sh.row_of_tx.data(), sc.table.tx_power.data(),
-            sc.table.channel_id.data(), readable.data(), floor, fading_sigma,
-            idx.data(), idx.size()));
+        idx.resize(batch_prune_candidates(gains, sh.row_of_tx.data(),
+                                          sc.table.tx_power.data(), floor,
+                                          fading_sigma, idx.data(),
+                                          idx.size()));
         fade.resize(idx.size());
         power.resize(idx.size());
         const SubstreamBatch fading_stream(
@@ -247,13 +264,16 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
       },
       options_.threads);
 
+  // Task t's events: its column's list, compacted by the task.
+  const auto events_of = [&sc](std::size_t t) -> const auto& {
+    return sc.shards[sc.task_shard[t]].col_txs[sc.task_col[t]];
+  };
   // The checker reads only the finished yields, gateway by gateway in
   // deployment order, so it never touches the parallel region.
   if (invariants_ != nullptr) {
     for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const auto& yield = sc.yields[t];
       invariants_->check_gateway_window(
-          sc.table, yield.event_tx_index, yield.outcomes,
+          sc.table, events_of(t), sc.yields[t].outcomes,
           static_cast<std::size_t>(tasks[t]->radio().profile().decoders));
     }
   }
@@ -270,9 +290,10 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     uplinks.clear();
     for ([[maybe_unused]] auto& gw : network.gateways()) {
       const auto& yield = sc.yields[t];
+      const auto& events = events_of(t);
       const std::uint32_t shard = sc.task_shard[t++];
       for (std::size_t e = 0; e < yield.outcomes.size(); ++e) {
-        const std::uint32_t i = yield.event_tx_index[e];
+        const std::uint32_t i = events[e];
         shard_stats_.boundary_events += sc.tx_home[i] != shard;
         if (sc.table.net[i] == network.id()) {
           sc.own_fold[i] |= fold_outcome(yield.outcomes[e]);

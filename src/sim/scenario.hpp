@@ -75,8 +75,7 @@ struct ShardWindowStats {
 // the runner's scratch so the buffers (outcome lists above all) keep their
 // capacity across windows instead of being reallocated every window.
 struct GatewayYield {
-  std::vector<RxOutcome> outcomes;
-  std::vector<std::uint32_t> event_tx_index;  // RxEventView::tx_index's type
+  std::vector<RxOutcome> outcomes;  // parallel to the gateway's event list
   std::vector<UplinkRecord> uplinks;
 };
 
@@ -136,14 +135,20 @@ class ScenarioRunner {
   // (docs/performance.md). Makes concurrent run_window calls on one runner
   // invalid — they already were (network servers are shared state).
   //
-  // Routing state (rows, candidate masks) lives per shard: each shard's
-  // arenas reference only its own LinkCache slice, so the per-shard
-  // prepass loops can run concurrently (docs/sharding.md).
+  // Routing state (rows, per-column candidate lists) lives per shard: each
+  // shard's arenas reference only its own LinkCache slice and its own
+  // gateways' radios, so the per-shard prepass loops can run concurrently
+  // (docs/sharding.md).
   struct ShardScratch {
     std::vector<std::uint32_t> row_of_tx;  // tx index -> row in this slice
-    // tx index -> candidate columns, the slice's mask_words() per tx.
-    std::vector<std::uint64_t> tx_mask;
-    std::size_t boundary_rows = 0;  // this shard's ShardWindowStats term
+    // Window channel -> the slice's mask_words() words: bit c is set when
+    // column c's gateway can read the channel (readable_channels).
+    std::vector<std::uint64_t> readable_cols;
+    // Column -> its candidate tx indices, ascending; its gateway's task
+    // compacts the list in place into the gateway's event list.
+    std::vector<std::vector<std::uint32_t>> col_txs;
+    std::vector<std::uint8_t> readable;  // one radio's readable_channels
+    std::size_t boundary_rows = 0;       // this shard's ShardWindowStats term
   };
 
   struct RunScratch {
@@ -152,15 +157,13 @@ class ScenarioRunner {
     std::vector<ShardScratch> shards;
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
+    std::vector<GatewayId> task_ids;        // every task's gateway id, sorted
     std::vector<GatewayYield> yields;       // task index -> its yield
     // The window's shared transmission columns plus per-task fading /
-    // power buffers consumed by the receive kernels (phy/batch_kernels.hpp);
-    // each task's candidate indices compact in place in its yield.
+    // power buffers consumed by the receive kernels (phy/batch_kernels.hpp).
     WindowTxTable table;
     std::vector<std::vector<double>> task_fade;
     std::vector<std::vector<Dbm>> task_power;
-    // Per task, one byte per window channel: can its radio read it?
-    std::vector<std::vector<std::uint8_t>> task_readable;
     // tx index -> its own-network outcomes, folded (fold_outcome).
     std::vector<std::uint8_t> own_fold;
     // Per-network uplink gather handed to NetworkServer::ingest.

@@ -171,12 +171,10 @@ TEST(BatchPruneCandidates, FilterOverPrunedListEqualsFullList) {
     }
     std::vector<std::uint32_t> all(n);
     std::iota(all.begin(), all.end(), 0U);
-    const std::vector<std::uint32_t> channel_of_tx(n, 0);
-    const std::uint8_t readable = 1;
     std::vector<std::uint32_t> pruned = all;
-    pruned.resize(batch_prune_candidates(
-        gains, row_of_tx.data(), tx_power.data(), channel_of_tx.data(),
-        &readable, floor, Db{sigma}, pruned.data(), pruned.size()));
+    pruned.resize(batch_prune_candidates(gains, row_of_tx.data(),
+                                         tx_power.data(), floor, Db{sigma},
+                                         pruned.data(), pruned.size()));
     ASSERT_TRUE(std::is_sorted(pruned.begin(), pruned.end()));
     for (std::size_t p = 0; p < 5; ++p) {
       std::size_t kept_here = 0;
@@ -217,36 +215,17 @@ TEST(BatchPruneCandidates, KeepsACandidateExactlyAtTheBound) {
   ASSERT_LT(gains[1].antenna_gain.value() - gains[1].path_loss.value(), bound);
   const std::vector<std::uint32_t> row_of_tx = {0, 1};
   const std::vector<Dbm> tx_power = {power, power};
-  const std::vector<std::uint32_t> channel_of_tx = {0, 0};
-  const std::uint8_t readable = 1;
   std::vector<std::uint32_t> idx = {0, 1};
   ASSERT_EQ(batch_prune_candidates(gains, row_of_tx.data(), tx_power.data(),
-                                   channel_of_tx.data(), &readable, floor,
-                                   sigma, idx.data(), idx.size()),
+                                   floor, sigma, idx.data(), idx.size()),
             1u);
   EXPECT_EQ(idx[0], 0u);
 }
 
-// A candidate loud enough to pass the power bound is still dropped when
-// its channel is unreadable; the kept ones stay in ascending order.
-TEST(BatchPruneCandidates, DropsCandidatesOnUnreadableChannels) {
-  const std::vector<LinkGain> gains(5, LinkGain{Db{100.0}, Db{0.0}});
-  const std::vector<std::uint32_t> row_of_tx = {0, 1, 2, 3, 4};
-  const std::vector<Dbm> tx_power(5, Dbm{14.0});
-  const std::vector<std::uint32_t> channel_of_tx = {0, 1, 2, 1, 0};
-  const std::vector<std::uint8_t> readable = {1, 0, 2};
-  std::vector<std::uint32_t> idx = {0, 1, 2, 3, 4};
-  idx.resize(batch_prune_candidates(gains, row_of_tx.data(), tx_power.data(),
-                                    channel_of_tx.data(), readable.data(),
-                                    Dbm{-142.0}, Db{1.0}, idx.data(),
-                                    idx.size()));
-  EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 2, 4}));
-}
-
 TEST(BatchPruneCandidates, EmptyListKeepsNothing) {
   std::vector<LinkGain> gains = {LinkGain{}};
-  EXPECT_EQ(batch_prune_candidates(gains, nullptr, nullptr, nullptr, nullptr,
-                                   Dbm{-142.0}, Db{1.0}, nullptr, 0),
+  EXPECT_EQ(batch_prune_candidates(gains, nullptr, nullptr, Dbm{-142.0},
+                                   Db{1.0}, nullptr, 0),
             0u);
 }
 

@@ -452,9 +452,10 @@ RunnerOutcome runner_digest(int gateways, int nodes, std::uint64_t seed,
 }
 
 TEST(BatchPipeline, MaskFallbackBeyond64GatewayColumns) {
-  // 65 gateways in one shard slice disable the 64-bit candidacy mask
-  // (sh.use_mask = false): the gather must reproduce the pinned window
-  // through the range-list fallback too.
+  // 65 gateways in one shard slice give every candidate mask a second
+  // word: the prepass must route a column of the second word exactly as
+  // one of the first. ReplayEquivalence.MultiWordMasksMatchReplay checks
+  // such a world fate for fate.
   const RunnerOutcome run = runner_digest(/*gateways=*/65, /*nodes=*/24,
                                           /*seed=*/42);
   EXPECT_EQ(digest_hex(run.digest), "eee024bac2a789e7");

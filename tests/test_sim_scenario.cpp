@@ -298,6 +298,26 @@ TEST(ScenarioOptions, ShardsAboveCapRejected) {
   expect_rejected(RunOptions{.shards = 4097}, "shards");
 }
 
+// Two gateways with one id would share a link-cache column, and so the
+// candidate list each gateway task takes: the window is refused instead.
+TEST(Scenario, DuplicateGatewayIdRejected) {
+  Fixture f;
+  const GatewayId taken = f.network->gateways().front().id();
+  f.network->add_gateway(taken, Point{Meters{100.0}, Meters{100.0}},
+                         default_profile());
+  auto& node = f.add_node(0, DataRate::kDR3, Point{Meters{420}, Meters{400}});
+  ScenarioRunner runner(f.deployment, 7, RunOptions{nullptr, 2, 1});
+  try {
+    (void)runner.run_window(
+        {node.make_transmission(Seconds{0.0}, 10, f.ids.next())});
+    ADD_FAILURE() << "a window ran with gateway id " << taken << " twice";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gateway id " + std::to_string(taken)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioOptions, ZeroDefaultsAccepted) {
   Fixture f;
   ScenarioRunner runner(f.deployment, 7,
